@@ -8,11 +8,28 @@ which is exactly the statement that the splitting probabilities
 
     p_{n,k} = (a1*k + a0) * T_k * T_{n-k} / ((n-1) * T_n)
 
-sum to one.  T_n is kept two ways: exact Fractions up to a cutoff, and a
+sum to one.  T_n is kept two ways: exactly up to a cutoff, and as a
 scaled mantissa/exponent pair (mantissa in [1,2), base-2 exponent) for
 every n, because T_n grows like rho^-n and overflows doubles near
 n ~ 150 already for ordered trees.  An independent oracle computes T_n
 by Lagrange inversion of T(z) = z*Phi(T(z)).
+
+The exact recurrence runs on plain integers S_n = c_n * T_n, with L the
+lcm of the denominators of a0 and a1, so that W_k = L*(a1*k + a0) is an
+integer.  The scale starts as c_n = L^(n-1), under which
+
+    (n-1) * S_n = sum_k W_k * S_k * S_{n-k},
+
+and stays there while every such sum divides exactly by n-1 (ordered,
+binary and d-ary trees, kind C with integer gamma).  At the first sum
+that does not, the scale switches for the whole table to the
+exponential-type normalisation c_n = (n-1)! * L^(n-1), which needs no
+division at all:
+
+    S_n = sum_k W_k * C(n-2, k-1) * S_k * S_{n-k}.
+
+W_k + W_{n-k} does not depend on k, so both sums fold over k <-> n-k.
+The exact T_n are handed out as reduced Fractions S_n / c_n.
 """
 
 from __future__ import annotations
@@ -20,7 +37,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Sequence, Union
+from operator import add, mul
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -54,6 +72,8 @@ class WeightedCounts:
     (index 0 is a placeholder).  ``log_values[n]`` is ln T_n for every
     1 <= n <= n_max.  The mantissa/exponent arrays carry
     T_n = mantissa[n] * 2**exponent[n] with mantissa in [1, 2).
+    ``scaled[n]`` is the integer c_n * T_n the exact values come from,
+    with c_n = L^(n-1), times (n-1)! when ``factorial_scale`` is set.
     """
 
     family: FamilySpec
@@ -63,6 +83,8 @@ class WeightedCounts:
     log_values: np.ndarray
     mantissa: np.ndarray = field(repr=False)
     exponent: np.ndarray = field(repr=False)
+    scaled: List[int] = field(repr=False)
+    factorial_scale: bool = field(repr=False)
 
     @property
     def exact_limit(self) -> int:
@@ -77,6 +99,73 @@ class WeightedCounts:
         if not 1 <= n <= self.n_max:
             raise OutOfRange(f"n must be in [1, {self.n_max}], got {n}")
         return float(self.log_values[n])
+
+    def factorial_scaled(self, n_max: int) -> List[int]:
+        """(n-1)! * L^(n-1) * T_n as ints for 1 <= n <= n_max (index 0 = 0)."""
+        if not 1 <= n_max <= self.exact_limit:
+            raise OutOfRange(f"exact T_n available for 1 <= n <= {self.exact_limit}, got {n_max}")
+        if self.factorial_scale:
+            return self.scaled[: n_max + 1]
+        out = [0]
+        fact = 1
+        for n in range(1, n_max + 1):
+            out.append(fact * self.scaled[n])
+            fact *= n
+        return out
+
+
+def _weight_scale(spec: FamilySpec) -> int:
+    """L, the lcm of the denominators of a0 and a1.
+
+    It is the least positive integer that makes every W_k = L*(a1*k + a0)
+    an integer.
+    """
+    return math.lcm(spec.a0.denominator, spec.a1.denominator)
+
+
+def integer_weights(spec: FamilySpec, n_max: int) -> List[int]:
+    """[W_0, ..., W_n_max] with W_k = L*(a1*k + a0)."""
+    scale = _weight_scale(spec)
+    la1, la0 = int(scale * spec.a1), int(scale * spec.a0)
+    return [la1 * k + la0 for k in range(n_max + 1)]
+
+
+def folded_sum(w: List[int], s: List[int], n: int, binom: Optional[List[int]] = None) -> int:
+    """sum_k W_k * B_k * S_k * S_{n-k} over 1 <= k <= n-1, B_k = C(n-2, k-1) or 1.
+
+    Terms k and n-k share S_k * S_{n-k} and B_k, and their weights add up
+    to W_1 + W_{n-1}; the middle term of an even n stands alone.
+    """
+    half, mid = (n - 1) // 2, n // 2
+    lower = s[1 : half + 1] if binom is None else list(map(mul, binom, s[1 : half + 1]))
+    acc = (w[1] + w[n - 1]) * sum(map(mul, lower, s[n - 1 : n - half - 1 : -1]))
+    if n % 2 == 0:
+        acc += w[mid] * (1 if binom is None else binom[mid - 1]) * s[mid] ** 2
+    return acc
+
+
+def _scaled_counts(spec: FamilySpec, n_exact: int) -> Tuple[List[int], bool]:
+    """S_n = c_n * T_n for 1 <= n <= n_exact, and whether c_n carries (n-1)!."""
+    w = integer_weights(spec, n_exact)
+    s = [0, 1]
+    factorial = False
+    binom: List[int] = []  # C(n-2, k-1) for k = 1..n-1, factorial scale only
+    for n in range(2, n_exact + 1):
+        if factorial:
+            binom = [1, *map(add, binom, binom[1:]), 1]
+        else:
+            total, rest = divmod(folded_sum(w, s, n), n - 1)
+            if rest == 0:
+                s.append(total)
+                continue
+            factorial = True
+            fact = 1
+            for k in range(2, n):
+                fact *= k - 1
+                s[k] *= fact
+            binom = [math.comb(n - 2, j) for j in range(n - 1)]
+        s.append(folded_sum(w, s, n, binom))
+    return s, factorial
 
 
 def compute_counts(
@@ -98,20 +187,20 @@ def compute_counts(
         )
     n_exact = min(n_max, exact_cutoff)
 
-    a1, a0 = spec.a1, spec.a0
-    exact: List[Fraction] = [Fraction(0), Fraction(1)]
-    for n in range(2, n_exact + 1):
-        acc = Fraction(0)
-        for k in range(1, n):
-            acc += (a1 * k + a0) * exact[k] * exact[n - k]
-        exact.append(acc / (n - 1))
+    scaled, factorial = _scaled_counts(spec, n_exact)
+    scale = _weight_scale(spec)
+    exact: List[Fraction] = [Fraction(0)]
+    c_n = 1
+    for n in range(1, n_exact + 1):
+        exact.append(Fraction(scaled[n], c_n))
+        c_n *= scale * n if factorial else scale
 
     # Same recurrence on (mantissa, exponent) pairs; products add exponents,
     # the sum is aligned to the largest exponent before accumulating.
     mant = np.zeros(n_max + 1)
     expo = np.zeros(n_max + 1, dtype=np.int64)
     mant[1] = 1.0
-    a1f, a0f = float(a1), float(a0)
+    a1f, a0f = float(spec.a1), float(spec.a0)
     k_all = np.arange(n_max + 1, dtype=np.float64)
     weights_all = a1f * k_all + a0f
     for n in range(2, n_max + 1):
@@ -134,6 +223,8 @@ def compute_counts(
         log_values=logs,
         mantissa=mant,
         exponent=expo,
+        scaled=scaled,
+        factorial_scale=factorial,
     )
 
 
@@ -188,19 +279,31 @@ def split_distribution(
     """
     if not 2 <= n <= counts.n_max:
         raise OutOfRange(f"n must be in [2, {counts.n_max}], got {n}")
-    spec = counts.family
     if n <= counts.exact_limit:
-        t = counts.exact
-        denom = (n - 1) * t[n]
-        probs: List[Union[Fraction, float]] = [
-            (spec.a1 * k + spec.a0) * t[k] * t[n - k] / denom for k in range(1, n)
-        ]
+        probs: List[Union[Fraction, float]] = _prob_row_exact(counts, n)
     else:
         probs = list(_prob_row_float(counts, n))
     if symmetrized:
         rev = probs[::-1]
         probs = [(p + q) / 2 for p, q in zip(probs, rev)]
     return SplitDistribution(n=n, probs=probs, symmetrized=symmetrized, exact=n <= counts.exact_limit)
+
+
+def _prob_row_exact(counts: WeightedCounts, n: int) -> List[Fraction]:
+    """Exact row p_{n,1..n-1} from the scaled counts, one Fraction per k.
+
+    p_{n,k} = W_k * S_k * S_{n-k} / ((n-1) * S_n) under c_n = L^(n-1),
+    and W_k * C(n-2, k-1) * S_k * S_{n-k} / S_n under the factorial scale.
+    """
+    w = integer_weights(counts.family, n)
+    s = counts.scaled
+    if counts.factorial_scale:
+        weights = [w[k] * math.comb(n - 2, k - 1) for k in range(1, n)]
+        denom = s[n]
+    else:
+        weights = w[1:n]
+        denom = (n - 1) * s[n]
+    return [Fraction(wk * s[k] * s[n - k], denom) for k, wk in enumerate(weights, start=1)]
 
 
 def _prob_row_float(counts: WeightedCounts, n: int) -> np.ndarray:

@@ -21,9 +21,19 @@ alpha = 0 exactly the number of edges, n - 1 (with the default it is
 exactly 2n - 1).  The two conventions differ by a deterministic shift:
 one-sided by t_1, two-sided by n * t_1.
 
-Tables are exact Fractions whenever every toll value is rational
-(integer alpha, or a rational override table), else double precision;
-an 80-bit extended mode is available via ``dtype=numpy.longdouble``.
+Tables are exact whenever every toll value is rational (integer alpha,
+or a rational override table), else double precision; an 80-bit
+extended mode is available via ``dtype=numpy.longdouble``.  The exact
+recurrence runs on plain integers
+
+    N_n^s = (n-1)! * L^(n-1) * T_n * D^s * E V_n^s,
+
+where L clears the denominators of a0 and a1 (see :mod:`treecut.counts`)
+and D those of the tolls t_1..t_n.  The moments divide by n-1 at every
+level, so the table always takes the factorial scale, under which each
+step is an integer sum of products with no division.  The reduced
+Fractions E V_n^s = N_n^s / (N_n^0 * D^s) are built once, after the
+recurrence.
 """
 
 from __future__ import annotations
@@ -31,11 +41,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from .counts import WeightedCounts
+from .counts import WeightedCounts, folded_sum, integer_weights
 from .errors import ConfigError, OutOfRange
 from .family import FamilySpec
 
@@ -178,7 +189,7 @@ def one_sided_moments(
     _check_args(counts, n_max, s_max)
     resolved = _resolve_mode(counts, toll, n_max, mode)
     if resolved == "rational":
-        rows = _one_sided_rational(counts, toll, n_max, s_max)
+        rows = _rational_rows(counts, toll, ONE_SIDED, n_max, s_max)
     else:
         rows = _one_sided_float(counts, toll, n_max, s_max, dtype)
     return MomentTable(ONE_SIDED, counts.family, toll, n_max, s_max, resolved, rows)
@@ -205,97 +216,80 @@ def two_sided_moments(
         raise ConfigError(f"unknown method {method!r}")
     resolved = _resolve_mode(counts, toll, n_max, mode)
     if resolved == "rational":
-        rows = _two_sided_rational(counts, toll, n_max, s_max, method)
+        rows = _rational_rows(counts, toll, TWO_SIDED, n_max, s_max, method)
     else:
         rows = _two_sided_float(counts, toll, n_max, s_max, method, dtype)
     return MomentTable(TWO_SIDED, counts.family, toll, n_max, s_max, resolved, rows)
 
 
 # ---------------------------------------------------------------------------
-# Rational kernels
+# Exact kernel
 # ---------------------------------------------------------------------------
 
 
-def _rational_frame(counts: WeightedCounts, toll: TollSpec, n_max: int, s_max: int):
-    t = counts.exact
-    tolls = [None] + [toll.exact_value(n) for n in range(1, n_max + 1)]
-    weights = [None] + [
-        counts.family.a1 * k + counts.family.a0 for k in range(1, n_max + 1)
-    ]
-    rows: List[List] = [[None] * (n_max + 1) for _ in range(s_max + 1)]
-    for n in range(1, n_max + 1):
-        rows[0][n] = Fraction(1)
+def _rational_rows(counts: WeightedCounts, toll: TollSpec, variant: str, n_max: int, s_max: int,
+                   method: str = "paired") -> List[List]:
+    """Exact rows[s][n] = E V_n^s as reduced Fractions, from an integer recurrence.
+
+    N[s][n] = (n-1)! * L^(n-1) * T_n * D^s * E V_n^s is an integer, with
+    W_k = L*(a1*k + a0), D the lcm of the toll denominators and
+    tau_n = D*t_n.  Row 0 is the factorial-scaled count.  Both variants
+    share
+
+        N[s][n] = sum_r C(s,r) * tau_n^(s-r) * Y_r,      Y_0 = N[0][n],
+
+    where, with B_k = C(n-2, k-1),
+
+        one-sided:  Y_r = sum_k W_k B_k N[r][k] N[0][n-k]
+        two-sided:  Y_r = sum_{j+l=r} C(r,j) sum_k W_k B_k N[j][k] N[l][n-k].
+
+    The paired two-sided method folds k with n-k: B_k = B_{n-k}, and
+    W_k + W_{n-k} = W_1 + W_{n-1} for every k.
+    """
+    w = integer_weights(counts.family, n_max)
+    tolls = [toll.exact_value(n) for n in range(1, n_max + 1)]
+    denom = math.lcm(*(t.denominator for t in tolls))
+    tau = [0] + [t.numerator * (denom // t.denominator) for t in tolls]
+    rows = [counts.factorial_scaled(n_max)] + [[0] * (n_max + 1) for _ in range(s_max)]
     for s in range(1, s_max + 1):
-        rows[s][1] = tolls[1] ** s
-    return t, tolls, weights, rows
-
-
-def _one_sided_rational(counts, toll, n_max, s_max):
-    t, tolls, weights, rows = _rational_frame(counts, toll, n_max, s_max)
+        rows[s][1] = tau[1] ** s
+    comb = [[math.comb(s, r) for r in range(s + 1)] for s in range(s_max + 1)]
+    binom = [1]  # B_k for k = 1..n-1, advanced along Pascal's triangle
     for n in range(2, n_max + 1):
-        denom = (n - 1) * t[n]
-        q = [weights[k] * t[k] * t[n - k] for k in range(1, n)]
-        hit = [Fraction(1)]  # hit[j] = sum_k p_{n,k} E V_k^j
-        for j in range(1, s_max + 1):
-            row = rows[j]
-            hit.append(sum(qk * row[k] for k, qk in zip(range(1, n), q)) / denom)
-        tn = tolls[n]
-        tpow = [Fraction(1)]
-        for _ in range(s_max):
-            tpow.append(tpow[-1] * tn)
-        for s in range(1, s_max + 1):
-            rows[s][n] = sum(math.comb(s, j) * tpow[s - j] * hit[j] for j in range(s + 1))
-    return rows
-
-
-def _two_sided_rational(counts, toll, n_max, s_max, method):
-    t, tolls, weights, rows = _rational_frame(counts, toll, n_max, s_max)
-    pairs = [(j, l) for j in range(s_max + 1) for l in range(s_max + 1) if j + l <= s_max]
-    for n in range(2, n_max + 1):
-        denom = (n - 1) * t[n]
-        q = [weights[k] * t[k] * t[n - k] for k in range(1, n)]
-        cross = {}
-        if method == "direct":
-            for j, l in pairs:
-                rj, rl = rows[j], rows[l]
-                cross[(j, l)] = (
-                    sum(qk * rj[k] * rl[n - k] for k, qk in zip(range(1, n), q)) / denom
-                )
+        if n > 2:
+            binom = [1, *map(add, binom, binom[1:]), 1]
+        fwd = [row[1:n] for row in rows]  # N[j][k], k = 1..n-1
+        rev = [row[n - 1 : 0 : -1] for row in rows]  # N[l][n-k]
+        y = [rows[0][n]]
+        if variant == ONE_SIDED:
+            partner = list(map(mul, map(mul, w[1:n], binom), rev[0]))
+            y += [sum(map(mul, partner, fwd[r])) for r in range(1, s_max + 1)]
+        elif method == "direct":
+            wb = list(map(mul, w[1:n], binom))
+            for r in range(1, s_max + 1):
+                y.append(sum(
+                    comb[r][j] * sum(map(mul, map(mul, wb, fwd[j]), rev[r - j])) for j in range(r + 1)
+                ))
         else:
-            qs = [qk + qr for qk, qr in zip(q, q[::-1])]  # q_k + q_{n-k}
-            half = (n - 1) // 2
-            for j, l in pairs:
-                if j > l:
-                    continue
-                rj, rl = rows[j], rows[l]
-                if j == 0 and l == 0:
-                    acc = denom  # probabilities sum to one
-                elif j == 0:  # rows[0] is identically 1: single-factor dots
-                    acc = sum(qk * rl[n - k] for k, qk in zip(range(1, n), q))
-                    acc += sum(qk * rl[k] for k, qk in zip(range(1, n), q))
-                    acc /= 2
-                elif j == l:
-                    acc = sum(qs[k - 1] * rj[k] * rl[n - k] for k in range(1, half + 1))
-                    if n % 2 == 0:
-                        m = n // 2
-                        acc += q[m - 1] * rj[m] * rl[m]
-                else:
-                    acc = sum(qs[k - 1] * rj[k] * rl[n - k] for k in range(1, n)) / 2
-                cross[(j, l)] = acc / denom
-                cross[(l, j)] = cross[(j, l)]  # only the sum of both orders is used
-        tn = tolls[n]
-        tpow = [Fraction(1)]
+            bf = [list(map(mul, binom, fwd[j])) for j in range((s_max + 1) // 2)]
+            for r in range(1, s_max + 1):
+                # j < l = r-j: one dot over every k carries both orders (j, l) and (l, j)
+                acc = sum(comb[r][j] * sum(map(mul, bf[j], rev[r - j])) for j in range((r + 1) // 2))
+                acc *= w[1] + w[n - 1]
+                if r % 2 == 0:
+                    acc += comb[r][r // 2] * folded_sum(w, rows[r // 2], n, binom)
+                y.append(acc)
+        tpow = [1]
         for _ in range(s_max):
-            tpow.append(tpow[-1] * tn)
+            tpow.append(tpow[-1] * tau[n])
         for s in range(1, s_max + 1):
-            acc = Fraction(0)
-            for s1 in range(s + 1):
-                for s2 in range(s - s1 + 1):
-                    s3 = s - s1 - s2
-                    coeff = math.comb(s, s1) * math.comb(s - s1, s2)
-                    acc += coeff * tpow[s1] * cross[(s2, s3)]
-            rows[s][n] = acc
-    return rows
+            rows[s][n] = sum(comb[s][r] * tpow[s - r] * y[r] for r in range(s + 1))
+    counts_row = rows[0]
+    out: List[List] = [[None] + [Fraction(1)] * n_max]
+    for s in range(1, s_max + 1):
+        scale = denom**s
+        out.append([None] + [Fraction(v, c * scale) for v, c in zip(rows[s][1:], counts_row[1:])])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,29 @@ class CriterionResult:
         return f"[{status}] criterion {self.number:2d} ({self.elapsed:6.1f}s) {self.name}: {self.details}"
 
 
+class _Clock:
+    """Monotonic wall-clock timer of one criterion against its budget (if any)."""
+
+    def __init__(self, budget: Optional[float] = None):
+        self.budget = budget
+        self.elapsed = 0.0
+        self._start = time.perf_counter()
+
+    def stop(self) -> float:
+        self.elapsed = time.perf_counter() - self._start
+        return self.elapsed
+
+    @property
+    def within_budget(self) -> bool:
+        return self.budget is None or self.elapsed < self.budget
+
+    def note(self, details: str) -> str:
+        """``details``, with the RUNTIME overrun appended when the budget is spent."""
+        if self.within_budget:
+            return details
+        return f"{details}; RUNTIME {self.elapsed:.1f}s >= {self.budget:g}s"
+
+
 def _reference_families():
     return [("cayley", cayley()), ("binary", binary()), ("ordered", ordered())]
 
@@ -69,7 +92,7 @@ def _report_rows(number: int, family: str, report) -> List[Dict]:
 
 def criterion_01_degenerate_exactness() -> CriterionResult:
     """Two-sided, alpha = 0, edges-only boundary: cost is exactly n - 1."""
-    start = time.time()
+    clock = _Clock(10.0)
     toll = TollSpec(alpha=0, size_one_cost=0)
     bad: List[str] = []
     for name, spec in _reference_families():
@@ -81,21 +104,20 @@ def criterion_01_degenerate_exactness() -> CriterionResult:
             if mean != n - 1 or var != 0:
                 bad.append(f"{name} n={n}: mean={mean} var={var}")
                 break
-    elapsed = time.time() - start
-    ok = not bad and elapsed < 10.0
+    elapsed = clock.stop()
+    ok = not bad and clock.within_budget
     details = (
         "mean = n-1 and variance = 0 exactly (rationals), 3 families, n <= 300"
         if not bad
         else "; ".join(bad)
     )
-    if elapsed >= 10.0:
-        details += f"; RUNTIME {elapsed:.1f}s >= 10s"
+    details = clock.note(details)
     return CriterionResult(1, "degenerate exactness (two-sided, alpha=0)", ok, elapsed, details)
 
 
 def criterion_02_bruteforce_equivalence() -> CriterionResult:
     """DP moments equal exhaustive tree x cut-sequence enumeration."""
-    start = time.time()
+    clock = _Clock(60.0)
     mismatches = 0
     checked = 0
     for name, spec in (("ordered", ordered()), ("cayley", cayley())):
@@ -111,17 +133,15 @@ def criterion_02_bruteforce_equivalence() -> CriterionResult:
                     checked += 2
                     mismatches += one.moment(n, s) != oracle_one[s]
                     mismatches += two.moment(n, s) != oracle_two[s]
-    elapsed = time.time() - start
-    ok = mismatches == 0 and elapsed < 60.0
-    details = f"{checked} exact comparisons, {mismatches} mismatches"
-    if elapsed >= 60.0:
-        details += f"; RUNTIME {elapsed:.1f}s >= 60s"
+    elapsed = clock.stop()
+    ok = mismatches == 0 and clock.within_budget
+    details = clock.note(f"{checked} exact comparisons, {mismatches} mismatches")
     return CriterionResult(2, "brute-force oracle equivalence (n<=5)", ok, elapsed, details)
 
 
 def criterion_03_count_oracles() -> CriterionResult:
     """Recurrence counts vs Lagrange inversion and closed forms."""
-    start = time.time()
+    clock = _Clock()
     bad: List[str] = []
     for name, spec in _reference_families():
         counts = compute_counts(spec, 30, exact_cutoff=30)
@@ -136,14 +156,14 @@ def criterion_03_count_oracles() -> CriterionResult:
 
     if any(wa.exact_t(n) != Fraction(n ** (n - 1), math.factorial(n)) for n in range(1, 21)):
         bad.append("cayley vs n^(n-1)/n!")
-    elapsed = time.time() - start
+    elapsed = clock.stop()
     details = "recurrence == Lagrange (n<=30, 3 families); Catalan and Cayley closed forms (n<=20)"
     return CriterionResult(3, "count oracles", not bad, elapsed, details if not bad else "; ".join(bad))
 
 
 def criterion_04_randomness_preservation() -> CriterionResult:
     """Explicit cutting of ordered trees reproduces the splitting law."""
-    start = time.time()
+    clock = _Clock(30.0)
     n, samples = 10, 100_000
     spec = ordered()
     toll = TollSpec(alpha=0)
@@ -155,11 +175,9 @@ def criterion_04_randomness_preservation() -> CriterionResult:
     p_value = float(chi2.sf(stat, df=n - 2))
     dp_mean = float(one_sided_moments(counts, toll, n, 1, mode="float").moment(n, 1))
     z = abs(survey.cost_mean - dp_mean) / survey.cost_se
-    elapsed = time.time() - start
-    ok = p_value > 1e-3 and z <= 4.0 and elapsed < 30.0
-    details = f"chi2 p={p_value:.3g} (need > 1e-3), mean off by {z:.2f} SE (need <= 4)"
-    if elapsed >= 30.0:
-        details += f"; RUNTIME {elapsed:.1f}s >= 30s"
+    elapsed = clock.stop()
+    ok = p_value > 1e-3 and z <= 4.0 and clock.within_budget
+    details = clock.note(f"chi2 p={p_value:.3g} (need > 1e-3), mean off by {z:.2f} SE (need <= 4)")
     return CriterionResult(4, "randomness preservation (explicit cuts, n=10)", ok, elapsed, details)
 
 
@@ -169,15 +187,15 @@ def criterion_05_one_sided_rayleigh() -> CriterionResult:
     Expected to fail: the finite-n correction is ~(0.19+0.40 ln n)/sqrt(n),
     i.e. ~3.9% at n = 10^4.  Kept as specified.
     """
-    start = time.time()
+    clock = _Clock(120.0)
     n = 10_000
     spec = cayley()
     counts = compute_counts(spec, n, exact_cutoff=1)
     table = one_sided_moments(counts, TollSpec(alpha=0), n, 2, mode="float")
     r1 = table.moment(n, 1) / math.sqrt(n) / math.sqrt(math.pi / 2.0)
     r2 = table.moment(n, 2) / n / 2.0
-    elapsed = time.time() - start
-    ok = abs(r1 - 1) <= 0.02 and abs(r2 - 1) <= 0.02 and elapsed < 120.0
+    elapsed = clock.stop()
+    ok = abs(r1 - 1) <= 0.02 and abs(r2 - 1) <= 0.02 and clock.within_budget
     details = (
         f"mu1/sqrt(n) off by {abs(r1 - 1) * 100:.2f}%, mu2/n off by {abs(r2 - 1) * 100:.2f}% "
         f"(need <= 2%; finite-n correction ~ (0.19+0.40 ln n)/sqrt(n) = "
@@ -202,7 +220,7 @@ def _limit_moment_oracle(alpha: float, s_max: int) -> List[float]:
 
 def criterion_06_two_sided_alpha1() -> CriterionResult:
     """Two-sided alpha = 1 normalized moments vs the limit, s <= 3, 3%."""
-    start = time.time()
+    clock = _Clock(300.0)
     n = 2000
     spec = ordered()
     constants = solve_constants(spec)
@@ -216,14 +234,13 @@ def criterion_06_two_sided_alpha1() -> CriterionResult:
         norm = table.moment(n, s) / (constants.sigma**s * float(n) ** (1.5 * s))
         errors.append(abs(norm / oracle[s] - 1))
     oracle_gap = max(abs(a - b) for a, b in zip(package, oracle))
-    elapsed = time.time() - start
-    ok = max(errors) <= 0.03 and oracle_gap < 1e-10 and elapsed < 300.0
+    elapsed = clock.stop()
+    ok = max(errors) <= 0.03 and oracle_gap < 1e-10 and clock.within_budget
     details = (
         f"rel errors s=1..3: {', '.join(f'{e * 100:.2f}%' for e in errors)} (need <= 3%); "
         f"recurrence vs inline oracle gap {oracle_gap:.1e}"
     )
-    if elapsed >= 300.0:
-        details += f"; RUNTIME {elapsed:.1f}s >= 300s"
+    details = clock.note(details)
     return CriterionResult(
         6, "two-sided alpha=1 limit (ordered, n=2000)", ok, elapsed, details,
         rows=_report_rows(6, "ordered", report),
@@ -232,7 +249,7 @@ def criterion_06_two_sided_alpha1() -> CriterionResult:
 
 def criterion_07_family_independence() -> CriterionResult:
     """Normalized-moment gap between families shrinks along the grid."""
-    start = time.time()
+    clock = _Clock()
     grid = [250, 500, 1000, 2000]
     toll = TollSpec(alpha=1)
     reports = {}
@@ -252,7 +269,7 @@ def criterion_07_family_independence() -> CriterionResult:
              "limit": 0.0, "rel_error": row.difference}
             for row in check.rows
         )
-    elapsed = time.time() - start
+    elapsed = clock.stop()
     details = "normalized gap strictly decreasing over n in {250,500,1000,2000}, s <= 3"
     return CriterionResult(7, "family independence (alpha=1)", not failures, elapsed,
                            details if not failures else "; ".join(failures), rows=rows)
@@ -260,7 +277,7 @@ def criterion_07_family_independence() -> CriterionResult:
 
 def criterion_08_half_mean_growth() -> CriterionResult:
     """alpha = 1/2 mean: free-fit leading coefficient and delta stability."""
-    start = time.time()
+    clock = _Clock()
     failures = []
     summaries = []
     for name, spec in (("ordered", ordered()), ("cayley", cayley())):
@@ -278,14 +295,14 @@ def criterion_08_half_mean_growth() -> CriterionResult:
             f"{name}: free {fit.free_coefficient:.5f} vs {target:.5f} ({off * 100:.2f}%), "
             f"delta {fit.delta:.5f} (half-range {fit.delta_half:.5f})"
         )
-    elapsed = time.time() - start
+    elapsed = clock.stop()
     return CriterionResult(8, "alpha=1/2 mean growth (n in [500,4000])", not failures, elapsed,
                            "; ".join(summaries if not failures else failures))
 
 
 def criterion_09_one_sided_alpha1() -> CriterionResult:
     """One-sided alpha = 1 normalized moments vs the closed product, 3%."""
-    start = time.time()
+    clock = _Clock()
     n = 2000
     spec = ordered()
     constants = solve_constants(spec)
@@ -299,7 +316,7 @@ def criterion_09_one_sided_alpha1() -> CriterionResult:
         formula_ok &= abs(lm.m[s] - target) <= 1e-12
         norm = table.moment(n, s) / (constants.sigma**s * float(n) ** (1.5 * s))
         errors.append(abs(norm / target - 1))
-    elapsed = time.time() - start
+    elapsed = clock.stop()
     ok = formula_ok and max(errors) <= 0.03
     details = f"rel errors s=1,2: {', '.join(f'{e * 100:.2f}%' for e in errors)} (need <= 3%)"
     return CriterionResult(9, "one-sided alpha=1 limit (ordered, n=2000)", ok, elapsed, details,
@@ -308,7 +325,7 @@ def criterion_09_one_sided_alpha1() -> CriterionResult:
 
 def criterion_10_j_integrals() -> CriterionResult:
     """J-integral Beta cases and dual-quadrature agreement, s <= 4."""
-    start = time.time()
+    clock = _Clock()
     failures = []
     if abs(limits.j_integral(0, 1, 1) - math.pi / 2.0) > 1e-8:
         failures.append("J(0,1,1) != pi/2")
@@ -327,7 +344,7 @@ def criterion_10_j_integrals() -> CriterionResult:
                 cases += 1
     if worst > 1e-8:
         failures.append(f"scheme disagreement {worst:.2e}")
-    elapsed = time.time() - start
+    elapsed = clock.stop()
     details = f"Beta cases exact to 1e-8; {cases} index triples, max scheme gap {worst:.1e}"
     return CriterionResult(10, "J-integral correctness", not failures, elapsed,
                            details if not failures else "; ".join(failures))
@@ -335,7 +352,7 @@ def criterion_10_j_integrals() -> CriterionResult:
 
 def criterion_11_monte_carlo() -> CriterionResult:
     """Size-process sampler vs DP at n=200, and worker-count determinism."""
-    start = time.time()
+    clock = _Clock()
     spec = ordered()
     n, samples = 200, 100_000
     counts = compute_counts(spec, n, exact_cutoff=1)
@@ -357,7 +374,7 @@ def criterion_11_monte_carlo() -> CriterionResult:
         if z > 4.0:
             failures.append(f"{variant}: mean off by {z:.2f} SE")
         notes.append(f"{variant} off by {z:.2f} SE, replay identical")
-    elapsed = time.time() - start
+    elapsed = clock.stop()
     return CriterionResult(11, "Monte Carlo consistency (n=200, 1e5 samples)", not failures,
                            elapsed, "; ".join(notes if not failures else failures))
 

@@ -7,6 +7,8 @@ Claims covered:
       a0 is negative) and sum to one exactly; the normalization doubles
       as a certificate of the count recurrence
     - symmetrized distributions are palindromic and normalized
+    - the exact splitting law equals the first-cut law found by
+      enumerating every tree and edge (n <= 7)
     - log-scale values agree with the exact rationals and stay stable
       far past double-precision overflow
 """
@@ -16,6 +18,7 @@ from fractions import Fraction
 
 import pytest
 
+from treecut.bruteforce import first_cut_distribution
 from treecut.counts import (
     _ln_fraction,
     _prob_row_float,
@@ -66,6 +69,15 @@ def test_normalization_and_nonnegativity(spec, tables):
         assert sum(dist.probs) == 1  # exact rationals
         assert all(p >= 0 for p in dist.probs)
         assert dist.prob(1) == dist.probs[0]
+
+
+@pytest.mark.parametrize(
+    "spec", FAMILIES + [make_family("C", 1, alpha1=2)], ids=lambda s: s.label()
+)
+def test_split_law_matches_enumeration(spec):
+    counts = compute_counts(spec, 7, exact_cutoff=7)
+    for n in range(2, 8):
+        assert list(split_distribution(counts, n).probs) == first_cut_distribution(spec, n)
 
 
 def test_kind_c_weights_positive_despite_negative_a0():

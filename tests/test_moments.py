@@ -8,6 +8,9 @@ Claims covered:
       edges-only boundary and exactly 2n-1 under the default; the two
       conventions differ by the deterministic shift n * t1
     - folded (symmetry-exploiting) inner sums equal the direct ones
+    - the scaled-integer kernel equals a plain Fraction transcription of
+      the recurrences, for families on both integer scales and a toll
+      with its own denominators
     - float tables track rational tables to ~1e-12
     - Jensen, toll monotonicity, one-sided <= two-sided means
     - shifted moments by binomial expansion, exact in rational mode
@@ -22,7 +25,7 @@ import pytest
 from treecut.bruteforce import family_moments
 from treecut.counts import compute_counts
 from treecut.errors import ConfigError, OutOfRange
-from treecut.family import binary, cayley, ordered
+from treecut.family import binary, cayley, make_family, ordered
 from treecut.moments import (
     ONE_SIDED,
     TWO_SIDED,
@@ -211,3 +214,77 @@ def test_extended_precision_mode(tables):
     wide = two_sided_moments(tables["C"], toll, 120, 2, mode="float", dtype=np.longdouble)
     assert wide.rows.dtype == np.longdouble
     assert np.allclose(wide.row(2)[1:], base.row(2)[1:], rtol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the moment recurrences transcribed on Fractions
+# ---------------------------------------------------------------------------
+
+
+def _reference_frame(counts, toll, n_max, s_max):
+    t = counts.exact
+    tolls = [None] + [toll.exact_value(n) for n in range(1, n_max + 1)]
+    weights = [None] + [counts.family.a1 * k + counts.family.a0 for k in range(1, n_max + 1)]
+    rows = [[None] * (n_max + 1) for _ in range(s_max + 1)]
+    for n in range(1, n_max + 1):
+        rows[0][n] = Fraction(1)
+    for s in range(1, s_max + 1):
+        rows[s][1] = tolls[1] ** s
+    return t, tolls, weights, rows
+
+
+def _reference_one_sided(counts, toll, n_max, s_max):
+    t, tolls, weights, rows = _reference_frame(counts, toll, n_max, s_max)
+    for n in range(2, n_max + 1):
+        denom = (n - 1) * t[n]
+        q = [weights[k] * t[k] * t[n - k] for k in range(1, n)]
+        hit = [Fraction(1)]  # hit[j] = sum_k p_{n,k} E V_k^j
+        for j in range(1, s_max + 1):
+            hit.append(sum(qk * rows[j][k] for k, qk in zip(range(1, n), q)) / denom)
+        for s in range(1, s_max + 1):
+            rows[s][n] = sum(math.comb(s, j) * tolls[n] ** (s - j) * hit[j] for j in range(s + 1))
+    return rows
+
+
+def _reference_two_sided(counts, toll, n_max, s_max):
+    t, tolls, weights, rows = _reference_frame(counts, toll, n_max, s_max)
+    for n in range(2, n_max + 1):
+        denom = (n - 1) * t[n]
+        q = [weights[k] * t[k] * t[n - k] for k in range(1, n)]
+        cross = {}
+        for j in range(s_max + 1):
+            for l in range(s_max + 1 - j):
+                rj, rl = rows[j], rows[l]
+                cross[(j, l)] = sum(qk * rj[k] * rl[n - k] for k, qk in zip(range(1, n), q)) / denom
+        for s in range(1, s_max + 1):
+            acc = Fraction(0)
+            for s1 in range(s + 1):
+                for s2 in range(s - s1 + 1):
+                    coeff = math.comb(s, s1) * math.comb(s - s1, s2)
+                    acc += coeff * tolls[n] ** s1 * cross[(s2, s - s1 - s2)]
+            rows[s][n] = acc
+    return rows
+
+
+ORACLE_FAMILIES = [  # (family, whether its counts need the (n-1)! scale)
+    (make_family("A", 2), True),
+    (make_family("C", 1, alpha1=2), True),  # gamma = 1/3
+    (make_family("B", "3/2", d=4), False),  # L = 8
+    (ordered(), False),
+]
+
+
+@pytest.mark.parametrize("spec, factorial", ORACLE_FAMILIES, ids=[spec.label() for spec, _ in ORACLE_FAMILIES])
+def test_integer_kernel_matches_fraction_reference(spec, factorial):
+    n, s_max = 40, 3
+    counts = compute_counts(spec, n, exact_cutoff=n)
+    assert counts.factorial_scale == factorial
+    override = tuple(Fraction(k * k + 1, k + 2) for k in range(1, n + 1))
+    toll = TollSpec(override=override, size_one_cost=Fraction(2, 5))
+    one = one_sided_moments(counts, toll, n, s_max, mode="rational")
+    assert one.rows == _reference_one_sided(counts, toll, n, s_max)
+    reference = _reference_two_sided(counts, toll, n, s_max)
+    for method in ("paired", "direct"):
+        two = two_sided_moments(counts, toll, n, s_max, mode="rational", method=method)
+        assert two.rows == reference
+    assert all(isinstance(v, Fraction) for row in two.rows for v in row[1:])
