@@ -103,10 +103,6 @@ class DeltaFit:
         return abs(self.delta - self.delta_half) / abs(self.delta)
 
 
-def _first_moments(table: MomentTable) -> np.ndarray:
-    return table.row(1)
-
-
 def estimate_mu(table: MomentTable, grid: Optional[Sequence[int]] = None) -> MuFit:
     """Fit mu in mu_n^[1] ~ mu*n + A*n^(alpha+1/2) + B*n^alpha.
 
@@ -122,7 +118,7 @@ def estimate_mu(table: MomentTable, grid: Optional[Sequence[int]] = None) -> MuF
     if table.n_max < 512:
         raise ConfigError(f"mu estimation needs n_max >= 512, got {table.n_max}")
     grid = fit_grid(table.n_max) if grid is None else np.asarray(list(grid), dtype=int)
-    mu1 = _first_moments(table)
+    mu1 = table.row(1)
 
     def fit(points: np.ndarray):
         nn = points.astype(float)
@@ -186,7 +182,7 @@ def estimate_delta(
     if table.n_max < 1000:
         raise ConfigError(f"delta estimation needs n_max >= 1000, got {table.n_max}")
     grid = fit_grid(table.n_max) if grid is None else np.asarray(list(grid), dtype=int)
-    mu1 = _first_moments(table)
+    mu1 = table.row(1)
     lead = constants.sigma / math.sqrt(2.0 * math.pi)
 
     def fit(points: np.ndarray):

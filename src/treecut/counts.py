@@ -8,11 +8,19 @@ which is exactly the statement that the splitting probabilities
 
     p_{n,k} = (a1*k + a0) * T_k * T_{n-k} / ((n-1) * T_n)
 
-sum to one.  T_n is kept two ways: exactly up to a cutoff, and as a
-scaled mantissa/exponent pair (mantissa in [1,2), base-2 exponent) for
-every n, because T_n grows like rho^-n and overflows doubles near
-n ~ 150 already for ordered trees.  An independent oracle computes T_n
-by Lagrange inversion of T(z) = z*Phi(T(z)).
+sum to one.  T_n is kept two ways: exactly up to a cutoff, and as the
+rho-scaled float a_n = rho^n * T_n for every n, where rho = tau/Phi(tau)
+(tau = 1/a1) is the singularity of the tree GF.  T_n grows like
+c * rho^-n * n^-3/2 and overflows doubles near n ~ 520 already for
+ordered trees, but a_n ~ c * n^-3/2 stays well inside double range, and
+rho^n = rho^k * rho^(n-k) leaves the recurrence and p_{n,k} unchanged
+with a in place of T.  Since w_k + w_{n-k} = a1*n + 2*a0 for
+w_k = a1*k + a0, the float recurrence folds to a plain convolution:
+
+    a_n = (a1*n + 2*a0) / (2*(n-1)) * sum_k a_k * a_{n-k},   a_1 = rho.
+
+An independent oracle computes T_n by Lagrange inversion of
+T(z) = z*Phi(T(z)).
 
 The exact recurrence runs on plain integers S_n = c_n * T_n, with L the
 lcm of the denominators of a0 and a1, so that W_k = L*(a1*k + a0) is an
@@ -43,7 +51,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import OutOfRange, OverflowPolicyError
-from .family import FamilySpec, phi_coefficient
+from .family import FamilySpec, phi_coefficient, phi_value, tau_exact
 
 _LN2 = math.log(2.0)
 
@@ -70,8 +78,8 @@ class WeightedCounts:
 
     ``exact[n]`` is the exact Fraction T_n for 1 <= n <= exact_limit
     (index 0 is a placeholder).  ``log_values[n]`` is ln T_n for every
-    1 <= n <= n_max.  The mantissa/exponent arrays carry
-    T_n = mantissa[n] * 2**exponent[n] with mantissa in [1, 2).
+    1 <= n <= n_max.  ``rho_scaled[n]`` is a_n = rho**n * T_n for
+    1 <= n <= n_max, with ``rho`` = tau/Phi(tau) in double precision.
     ``scaled[n]`` is the integer c_n * T_n the exact values come from,
     with c_n = L^(n-1), times (n-1)! when ``factorial_scale`` is set.
     """
@@ -81,8 +89,8 @@ class WeightedCounts:
     exact_cutoff: int
     exact: List[Fraction]
     log_values: np.ndarray
-    mantissa: np.ndarray = field(repr=False)
-    exponent: np.ndarray = field(repr=False)
+    rho: float
+    rho_scaled: np.ndarray = field(repr=False)
     scaled: List[int] = field(repr=False)
     factorial_scale: bool = field(repr=False)
 
@@ -174,10 +182,10 @@ def compute_counts(
     exact_cutoff: int = 400,
     max_exact_cutoff: int = MAX_EXACT_CUTOFF,
 ) -> WeightedCounts:
-    """Run the convolution recurrence in exact and scaled-float form.
+    """Run the convolution recurrence in exact and rho-scaled float form.
 
     Exact Fractions are kept for n <= min(n_max, exact_cutoff); the
-    mantissa/exponent (and hence ln T_n) values cover all n <= n_max.
+    rho-scaled values (and hence ln T_n) cover all n <= n_max.
     """
     if n_max < 1:
         raise OutOfRange(f"n_max must be >= 1, got {n_max}")
@@ -195,25 +203,20 @@ def compute_counts(
         exact.append(Fraction(scaled[n], c_n))
         c_n *= scale * n if factorial else scale
 
-    # Same recurrence on (mantissa, exponent) pairs; products add exponents,
-    # the sum is aligned to the largest exponent before accumulating.
-    mant = np.zeros(n_max + 1)
-    expo = np.zeros(n_max + 1, dtype=np.int64)
-    mant[1] = 1.0
+    tau = float(tau_exact(spec))
+    rho = tau / phi_value(spec, tau)
+    a = np.zeros(n_max + 1)
+    mirror = np.zeros(n_max + 1)  # mirror[n_max - k] = a[k], so a_{n-k} runs forward
+    a[1] = mirror[n_max - 1] = rho
     a1f, a0f = float(spec.a1), float(spec.a0)
-    k_all = np.arange(n_max + 1, dtype=np.float64)
-    weights_all = a1f * k_all + a0f
     for n in range(2, n_max + 1):
-        mm = mant[1:n] * mant[n - 1 : 0 : -1]
-        ee = expo[1:n] + expo[n - 1 : 0 : -1]
-        top = int(ee.max())
-        total = float(np.dot(weights_all[1:n], np.ldexp(mm, ee - top)))
-        m, e = math.frexp(total / (n - 1))
-        mant[n] = 2.0 * m
-        expo[n] = top + e - 1
+        conv = np.dot(a[1:n], mirror[n_max - n + 1 : n_max])
+        a[n] = mirror[n_max - n] = (a1f * n + 2.0 * a0f) / (2 * (n - 1)) * conv
 
     logs = np.full(n_max + 1, np.nan)
-    logs[1:] = np.log(mant[1:]) + expo[1:] * _LN2
+    # n*ln(rho) in extended precision: its rounding would grow with n
+    n_log_rho = np.arange(1, n_max + 1, dtype=np.longdouble) * np.log(np.longdouble(rho))
+    logs[1:] = np.log(a[1:]) - n_log_rho
 
     return WeightedCounts(
         family=spec,
@@ -221,8 +224,8 @@ def compute_counts(
         exact_cutoff=exact_cutoff,
         exact=exact,
         log_values=logs,
-        mantissa=mant,
-        exponent=expo,
+        rho=rho,
+        rho_scaled=a,
         scaled=scaled,
         factorial_scale=factorial,
     )
@@ -307,13 +310,12 @@ def _prob_row_exact(counts: WeightedCounts, n: int) -> List[Fraction]:
 
 
 def _prob_row_float(counts: WeightedCounts, n: int) -> np.ndarray:
-    """Float row p_{n,1..n-1} via exp of a log-domain combination.
+    """Float row p_{n,1..n-1} = w_k * a_k * a_{n-k} / ((n-1) * a_n).
 
-    All factors are positive, so ln(a1*k + a0) + ln T_k + ln T_{n-k}
-    - ln(n-1) - ln T_n is well defined and stable.
+    rho^k * rho^(n-k) = rho^n, so the rho-scaled counts give the same law
+    as T_n while every factor stays inside double range.
     """
     spec = counts.family
-    logs = counts.log_values
-    k = np.arange(1, n, dtype=np.float64)
-    lw = np.log(float(spec.a1) * k + float(spec.a0))
-    return np.exp(lw + logs[1:n] + logs[n - 1 : 0 : -1] - math.log(n - 1) - logs[n])
+    a = counts.rho_scaled
+    w = float(spec.a1) * np.arange(1, n, dtype=np.float64) + float(spec.a0)
+    return w * a[1:n] * a[n - 1 : 0 : -1] / ((n - 1) * a[n])

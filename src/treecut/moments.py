@@ -34,6 +34,13 @@ level, so the table always takes the factorial scale, under which each
 step is an integer sum of products with no division.  The reduced
 Fractions E V_n^s = N_n^s / (N_n^0 * D^s) are built once, after the
 recurrence.
+
+The float recurrence runs on F_n^s = a_n * E V_n^s, with the rho-scaled
+counts a_n = rho^n * T_n of :mod:`treecut.counts`, which stay inside
+double range for every n.  Every inner sum is then a plain convolution
+over k, and the orders s <= s_max of one n come from one small matrix
+product.  Order 0 is the counts recurrence itself, and each order is
+divided by it, so the float split law has mass 1 up to one rounding.
 """
 
 from __future__ import annotations
@@ -191,7 +198,7 @@ def one_sided_moments(
     if resolved == "rational":
         rows = _rational_rows(counts, toll, ONE_SIDED, n_max, s_max)
     else:
-        rows = _one_sided_float(counts, toll, n_max, s_max, dtype)
+        rows = _float_rows(counts, toll, ONE_SIDED, n_max, s_max, dtype)
     return MomentTable(ONE_SIDED, counts.family, toll, n_max, s_max, resolved, rows)
 
 
@@ -218,7 +225,7 @@ def two_sided_moments(
     if resolved == "rational":
         rows = _rational_rows(counts, toll, TWO_SIDED, n_max, s_max, method)
     else:
-        rows = _two_sided_float(counts, toll, n_max, s_max, method, dtype)
+        rows = _float_rows(counts, toll, TWO_SIDED, n_max, s_max, dtype, method)
     return MomentTable(TWO_SIDED, counts.family, toll, n_max, s_max, resolved, rows)
 
 
@@ -293,82 +300,64 @@ def _rational_rows(counts: WeightedCounts, toll: TollSpec, variant: str, n_max: 
 
 
 # ---------------------------------------------------------------------------
-# Float kernels
+# Float kernel
 # ---------------------------------------------------------------------------
 
 
-def _float_frame(counts: WeightedCounts, toll: TollSpec, n_max: int, s_max: int, dtype):
-    logs = counts.log_values[: n_max + 1].astype(dtype)
+def _float_rows(counts: WeightedCounts, toll: TollSpec, variant: str, n_max: int, s_max: int,
+                dtype, method: str = "paired") -> np.ndarray:
+    """Float rows[s][n] = E V_n^s from the rho-scaled recurrence, in ``dtype``.
+
+    F[k, s] = a_k * E V_k^s with a_k = rho^k * T_k (see :mod:`treecut.counts`)
+    turns p_{n,k} = w_k a_k a_{n-k} / ((n-1) a_n) into a convolution.  Both
+    variants share
+
+        F[n, s] = sum_r C(s,r) * t_n^(s-r) * y_r,
+
+        one-sided:  y_r = sum_k w_k F[k, r] a_{n-k} / (n-1)
+        two-sided:  y_r = sum_{j+l=r} C(r,j) sum_k w_k F[k, j] F[n-k, l] / (n-1),
+
+    one matvec or one (s+1)x(s+1) matrix product per n.  The paired
+    two-sided method drops w_k from the sum and multiplies by
+    (w_k + w_{n-k}) / 2 = (a1*n + 2*a0) / 2 instead.  Order 0 is the counts
+    recurrence itself, y_0 = a_n with a_1 = rho, and every order is divided
+    by it, so the implied split law has mass 1 up to one rounding.
+    """
+    size = s_max + 1
+    paired = variant == TWO_SIDED and method == "paired"
     k = np.arange(n_max + 1, dtype=dtype)
-    log_w = np.empty(n_max + 1, dtype=dtype)
-    log_w[0] = np.nan
-    log_w[1:] = np.log(dtype(float(counts.family.a1)) * k[1:] + dtype(float(counts.family.a0)))
-    tolls = toll.float_values(n_max, dtype=dtype)
-    values = np.zeros((s_max + 1, n_max + 1), dtype=dtype)
-    values[0, 1:] = 1.0
-    for s in range(1, s_max + 1):
-        values[s, 1] = tolls[1] ** s
-    return logs, log_w, tolls, values
+    w = dtype(float(counts.family.a1)) * k + dtype(float(counts.family.a0))
+    scale = np.zeros(n_max + 1, dtype=dtype)
+    scale[2:] = ((w[1] + w[1:n_max]) / 2 if paired else dtype(1)) / (k[2:] - 1)
+    powers = toll.float_values(n_max, dtype=dtype)[:, None] ** np.arange(size)
+    tollmix = np.zeros((n_max + 1, size, size), dtype=dtype)  # [n, s, r] = C(s,r) t_n^(s-r) scale_n
+    for s in range(size):
+        for r in range(s + 1):
+            tollmix[:, s, r] = math.comb(s, r) * powers[:, s - r] * scale
+    mix = None  # two-sided: y_r = sum_{j+l=r} C(r,j) G[j, l] as G.ravel() @ mix
+    if variant == TWO_SIDED:
+        mix = np.zeros((size * size, size), dtype=dtype)
+        for j in range(size):
+            for l in range(size - j):
+                mix[j * size + l, j + l] = math.comb(j + l, j)
+    partner = slice(None) if variant == TWO_SIDED else 0  # F[n-k, partner] meets F[k]
 
-
-def _prob_row(logs, log_w, n, dtype):
-    return np.exp(log_w[1:n] + logs[1:n] + logs[n - 1 : 0 : -1] - dtype(math.log(n - 1)) - logs[n])
-
-
-def _one_sided_float(counts, toll, n_max, s_max, dtype):
-    logs, log_w, tolls, values = _float_frame(counts, toll, n_max, s_max, dtype)
-    comb = [[math.comb(s, j) for j in range(s + 1)] for s in range(s_max + 1)]
+    f = np.zeros((n_max + 1, size), dtype=dtype)
+    f[1] = dtype(counts.rho) * powers[1]
+    left = f if paired else w[:, None] * f  # the forward operand, w_k F[k] unless paired
+    right = np.zeros((n_max + 1, size) if variant == TWO_SIDED else n_max + 1, dtype=dtype)
+    right[n_max - 1] = f[1, partner]  # right[n_max - k] = F[k, partner]
     for n in range(2, n_max + 1):
-        p = _prob_row(logs, log_w, n, dtype)
-        hit = np.empty(s_max + 1, dtype=dtype)
-        hit[0] = 1.0
-        for j in range(1, s_max + 1):
-            hit[j] = np.dot(p, values[j, 1:n])
-        tn = tolls[n]
-        for s in range(1, s_max + 1):
-            acc = dtype(0.0)
-            for j in range(s + 1):
-                acc += comb[s][j] * tn ** (s - j) * hit[j]
-            values[s, n] = acc
-    return values
-
-
-def _two_sided_float(counts, toll, n_max, s_max, method, dtype):
-    logs, log_w, tolls, values = _float_frame(counts, toll, n_max, s_max, dtype)
-    pairs = [(j, l) for j in range(s_max + 1) for l in range(s_max + 1) if j + l <= s_max]
-    for n in range(2, n_max + 1):
-        p = _prob_row(logs, log_w, n, dtype)
-        cross = {}
-        if method == "direct":
-            for j, l in pairs:
-                cross[(j, l)] = np.dot(p, values[j, 1:n] * values[l, n - 1 : 0 : -1])
-        else:
-            ps = p + p[::-1]
-            half = (n - 1) // 2
-            for j, l in pairs:
-                if j > l:
-                    continue
-                fwd = values[j, 1:n]
-                rev = values[l, n - 1 : 0 : -1]
-                if j == l:
-                    acc = np.dot(ps[:half], fwd[:half] * rev[:half])
-                    if n % 2 == 0:
-                        m = n // 2
-                        acc += p[m - 1] * values[j, m] * values[l, m]
-                else:
-                    acc = np.dot(ps, fwd * rev) / 2
-                cross[(j, l)] = acc
-                cross[(l, j)] = acc
-        tn = tolls[n]
-        for s in range(1, s_max + 1):
-            acc = dtype(0.0)
-            for s1 in range(s + 1):
-                for s2 in range(s - s1 + 1):
-                    s3 = s - s1 - s2
-                    coeff = math.comb(s, s1) * math.comb(s - s1, s2)
-                    acc += coeff * tn**s1 * cross[(s2, s3)]
-            values[s, n] = acc
-    return values
+        y = left[1:n].T @ right[n_max - n + 1 : n_max]
+        if mix is not None:
+            y = y.ravel() @ mix
+        f[n] = tollmix[n] @ y
+        right[n_max - n] = f[n, partner]
+        if not paired:
+            left[n] = w[n] * f[n]
+    rows = np.zeros((size, n_max + 1), dtype=dtype)
+    rows[:, 1:] = (f[1:] / f[1:, :1]).T
+    return rows
 
 
 # ---------------------------------------------------------------------------

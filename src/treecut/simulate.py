@@ -84,12 +84,20 @@ def _shard_rng(seed: int, shard: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
+def _split_cdf(counts: WeightedCounts, m: int) -> np.ndarray:
+    """Cumulative splitting law for size m, its last entry exactly 1.
+
+    A plain cumsum may end a few ulps below 1; a uniform in that gap
+    would draw K = m and leave an empty side.
+    """
+    cum = np.cumsum(_prob_row_float(counts, m))
+    cum[-1] = 1.0
+    return cum
+
+
 def _cumulative_rows(counts: WeightedCounts, n: int) -> List[Optional[np.ndarray]]:
     """cums[m] = cumulative splitting law for size m, for all 2 <= m <= n."""
-    rows: List[Optional[np.ndarray]] = [None, None]
-    for m in range(2, n + 1):
-        rows.append(np.cumsum(_prob_row_float(counts, m)))
-    return rows
+    return [None, None] + [_split_cdf(counts, m) for m in range(2, n + 1)]
 
 
 def _draw_splits(cum_rows, sizes: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -164,8 +172,7 @@ def simulate_size_process(
     toll_of = lambda m: float(m) ** toll.alpha if toll.override is None else float(toll.override[m - 1])
 
     def draw(m: int) -> int:
-        cum = np.cumsum(_prob_row_float(counts, m))
-        return int(np.searchsorted(cum, rng.random(), side="right")) + 1
+        return int(np.searchsorted(_split_cdf(counts, m), rng.random(), side="right")) + 1
 
     first = 0
     cost = 0.0

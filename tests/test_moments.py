@@ -11,7 +11,11 @@ Claims covered:
     - the scaled-integer kernel equals a plain Fraction transcription of
       the recurrences, for families on both integer scales and a toll
       with its own denominators
-    - float tables track rational tables to ~1e-12
+    - float tables track rational tables to 1e-13 (n=300, alpha=1,
+      s<=3, three families, both variants)
+    - the float kernel does not cancel: at alpha=0 the two-sided cost is
+      deterministic and its float central moments stay below 1e-13 of
+      the mean's powers at n=10^4
     - Jensen, toll monotonicity, one-sided <= two-sided means
     - shifted moments by binomial expansion, exact in rational mode
 """
@@ -116,6 +120,37 @@ def test_float_matches_rational(tables, variant_maker):
         for s in range(4)
     )
     assert worst < 1e-12
+
+
+@pytest.fixture(scope="module")
+def tables300():
+    return {spec.kind: compute_counts(spec, 300, exact_cutoff=300) for spec in FAMILIES}
+
+
+@pytest.mark.parametrize("variant_maker", [one_sided_moments, two_sided_moments])
+@pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: s.label())
+def test_float_matches_rational_n300(tables300, spec, variant_maker):
+    counts = tables300[spec.kind]
+    toll = TollSpec(alpha=1)
+    exact = variant_maker(counts, toll, 300, 3, mode="rational")
+    floats = variant_maker(counts, toll, 300, 3, mode="float")
+    worst = max(
+        abs(floats.moment(n, s) / float(exact.moment(n, s)) - 1)
+        for n in range(1, 301)
+        for s in range(4)
+    )
+    assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("spec", [ordered(), cayley()], ids=lambda s: s.label())
+def test_float_central_moments_alpha0_n10000(spec):
+    # the cost is exactly 2n - 1, so every central moment is 0
+    n = 10_000
+    counts = compute_counts(spec, n, exact_cutoff=1)
+    table = two_sided_moments(counts, TollSpec(alpha=0), n, 4, mode="float")
+    mean = table.moment(n, 1)
+    for s in (2, 3, 4):
+        assert abs(shifted_moments(table, lambda _: mean, s, [n])[0]) / mean**s <= 1e-13
 
 
 def test_paired_equals_direct(tables):

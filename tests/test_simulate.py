@@ -12,6 +12,7 @@ Claims covered:
       the exact DP within standard-error bounds
     - experiments are deterministic for a fixed seed regardless of
       worker count, and configs are validated
+    - the largest uniform below 1 still splits off a nonempty side
 """
 
 import math
@@ -28,6 +29,8 @@ from treecut.moments import ONE_SIDED, TWO_SIDED, TollSpec, one_sided_moments, t
 from treecut.simulate import (
     EXPLICIT,
     ExperimentConfig,
+    _cumulative_rows,
+    _draw_splits,
     _shard_rng,
     destroy_tree,
     explicit_cut_survey,
@@ -159,6 +162,32 @@ def test_size_process_single_samples():
     assert seen == {2.0, 3.0}  # cut to 1 directly, or via 2
     one = simulate_size_process(counts, toll, 1, TWO_SIDED, rng)
     assert one.total_cost == 1.0 and one.first_cut_root_size == 0
+
+
+class _TopUniform:
+    """Generator stand-in whose every uniform is 1 - 2^-53, with a draw budget."""
+
+    def __init__(self, budget):
+        self.budget = budget
+
+    def random(self):
+        self.budget -= 1
+        assert self.budget >= 0, "more draws than cuts"
+        return np.nextafter(1.0, 0.0)
+
+
+@pytest.mark.parametrize("spec", [ordered(), cayley()], ids=lambda s: s.label())
+def test_top_uniform_splits_in_range(spec):
+    # a cumulative row may add up to a few ulps below 1; u above it would draw K = m
+    n = 200
+    counts = compute_counts(spec, n, exact_cutoff=1)
+    sizes = np.arange(2, n + 1)
+    drawn = _draw_splits(_cumulative_rows(counts, n), sizes, np.full(sizes.size, np.nextafter(1.0, 0.0)))
+    assert np.all((drawn >= 1) & (drawn <= sizes - 1))
+    for m in range(2, n + 1):
+        # two-sided destruction of size m makes exactly m - 1 cuts
+        sample = simulate_size_process(counts, TollSpec(alpha=0), m, TWO_SIDED, _TopUniform(m - 1))
+        assert 1 <= sample.first_cut_root_size <= m - 1
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0])
