@@ -5,7 +5,7 @@ mean's leading term is linear), the cost converges to a law whose
 moments depend only on alpha.  One-sided at alpha = 0 the limit is the
 standard Rayleigh law.  At alpha = 1/2 (two-sided) the moments are
 built from entropy-kernel integrals J(s1,s2,s3), evaluated here by
-tanh-sinh quadrature and cross-checked two independent ways.
+tanh-sinh quadrature and cross-checked by adaptive Gauss-Kronrod.
 """
 
 import math
@@ -14,7 +14,6 @@ from treecut import (
     cayley,
     j_integral,
     j_integral_adaptive,
-    j_integral_gauss_jacobi,
     limit_moments_one_sided,
     limit_moments_two_sided,
     limit_moments_two_sided_half,
@@ -40,8 +39,8 @@ print("alpha = 1/2 needs the entropy-kernel integrals:")
 print(f"  J(0,1,1) = {j_integral(0, 1, 1):.12f}  (= pi/2 = {math.pi / 2:.12f})")
 print(f"  J(0,2,1) = {j_integral(0, 2, 1):.12f}  (= 3pi/8 = {3 * math.pi / 8:.12f})")
 print(f"  J(1,1,0) = {j_integral(1, 1, 0):.12f}  (negative: the kernel is <= 0)")
-ts, ad, gj = j_integral(2, 1, 1), j_integral_adaptive(2, 1, 1), j_integral_gauss_jacobi(2, 1, 1)
-print(f"  J(2,1,1): tanh-sinh {ts:.12f} | adaptive {ad:.12f} | Gauss-Jacobi {gj:.12f}")
+ts, ad = j_integral(2, 1, 1), j_integral_adaptive(2, 1, 1)
+print(f"  J(2,1,1): tanh-sinh {ts:.12f} | adaptive {ad:.12f}")
 half = limit_moments_two_sided_half(4).m
 print(f"  centered limit moments at alpha = 1/2: m1 = {half[1]}, m2 = {half[2]:.6f}, "
       f"m3 = {half[3]:.6f}")

@@ -46,7 +46,6 @@ from .limits import (
     LimitMoments,
     j_integral,
     j_integral_adaptive,
-    j_integral_gauss_jacobi,
     limit_moments_one_sided,
     limit_moments_two_sided,
     limit_moments_two_sided_half,

@@ -14,14 +14,14 @@ The linear coefficients mu (alpha < 1/2) and delta (alpha = 1/2) have no
 closed form here; they are least-squares estimates fitted on a geometric
 grid of n, using the known correction exponents as the remaining model
 terms.  Fitted values are estimates and are reported as such, with
-residuals and a half-range refit for stability checks.
+residuals and a half-range refit for stability checks.  The fits run in
+double precision, on rational tables too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -79,7 +79,6 @@ class MuFit:
     residual: float  # rms relative fit residual
     value_half: float  # same fit restricted to n <= n_max/2
     condition: float
-    exact_value: Optional[Fraction] = None  # only for rational alpha = 0 tables
 
     @property
     def stability(self) -> float:
@@ -106,9 +105,8 @@ class DeltaFit:
 def estimate_mu(table: MomentTable, grid: Optional[Sequence[int]] = None) -> MuFit:
     """Fit mu in mu_n^[1] ~ mu*n + A*n^(alpha+1/2) + B*n^alpha.
 
-    Needs alpha < 1/2 and n_max >= 512.  In a rational alpha = 0 table
-    the fit is repeated in exact arithmetic on a grid of perfect squares
-    (where every basis value is rational), giving an exact coefficient.
+    Needs alpha < 1/2 and n_max >= 512.  The fit runs in double
+    precision on the float moments, rational tables included.
     """
     alpha = float(table.toll.alpha)
     if table.toll.override is not None:
@@ -128,40 +126,12 @@ def estimate_mu(table: MomentTable, grid: Optional[Sequence[int]] = None) -> MuF
     coef, residual, cond = fit(grid)
     half = grid[grid <= table.n_max // 2]
     coef_half, _, _ = fit(half)
-
-    exact = None
-    if table.mode == "rational" and alpha == 0:
-        exact = _estimate_mu_exact(table)
     return MuFit(
         value=float(coef[0]),
         residual=residual,
         value_half=float(coef_half[0]),
         condition=float(cond),
-        exact_value=exact,
     )
-
-
-def _estimate_mu_exact(table: MomentTable) -> Fraction:
-    """Exact least squares for alpha = 0 on square n (basis n, sqrt n, 1)."""
-    squares = [m * m for m in range(2, int(math.isqrt(table.n_max)) + 1)]
-    squares = [n for n in squares if n >= table.n_max // 8][-GRID_POINTS:]
-    if len(squares) < 4:
-        squares = [m * m for m in range(2, int(math.isqrt(table.n_max)) + 1)][-4:]
-    rows = [(Fraction(n), Fraction(math.isqrt(n)), Fraction(1)) for n in squares]
-    y = [table.moment(n, 1) for n in squares]
-    # normal equations, solved exactly by Gaussian elimination
-    ata = [[sum(r[i] * r[j] for r in rows) for j in range(3)] for i in range(3)]
-    aty = [sum(r[i] * v for r, v in zip(rows, y)) for i in range(3)]
-    for col in range(3):
-        pivot = next(r for r in range(col, 3) if ata[r][col] != 0)
-        ata[col], ata[pivot] = ata[pivot], ata[col]
-        aty[col], aty[pivot] = aty[pivot], aty[col]
-        for r in range(3):
-            if r != col and ata[r][col] != 0:
-                factor = ata[r][col] / ata[col][col]
-                ata[r] = [a - factor * b for a, b in zip(ata[r], ata[col])]
-                aty[r] = aty[r] - factor * aty[col]
-    return aty[0] / ata[0][0]
 
 
 def estimate_delta(

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .counts import compute_counts, split_distribution
-from .errors import TreecutError
+from .errors import ConfigError, TreecutError
 from .family import FamilySpec, make_family, parse_config, solve_constants
 from .limits import (
     limit_moments_one_sided,
@@ -212,8 +212,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_verify(args) -> int:
     numbers = None
-    if args.only:
-        numbers = sorted({int(part) for part in args.only.split(",") if part.strip()})
+    if args.only is not None:
+        try:
+            numbers = [int(part) for part in args.only.split(",") if part.strip()]
+        except ValueError:
+            raise ConfigError(f"--only takes comma-separated criterion numbers, got {args.only!r}") from None
     results = run_battery(numbers, report=lambda r: print(r.line(), flush=True))
     payload = [
         {

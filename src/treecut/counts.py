@@ -176,12 +176,7 @@ def _scaled_counts(spec: FamilySpec, n_exact: int) -> Tuple[List[int], bool]:
     return s, factorial
 
 
-def compute_counts(
-    spec: FamilySpec,
-    n_max: int,
-    exact_cutoff: int = 400,
-    max_exact_cutoff: int = MAX_EXACT_CUTOFF,
-) -> WeightedCounts:
+def compute_counts(spec: FamilySpec, n_max: int, exact_cutoff: int = 400) -> WeightedCounts:
     """Run the convolution recurrence in exact and rho-scaled float form.
 
     Exact Fractions are kept for n <= min(n_max, exact_cutoff); the
@@ -189,10 +184,8 @@ def compute_counts(
     """
     if n_max < 1:
         raise OutOfRange(f"n_max must be >= 1, got {n_max}")
-    if exact_cutoff > max_exact_cutoff:
-        raise OverflowPolicyError(
-            f"exact_cutoff={exact_cutoff} exceeds the configured bound {max_exact_cutoff}"
-        )
+    if exact_cutoff > MAX_EXACT_CUTOFF:
+        raise OverflowPolicyError(f"exact_cutoff={exact_cutoff} exceeds the configured bound {MAX_EXACT_CUTOFF}")
     n_exact = min(n_max, exact_cutoff)
 
     scaled, factorial = _scaled_counts(spec, n_exact)

@@ -7,7 +7,8 @@ exponent alpha (alpha' = alpha + 1/2 throughout):
   and a two-term convolution recurrence in s.  For alpha < 1/2 the same
   moments describe the cost centered by its linear term.
 * two-sided, alpha = 1/2: centered moments built from the entropy-kernel
-  integrals J(s1,s2,s3); m_1 = 0.
+  integrals J(s1,s2,s3); m_1 = 0.  J is computed by tanh-sinh quadrature
+  and checked by an independent adaptive Gauss-Kronrod rule.
 * one-sided, alpha >= 0: closed product of Gamma ratios; at alpha = 0
   the limit is the standard Rayleigh law with density y*exp(-y^2/2).
 
@@ -28,7 +29,7 @@ from scipy.special import gammaln, gammasgn
 from .errors import DomainError, NonIntegrable
 from .family import FamilyConstants
 from .moments import ONE_SIDED, TWO_SIDED
-from .quadrature import gauss_jacobi_weighted, tanh_sinh_01
+from .quadrature import tanh_sinh_01
 
 TWO_SIDED_HALF = "two_sided_half"
 
@@ -158,24 +159,6 @@ def j_integral_adaptive(s1: int, s2: int, s3: int) -> float:
     a, _ = quad(left, 0.0, math.sqrt(0.5), **kwargs)
     b, _ = quad(right, 0.0, math.sqrt(0.5), **kwargs)
     return a + b
-
-
-def j_integral_gauss_jacobi(s1: int, s2: int, s3: int, nodes: int = 1500) -> float:
-    """Evaluation of J via a fixed Gauss-Jacobi weighted rule.
-
-    The algebraic endpoint weights are absorbed exactly by the rule; at
-    s3 = 0 one power of (1-x) is borrowed from the entropy kernel to
-    keep the weight exponent above -1.  For s1 = 1 with s3 = 0 the
-    sampled factor is log-divergent at 1 and the fixed rule converges
-    too slowly to be useful; prefer :func:`j_integral_adaptive` there.
-    """
-    _check_j_indices(s1, s2, s3)
-    fold = 1 if s3 == 0 else 0
-
-    def g(x: np.ndarray, xm: np.ndarray) -> np.ndarray:
-        return _entropy_ratio_pow(x, xm, s1) * xm ** (s1 - fold)
-
-    return gauss_jacobi_weighted(g, exp0=s2 - 0.5, exp1=fold + s3 - 1.5, nodes=nodes)
 
 
 @lru_cache(maxsize=None)

@@ -41,6 +41,9 @@ double range for every n.  Every inner sum is then a plain convolution
 over k, and the orders s <= s_max of one n come from one small matrix
 product.  Order 0 is the counts recurrence itself, and each order is
 divided by it, so the float split law has mass 1 up to one rounding.
+
+Both kernels fold the two-sided sums over k <-> n-k; the direct sum over
+every ordered term lives in the tests, as their Fraction oracle.
 """
 
 from __future__ import annotations
@@ -208,24 +211,19 @@ def two_sided_moments(
     n_max: Optional[int] = None,
     s_max: int = 2,
     mode: str = "auto",
-    method: str = "paired",
     dtype=np.float64,
 ) -> MomentTable:
     """Moment table of the two-sided (recurse-everywhere) destruction cost.
 
-    ``method="paired"`` folds the inner sums using the k <-> n-k symmetry
-    of the summand; ``method="direct"`` evaluates every ordered term and
-    serves as the oracle for the folded version.
+    The inner sums are folded using the k <-> n-k symmetry of the summand.
     """
     n_max = counts.n_max if n_max is None else n_max
     _check_args(counts, n_max, s_max)
-    if method not in ("paired", "direct"):
-        raise ConfigError(f"unknown method {method!r}")
     resolved = _resolve_mode(counts, toll, n_max, mode)
     if resolved == "rational":
-        rows = _rational_rows(counts, toll, TWO_SIDED, n_max, s_max, method)
+        rows = _rational_rows(counts, toll, TWO_SIDED, n_max, s_max)
     else:
-        rows = _float_rows(counts, toll, TWO_SIDED, n_max, s_max, dtype, method)
+        rows = _float_rows(counts, toll, TWO_SIDED, n_max, s_max, dtype)
     return MomentTable(TWO_SIDED, counts.family, toll, n_max, s_max, resolved, rows)
 
 
@@ -234,8 +232,7 @@ def two_sided_moments(
 # ---------------------------------------------------------------------------
 
 
-def _rational_rows(counts: WeightedCounts, toll: TollSpec, variant: str, n_max: int, s_max: int,
-                   method: str = "paired") -> List[List]:
+def _rational_rows(counts: WeightedCounts, toll: TollSpec, variant: str, n_max: int, s_max: int) -> List[List]:
     """Exact rows[s][n] = E V_n^s as reduced Fractions, from an integer recurrence.
 
     N[s][n] = (n-1)! * L^(n-1) * T_n * D^s * E V_n^s is an integer, with
@@ -250,7 +247,7 @@ def _rational_rows(counts: WeightedCounts, toll: TollSpec, variant: str, n_max: 
         one-sided:  Y_r = sum_k W_k B_k N[r][k] N[0][n-k]
         two-sided:  Y_r = sum_{j+l=r} C(r,j) sum_k W_k B_k N[j][k] N[l][n-k].
 
-    The paired two-sided method folds k with n-k: B_k = B_{n-k}, and
+    The two-sided sum is folded over k <-> n-k: B_k = B_{n-k}, and
     W_k + W_{n-k} = W_1 + W_{n-1} for every k.
     """
     w = integer_weights(counts.family, n_max)
@@ -271,12 +268,6 @@ def _rational_rows(counts: WeightedCounts, toll: TollSpec, variant: str, n_max: 
         if variant == ONE_SIDED:
             partner = list(map(mul, map(mul, w[1:n], binom), rev[0]))
             y += [sum(map(mul, partner, fwd[r])) for r in range(1, s_max + 1)]
-        elif method == "direct":
-            wb = list(map(mul, w[1:n], binom))
-            for r in range(1, s_max + 1):
-                y.append(sum(
-                    comb[r][j] * sum(map(mul, map(mul, wb, fwd[j]), rev[r - j])) for j in range(r + 1)
-                ))
         else:
             bf = [list(map(mul, binom, fwd[j])) for j in range((s_max + 1) // 2)]
             for r in range(1, s_max + 1):
@@ -304,8 +295,7 @@ def _rational_rows(counts: WeightedCounts, toll: TollSpec, variant: str, n_max: 
 # ---------------------------------------------------------------------------
 
 
-def _float_rows(counts: WeightedCounts, toll: TollSpec, variant: str, n_max: int, s_max: int,
-                dtype, method: str = "paired") -> np.ndarray:
+def _float_rows(counts: WeightedCounts, toll: TollSpec, variant: str, n_max: int, s_max: int, dtype) -> np.ndarray:
     """Float rows[s][n] = E V_n^s from the rho-scaled recurrence, in ``dtype``.
 
     F[k, s] = a_k * E V_k^s with a_k = rho^k * T_k (see :mod:`treecut.counts`)
@@ -317,43 +307,42 @@ def _float_rows(counts: WeightedCounts, toll: TollSpec, variant: str, n_max: int
         one-sided:  y_r = sum_k w_k F[k, r] a_{n-k} / (n-1)
         two-sided:  y_r = sum_{j+l=r} C(r,j) sum_k w_k F[k, j] F[n-k, l] / (n-1),
 
-    one matvec or one (s+1)x(s+1) matrix product per n.  The paired
-    two-sided method drops w_k from the sum and multiplies by
+    one matvec or one (s+1)x(s+1) matrix product per n.  The two-sided
+    sum is symmetric in k <-> n-k, so it drops w_k and multiplies by
     (w_k + w_{n-k}) / 2 = (a1*n + 2*a0) / 2 instead.  Order 0 is the counts
     recurrence itself, y_0 = a_n with a_1 = rho, and every order is divided
     by it, so the implied split law has mass 1 up to one rounding.
     """
     size = s_max + 1
-    paired = variant == TWO_SIDED and method == "paired"
+    two = variant == TWO_SIDED
     k = np.arange(n_max + 1, dtype=dtype)
     w = dtype(float(counts.family.a1)) * k + dtype(float(counts.family.a0))
     scale = np.zeros(n_max + 1, dtype=dtype)
-    scale[2:] = ((w[1] + w[1:n_max]) / 2 if paired else dtype(1)) / (k[2:] - 1)
+    scale[2:] = ((w[1] + w[1:n_max]) / 2 if two else dtype(1)) / (k[2:] - 1)
     powers = toll.float_values(n_max, dtype=dtype)[:, None] ** np.arange(size)
     tollmix = np.zeros((n_max + 1, size, size), dtype=dtype)  # [n, s, r] = C(s,r) t_n^(s-r) scale_n
     for s in range(size):
         for r in range(s + 1):
             tollmix[:, s, r] = math.comb(s, r) * powers[:, s - r] * scale
-    mix = None  # two-sided: y_r = sum_{j+l=r} C(r,j) G[j, l] as G.ravel() @ mix
-    if variant == TWO_SIDED:
+    if two:  # y_r = sum_{j+l=r} C(r,j) G[j, l] as G.ravel() @ mix
         mix = np.zeros((size * size, size), dtype=dtype)
         for j in range(size):
             for l in range(size - j):
                 mix[j * size + l, j + l] = math.comb(j + l, j)
-    partner = slice(None) if variant == TWO_SIDED else 0  # F[n-k, partner] meets F[k]
+    partner = slice(None) if two else 0  # F[n-k, partner] meets F[k]
 
     f = np.zeros((n_max + 1, size), dtype=dtype)
     f[1] = dtype(counts.rho) * powers[1]
-    left = f if paired else w[:, None] * f  # the forward operand, w_k F[k] unless paired
-    right = np.zeros((n_max + 1, size) if variant == TWO_SIDED else n_max + 1, dtype=dtype)
+    left = f if two else w[:, None] * f  # the forward operand, w_k F[k] one-sided
+    right = np.zeros((n_max + 1, size) if two else n_max + 1, dtype=dtype)
     right[n_max - 1] = f[1, partner]  # right[n_max - k] = F[k, partner]
     for n in range(2, n_max + 1):
         y = left[1:n].T @ right[n_max - n + 1 : n_max]
-        if mix is not None:
+        if two:
             y = y.ravel() @ mix
         f[n] = tollmix[n] @ y
         right[n_max - n] = f[n, partner]
-        if not paired:
+        if not two:
             left[n] = w[n] * f[n]
     rows = np.zeros((size, n_max + 1), dtype=dtype)
     rows[:, 1:] = (f[1:] / f[1:, :1]).T
@@ -381,15 +370,10 @@ def shifted_moments(
     out: List[Value] = []
     for n in ns:
         c = shift(n)
-        if table.mode == "float" or not isinstance(c, (int, Fraction)):
-            c = float(c)
-            acc = 0.0
-            for j in range(s + 1):
-                acc += math.comb(s, j) * (-c) ** (s - j) * float(table.moment(n, j))
-        else:
-            c = Fraction(c)
-            acc = Fraction(0)
-            for j in range(s + 1):
-                acc += math.comb(s, j) * (-c) ** (s - j) * table.moment(n, j)
+        num = Fraction if table.mode == "rational" and isinstance(c, (int, Fraction)) else float
+        c = num(c)
+        acc = num(0)
+        for j in range(s + 1):
+            acc += math.comb(s, j) * (-c) ** (s - j) * num(table.moment(n, j))
         out.append(acc)
     return out

@@ -7,6 +7,10 @@ called as f(x, 1-x) where both arguments carry full *relative*
 precision: x = 1/(1 + exp(-2u)) and 1-x = 1/(1 + exp(2u)) are computed
 from u = (pi/2) sinh t independently, so 1-x is accurate even when it is
 1e-280.  Levels halve the mesh until two successive estimates agree.
+
+This is the rule behind :func:`treecut.limits.j_integral`; its
+independent check, :func:`treecut.limits.j_integral_adaptive`, uses
+SciPy's adaptive Gauss-Kronrod routine instead.
 """
 
 from __future__ import annotations
@@ -48,25 +52,3 @@ def tanh_sinh_01(
             return estimate
         previous = estimate
     raise ArithmeticError(f"tanh-sinh quadrature did not converge to {tol} (last={previous})")
-
-
-def gauss_jacobi_weighted(
-    g: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    exp0: float,
-    exp1: float,
-    nodes: int = 1500,
-) -> float:
-    """Integrate g(x, 1-x) * x**exp0 * (1-x)**exp1 over (0, 1).
-
-    The algebraic weights (which must have exponents > -1) are absorbed
-    exactly by a Gauss-Jacobi rule; only g is sampled.
-    """
-    from scipy.special import roots_jacobi
-
-    if exp0 <= -1 or exp1 <= -1:
-        raise ValueError("Gauss-Jacobi weight exponents must exceed -1")
-    u, w = roots_jacobi(nodes, exp1, exp0)  # weight (1-u)^exp1 (1+u)^exp0
-    x = (1.0 + u) / 2.0
-    xm = (1.0 - u) / 2.0
-    scale = 2.0 ** (-(exp0 + exp1 + 1.0))
-    return scale * float(np.dot(w, g(x, xm)))

@@ -3,7 +3,10 @@
 Each criterion function is self-contained, returns a CriterionResult,
 and never raises on a value failure (it reports it); checks 1-3 are
 exact, 4 and 11 are statistical with fixed seeds, and 5-10 compare
-dynamic programming against limit formulas at finite n.
+dynamic programming against limit formulas at finite n.  One decorator
+times every criterion, fails it when it overruns its wall-clock budget
+(noting the overrun in its details), and registers it by number in
+ALL_CRITERIA.
 
 Criterion 5 is expected to FAIL as specified: the one-sided alpha = 0
 mean ratio carries a (0.19 + 0.40 ln n)/sqrt(n) correction (measured by
@@ -16,16 +19,18 @@ widened; see the result details for the measured numbers.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtrc
 
 from . import analysis, bruteforce, limits, simulate
 from .counts import compute_counts, lagrange_counts, split_distribution
+from .errors import ConfigError
 from .family import binary, cayley, ordered, solve_constants
 from .moments import ONE_SIDED, TWO_SIDED, TollSpec, one_sided_moments, two_sided_moments
 
@@ -46,27 +51,32 @@ class CriterionResult:
         return f"[{status}] criterion {self.number:2d} ({self.elapsed:6.1f}s) {self.name}: {self.details}"
 
 
-class _Clock:
-    """Monotonic wall-clock timer of one criterion against its budget (if any)."""
+#: Every criterion by number, filled in by :func:`_criterion`.
+ALL_CRITERIA: Dict[int, Callable[[], CriterionResult]] = {}
 
-    def __init__(self, budget: Optional[float] = None):
-        self.budget = budget
-        self.elapsed = 0.0
-        self._start = time.perf_counter()
 
-    def stop(self) -> float:
-        self.elapsed = time.perf_counter() - self._start
-        return self.elapsed
+def _criterion(number: int, name: str, budget: Optional[float] = None):
+    """Make a criterion of a body that returns ``(ok, details[, rows])``.
 
-    @property
-    def within_budget(self) -> bool:
-        return self.budget is None or self.elapsed < self.budget
+    The result is timed with a monotonic clock; a criterion that takes
+    ``budget`` seconds or more fails, and its details note the overrun.
+    """
 
-    def note(self, details: str) -> str:
-        """``details``, with the RUNTIME overrun appended when the budget is spent."""
-        if self.within_budget:
-            return details
-        return f"{details}; RUNTIME {self.elapsed:.1f}s >= {self.budget:g}s"
+    def wrap(body: Callable[[], tuple]) -> Callable[[], CriterionResult]:
+        @functools.wraps(body)
+        def run() -> CriterionResult:
+            start = time.perf_counter()
+            ok, details, *rest = body()
+            elapsed = time.perf_counter() - start
+            if budget is not None and elapsed >= budget:
+                ok = False
+                details = f"{details}; RUNTIME {elapsed:.1f}s >= {budget:g}s"
+            return CriterionResult(number, name, ok, elapsed, details, *rest)
+
+        ALL_CRITERIA[number] = run
+        return run
+
+    return wrap
 
 
 def _reference_families():
@@ -90,9 +100,9 @@ def _report_rows(number: int, family: str, report) -> List[Dict]:
     ]
 
 
-def criterion_01_degenerate_exactness() -> CriterionResult:
+@_criterion(1, "degenerate exactness (two-sided, alpha=0)", budget=10.0)
+def criterion_01_degenerate_exactness():
     """Two-sided, alpha = 0, edges-only boundary: cost is exactly n - 1."""
-    clock = _Clock(10.0)
     toll = TollSpec(alpha=0, size_one_cost=0)
     bad: List[str] = []
     for name, spec in _reference_families():
@@ -104,20 +114,14 @@ def criterion_01_degenerate_exactness() -> CriterionResult:
             if mean != n - 1 or var != 0:
                 bad.append(f"{name} n={n}: mean={mean} var={var}")
                 break
-    elapsed = clock.stop()
-    ok = not bad and clock.within_budget
-    details = (
-        "mean = n-1 and variance = 0 exactly (rationals), 3 families, n <= 300"
-        if not bad
-        else "; ".join(bad)
-    )
-    details = clock.note(details)
-    return CriterionResult(1, "degenerate exactness (two-sided, alpha=0)", ok, elapsed, details)
+    if bad:
+        return False, "; ".join(bad)
+    return True, "mean = n-1 and variance = 0 exactly (rationals), 3 families, n <= 300"
 
 
-def criterion_02_bruteforce_equivalence() -> CriterionResult:
+@_criterion(2, "brute-force oracle equivalence (n<=5)", budget=60.0)
+def criterion_02_bruteforce_equivalence():
     """DP moments equal exhaustive tree x cut-sequence enumeration."""
-    clock = _Clock(60.0)
     mismatches = 0
     checked = 0
     for name, spec in (("ordered", ordered()), ("cayley", cayley())):
@@ -133,15 +137,12 @@ def criterion_02_bruteforce_equivalence() -> CriterionResult:
                     checked += 2
                     mismatches += one.moment(n, s) != oracle_one[s]
                     mismatches += two.moment(n, s) != oracle_two[s]
-    elapsed = clock.stop()
-    ok = mismatches == 0 and clock.within_budget
-    details = clock.note(f"{checked} exact comparisons, {mismatches} mismatches")
-    return CriterionResult(2, "brute-force oracle equivalence (n<=5)", ok, elapsed, details)
+    return mismatches == 0, f"{checked} exact comparisons, {mismatches} mismatches"
 
 
-def criterion_03_count_oracles() -> CriterionResult:
+@_criterion(3, "count oracles")
+def criterion_03_count_oracles():
     """Recurrence counts vs Lagrange inversion and closed forms."""
-    clock = _Clock()
     bad: List[str] = []
     for name, spec in _reference_families():
         counts = compute_counts(spec, 30, exact_cutoff=30)
@@ -156,14 +157,14 @@ def criterion_03_count_oracles() -> CriterionResult:
 
     if any(wa.exact_t(n) != Fraction(n ** (n - 1), math.factorial(n)) for n in range(1, 21)):
         bad.append("cayley vs n^(n-1)/n!")
-    elapsed = clock.stop()
-    details = "recurrence == Lagrange (n<=30, 3 families); Catalan and Cayley closed forms (n<=20)"
-    return CriterionResult(3, "count oracles", not bad, elapsed, details if not bad else "; ".join(bad))
+    if bad:
+        return False, "; ".join(bad)
+    return True, "recurrence == Lagrange (n<=30, 3 families); Catalan and Cayley closed forms (n<=20)"
 
 
-def criterion_04_randomness_preservation() -> CriterionResult:
+@_criterion(4, "randomness preservation (explicit cuts, n=10)", budget=30.0)
+def criterion_04_randomness_preservation():
     """Explicit cutting of ordered trees reproduces the splitting law."""
-    clock = _Clock(30.0)
     n, samples = 10, 100_000
     spec = ordered()
     toll = TollSpec(alpha=0)
@@ -172,36 +173,33 @@ def criterion_04_randomness_preservation() -> CriterionResult:
     probs = split_distribution(counts, n).as_array()
     expected = samples * probs
     stat = float(np.sum((survey.histogram[1:] - expected) ** 2 / expected))
-    p_value = float(chi2.sf(stat, df=n - 2))
+    p_value = float(chdtrc(n - 2, stat))
     dp_mean = float(one_sided_moments(counts, toll, n, 1, mode="float").moment(n, 1))
     z = abs(survey.cost_mean - dp_mean) / survey.cost_se
-    elapsed = clock.stop()
-    ok = p_value > 1e-3 and z <= 4.0 and clock.within_budget
-    details = clock.note(f"chi2 p={p_value:.3g} (need > 1e-3), mean off by {z:.2f} SE (need <= 4)")
-    return CriterionResult(4, "randomness preservation (explicit cuts, n=10)", ok, elapsed, details)
+    ok = p_value > 1e-3 and z <= 4.0
+    return ok, f"chi2 p={p_value:.3g} (need > 1e-3), mean off by {z:.2f} SE (need <= 4)"
 
 
-def criterion_05_one_sided_rayleigh() -> CriterionResult:
+@_criterion(5, "one-sided alpha=0 Rayleigh limit at n=1e4", budget=120.0)
+def criterion_05_one_sided_rayleigh():
     """One-sided alpha = 0 vs the Rayleigh limit at n = 10^4 (2% band).
 
     Expected to fail: the finite-n correction is ~(0.19+0.40 ln n)/sqrt(n),
     i.e. ~3.9% at n = 10^4.  Kept as specified.
     """
-    clock = _Clock(120.0)
     n = 10_000
     spec = cayley()
     counts = compute_counts(spec, n, exact_cutoff=1)
     table = one_sided_moments(counts, TollSpec(alpha=0), n, 2, mode="float")
     r1 = table.moment(n, 1) / math.sqrt(n) / math.sqrt(math.pi / 2.0)
     r2 = table.moment(n, 2) / n / 2.0
-    elapsed = clock.stop()
-    ok = abs(r1 - 1) <= 0.02 and abs(r2 - 1) <= 0.02 and clock.within_budget
+    ok = abs(r1 - 1) <= 0.02 and abs(r2 - 1) <= 0.02
     details = (
         f"mu1/sqrt(n) off by {abs(r1 - 1) * 100:.2f}%, mu2/n off by {abs(r2 - 1) * 100:.2f}% "
         f"(need <= 2%; finite-n correction ~ (0.19+0.40 ln n)/sqrt(n) = "
         f"{(0.19 + 0.40 * math.log(n)) / math.sqrt(n) * 100:.1f}% at n=1e4)"
     )
-    return CriterionResult(5, "one-sided alpha=0 Rayleigh limit at n=1e4", ok, elapsed, details)
+    return ok, details
 
 
 def _limit_moment_oracle(alpha: float, s_max: int) -> List[float]:
@@ -218,9 +216,9 @@ def _limit_moment_oracle(alpha: float, s_max: int) -> List[float]:
     return m
 
 
-def criterion_06_two_sided_alpha1() -> CriterionResult:
+@_criterion(6, "two-sided alpha=1 limit (ordered, n=2000)", budget=300.0)
+def criterion_06_two_sided_alpha1():
     """Two-sided alpha = 1 normalized moments vs the limit, s <= 3, 3%."""
-    clock = _Clock(300.0)
     n = 2000
     spec = ordered()
     constants = solve_constants(spec)
@@ -234,22 +232,17 @@ def criterion_06_two_sided_alpha1() -> CriterionResult:
         norm = table.moment(n, s) / (constants.sigma**s * float(n) ** (1.5 * s))
         errors.append(abs(norm / oracle[s] - 1))
     oracle_gap = max(abs(a - b) for a, b in zip(package, oracle))
-    elapsed = clock.stop()
-    ok = max(errors) <= 0.03 and oracle_gap < 1e-10 and clock.within_budget
+    ok = max(errors) <= 0.03 and oracle_gap < 1e-10
     details = (
         f"rel errors s=1..3: {', '.join(f'{e * 100:.2f}%' for e in errors)} (need <= 3%); "
         f"recurrence vs inline oracle gap {oracle_gap:.1e}"
     )
-    details = clock.note(details)
-    return CriterionResult(
-        6, "two-sided alpha=1 limit (ordered, n=2000)", ok, elapsed, details,
-        rows=_report_rows(6, "ordered", report),
-    )
+    return ok, details, _report_rows(6, "ordered", report)
 
 
-def criterion_07_family_independence() -> CriterionResult:
+@_criterion(7, "family independence (alpha=1)")
+def criterion_07_family_independence():
     """Normalized-moment gap between families shrinks along the grid."""
-    clock = _Clock()
     grid = [250, 500, 1000, 2000]
     toll = TollSpec(alpha=1)
     reports = {}
@@ -269,15 +262,14 @@ def criterion_07_family_independence() -> CriterionResult:
              "limit": 0.0, "rel_error": row.difference}
             for row in check.rows
         )
-    elapsed = clock.stop()
-    details = "normalized gap strictly decreasing over n in {250,500,1000,2000}, s <= 3"
-    return CriterionResult(7, "family independence (alpha=1)", not failures, elapsed,
-                           details if not failures else "; ".join(failures), rows=rows)
+    if failures:
+        return False, "; ".join(failures), rows
+    return True, "normalized gap strictly decreasing over n in {250,500,1000,2000}, s <= 3", rows
 
 
-def criterion_08_half_mean_growth() -> CriterionResult:
+@_criterion(8, "alpha=1/2 mean growth (n in [500,4000])")
+def criterion_08_half_mean_growth():
     """alpha = 1/2 mean: free-fit leading coefficient and delta stability."""
-    clock = _Clock()
     failures = []
     summaries = []
     for name, spec in (("ordered", ordered()), ("cayley", cayley())):
@@ -295,14 +287,12 @@ def criterion_08_half_mean_growth() -> CriterionResult:
             f"{name}: free {fit.free_coefficient:.5f} vs {target:.5f} ({off * 100:.2f}%), "
             f"delta {fit.delta:.5f} (half-range {fit.delta_half:.5f})"
         )
-    elapsed = clock.stop()
-    return CriterionResult(8, "alpha=1/2 mean growth (n in [500,4000])", not failures, elapsed,
-                           "; ".join(summaries if not failures else failures))
+    return not failures, "; ".join(failures or summaries)
 
 
-def criterion_09_one_sided_alpha1() -> CriterionResult:
+@_criterion(9, "one-sided alpha=1 limit (ordered, n=2000)")
+def criterion_09_one_sided_alpha1():
     """One-sided alpha = 1 normalized moments vs the closed product, 3%."""
-    clock = _Clock()
     n = 2000
     spec = ordered()
     constants = solve_constants(spec)
@@ -316,16 +306,14 @@ def criterion_09_one_sided_alpha1() -> CriterionResult:
         formula_ok &= abs(lm.m[s] - target) <= 1e-12
         norm = table.moment(n, s) / (constants.sigma**s * float(n) ** (1.5 * s))
         errors.append(abs(norm / target - 1))
-    elapsed = clock.stop()
     ok = formula_ok and max(errors) <= 0.03
     details = f"rel errors s=1,2: {', '.join(f'{e * 100:.2f}%' for e in errors)} (need <= 3%)"
-    return CriterionResult(9, "one-sided alpha=1 limit (ordered, n=2000)", ok, elapsed, details,
-                           rows=_report_rows(9, "ordered", report))
+    return ok, details, _report_rows(9, "ordered", report)
 
 
-def criterion_10_j_integrals() -> CriterionResult:
+@_criterion(10, "J-integral correctness")
+def criterion_10_j_integrals():
     """J-integral Beta cases and dual-quadrature agreement, s <= 4."""
-    clock = _Clock()
     failures = []
     if abs(limits.j_integral(0, 1, 1) - math.pi / 2.0) > 1e-8:
         failures.append("J(0,1,1) != pi/2")
@@ -344,15 +332,14 @@ def criterion_10_j_integrals() -> CriterionResult:
                 cases += 1
     if worst > 1e-8:
         failures.append(f"scheme disagreement {worst:.2e}")
-    elapsed = clock.stop()
-    details = f"Beta cases exact to 1e-8; {cases} index triples, max scheme gap {worst:.1e}"
-    return CriterionResult(10, "J-integral correctness", not failures, elapsed,
-                           details if not failures else "; ".join(failures))
+    if failures:
+        return False, "; ".join(failures)
+    return True, f"Beta cases exact to 1e-8; {cases} index triples, max scheme gap {worst:.1e}"
 
 
-def criterion_11_monte_carlo() -> CriterionResult:
+@_criterion(11, "Monte Carlo consistency (n=200, 1e5 samples)")
+def criterion_11_monte_carlo():
     """Size-process sampler vs DP at n=200, and worker-count determinism."""
-    clock = _Clock()
     spec = ordered()
     n, samples = 200, 100_000
     counts = compute_counts(spec, n, exact_cutoff=1)
@@ -374,37 +361,27 @@ def criterion_11_monte_carlo() -> CriterionResult:
         if z > 4.0:
             failures.append(f"{variant}: mean off by {z:.2f} SE")
         notes.append(f"{variant} off by {z:.2f} SE, replay identical")
-    elapsed = clock.stop()
-    return CriterionResult(11, "Monte Carlo consistency (n=200, 1e5 samples)", not failures,
-                           elapsed, "; ".join(notes if not failures else failures))
-
-
-ALL_CRITERIA: Sequence[Callable[[], CriterionResult]] = (
-    criterion_01_degenerate_exactness,
-    criterion_02_bruteforce_equivalence,
-    criterion_03_count_oracles,
-    criterion_04_randomness_preservation,
-    criterion_05_one_sided_rayleigh,
-    criterion_06_two_sided_alpha1,
-    criterion_07_family_independence,
-    criterion_08_half_mean_growth,
-    criterion_09_one_sided_alpha1,
-    criterion_10_j_integrals,
-    criterion_11_monte_carlo,
-)
+    return not failures, "; ".join(failures or notes)
 
 
 def run_battery(
     numbers: Optional[Sequence[int]] = None,
     report: Optional[Callable[[CriterionResult], None]] = None,
 ) -> List[CriterionResult]:
-    """Run the selected criteria (all by default), in order."""
-    wanted = set(numbers) if numbers is not None else None
+    """Run the selected criteria (all by default), in order of their numbers.
+
+    Raises ConfigError when the selection is empty or names a criterion
+    that does not exist.
+    """
+    wanted = sorted(ALL_CRITERIA if numbers is None else set(numbers))
+    if not wanted:
+        raise ConfigError("no criterion selected")
+    unknown = [number for number in wanted if number not in ALL_CRITERIA]
+    if unknown:
+        raise ConfigError(f"no criterion numbered {unknown}; the criteria are {sorted(ALL_CRITERIA)}")
     results = []
-    for index, criterion in enumerate(ALL_CRITERIA, start=1):
-        if wanted is not None and index not in wanted:
-            continue
-        result = criterion()
+    for number in wanted:
+        result = ALL_CRITERIA[number]()
         results.append(result)
         if report is not None:
             report(result)

@@ -1,7 +1,8 @@
 """Acceptance gate: one test per shipped criterion, at its stated size.
 
 Each test runs the corresponding battery function, prints its one-line
-verdict, and asserts it passed within its runtime bound.  Criterion 5 is
+verdict, and asserts it passed within its runtime bound; one more test
+checks that a criterion fails when it overruns its budget.  Criterion 5 is
 marked xfail(strict): at its stipulated n = 10^4 the one-sided alpha = 0
 mean ratio genuinely sits ~3.9% from the Rayleigh value (the finite-n
 correction is (0.19 + 0.40 ln n)/sqrt(n), log factor included), outside
@@ -9,6 +10,8 @@ the required 2% band.  The check is implemented faithfully and fails;
 if it ever starts passing, the strict xfail turns that into an error so
 the analysis gets revisited.
 """
+
+import re
 
 import pytest
 
@@ -69,3 +72,22 @@ def test_criterion_10_j_integrals():
 
 def test_criterion_11_monte_carlo():
     assert _run(verify.criterion_11_monte_carlo).passed
+
+
+def test_criterion_budget_overrun_fails(monkeypatch):
+    monkeypatch.setattr(verify, "ALL_CRITERIA", {})
+
+    @verify._criterion(98, "within budget", budget=None)
+    def within():
+        return True, "values ok", [{"n": 1}]
+
+    @verify._criterion(99, "overrun", budget=0)
+    def overrun():
+        return True, "values ok"
+
+    assert verify.ALL_CRITERIA == {98: within, 99: overrun}
+    ok = within()
+    assert ok.number == 98 and ok.passed and ok.details == "values ok" and ok.rows == [{"n": 1}]
+    late = overrun()
+    assert isinstance(late, verify.CriterionResult) and not late.passed
+    assert re.fullmatch(r"values ok; RUNTIME \d+\.\ds >= 0s", late.details)

@@ -176,3 +176,10 @@ def test_usage_error_exit_1():
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == 1
+
+
+@pytest.mark.parametrize("only", ["12", "0", "x", "3,12", ","])
+def test_verify_rejects_unknown_criteria(capture, only):
+    code, out, err = capture("verify", "--only", only)
+    assert code == 1
+    assert out == "" and err.startswith("treecut: error: ")

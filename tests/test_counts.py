@@ -20,6 +20,7 @@ import pytest
 
 from treecut.bruteforce import first_cut_distribution
 from treecut.counts import (
+    MAX_EXACT_CUTOFF,
     _ln_fraction,
     _prob_row_float,
     compute_counts,
@@ -142,7 +143,7 @@ def test_range_errors():
     with pytest.raises(OutOfRange):
         compute_counts(ordered(), 0)
     with pytest.raises(OverflowPolicyError):
-        compute_counts(ordered(), 10, exact_cutoff=100, max_exact_cutoff=50)
+        compute_counts(ordered(), 10, exact_cutoff=MAX_EXACT_CUTOFF + 1)
 
 
 def test_counts_positive_and_anchored():

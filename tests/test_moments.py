@@ -7,10 +7,11 @@ Claims covered:
     - the alpha=0 two-sided degeneracy: cost is exactly n-1 under the
       edges-only boundary and exactly 2n-1 under the default; the two
       conventions differ by the deterministic shift n * t1
-    - folded (symmetry-exploiting) inner sums equal the direct ones
-    - the scaled-integer kernel equals a plain Fraction transcription of
-      the recurrences, for families on both integer scales and a toll
-      with its own denominators
+    - the scaled-integer kernel, whose two-sided sums are folded over
+      k <-> n-k, equals a plain Fraction transcription of the recurrences
+      that sums every ordered term directly, for families on both integer
+      scales and a toll with its own denominators, and on Cayley trees at
+      alpha=2 up to n=60; the float table follows it to 1e-12 up to n=150
     - float tables track rational tables to 1e-13 (n=300, alpha=1,
       s<=3, three families, both variants)
     - the float kernel does not cancel: at alpha=0 the two-sided cost is
@@ -156,14 +157,11 @@ def test_float_central_moments_alpha0_n10000(spec):
 def test_paired_equals_direct(tables):
     counts = tables["A"]
     toll = TollSpec(alpha=2)
-    paired = two_sided_moments(counts, toll, 60, 3, mode="rational", method="paired")
-    direct = two_sided_moments(counts, toll, 60, 3, mode="rational", method="direct")
-    assert all(
-        paired.moment(n, s) == direct.moment(n, s) for n in range(1, 61) for s in range(4)
-    )
-    pf = two_sided_moments(counts, toll, 150, 3, mode="float", method="paired")
-    df = two_sided_moments(counts, toll, 150, 3, mode="float", method="direct")
-    assert np.allclose(pf.row(3)[1:], df.row(3)[1:], rtol=1e-12)
+    paired = two_sided_moments(counts, toll, 60, 3, mode="rational")
+    assert paired.rows == _reference_two_sided(counts, toll, 60, 3)
+    exact = two_sided_moments(counts, toll, 150, 3, mode="rational")
+    pf = two_sided_moments(counts, toll, 150, 3, mode="float")
+    assert np.allclose(pf.row(3)[1:], exact.row(3)[1:], rtol=1e-12)
 
 
 def test_jensen_inequality(tables):
@@ -318,8 +316,6 @@ def test_integer_kernel_matches_fraction_reference(spec, factorial):
     toll = TollSpec(override=override, size_one_cost=Fraction(2, 5))
     one = one_sided_moments(counts, toll, n, s_max, mode="rational")
     assert one.rows == _reference_one_sided(counts, toll, n, s_max)
-    reference = _reference_two_sided(counts, toll, n, s_max)
-    for method in ("paired", "direct"):
-        two = two_sided_moments(counts, toll, n, s_max, mode="rational", method=method)
-        assert two.rows == reference
+    two = two_sided_moments(counts, toll, n, s_max, mode="rational")
+    assert two.rows == _reference_two_sided(counts, toll, n, s_max)
     assert all(isinstance(v, Fraction) for row in two.rows for v in row[1:])
