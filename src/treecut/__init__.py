@@ -70,7 +70,6 @@ from .simulate import (
     explicit_cut_survey,
     run_experiment,
     sample_tree_explicit,
-    simulate_size_process,
 )
 
 __version__ = "0.1.0"

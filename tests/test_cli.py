@@ -5,9 +5,11 @@ Claims covered:
     - exact rationals survive serialization as p/q strings
     - JSON outputs parse back; identical argv (and seed) gives
       byte-identical output, also when the worker count changes
+    - the README simulate example prints the bytes it printed before
     - exit codes: 0 ok, 1 validation or usage error, 2 failed criteria
 """
 
+import hashlib
 import json
 import math
 
@@ -122,6 +124,17 @@ def test_simulate_workers_byte_identical_nondegenerate(capture):
     _, out4, _ = capture(*base, "--workers", "4")
     assert json.loads(out1)["moment_estimates"] == json.loads(out4)["moment_estimates"]
     assert json.loads(out1)["standard_errors"] == json.loads(out4)["standard_errors"]
+
+
+def test_simulate_readme_example_bytes(capture):
+    # the README example; its stdout was recorded before the sampler moved to a guide table
+    code, out, _ = capture(
+        "simulate", "--kind", "C", "--alpha0", "1", "--alpha1", "1", "--variant", "one", "--alpha", "1",
+        "--n", "200", "--samples", "100000", "--seed", "1", "--workers", "4",
+    )
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "bef85b080a4e6984093dc6415df5887332425a81af0e102402de5417fc356702"
 
 
 def test_out_file(capture, tmp_path):

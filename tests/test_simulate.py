@@ -13,6 +13,9 @@ Claims covered:
     - experiments are deterministic for a fixed seed regardless of
       worker count, and configs are validated
     - the largest uniform below 1 still splits off a nonempty side
+    - the guide-table draw equals a binary search of the cumulative row
+      on every row entry and its float neighbours
+    - fixed-seed results stay the values the per-size search gave
 """
 
 import math
@@ -28,15 +31,17 @@ from treecut.family import binary, cayley, make_family, ordered
 from treecut.moments import ONE_SIDED, TWO_SIDED, TollSpec, one_sided_moments, two_sided_moments
 from treecut.simulate import (
     EXPLICIT,
+    DestructionSample,
     ExperimentConfig,
+    SampleStats,
     _cumulative_rows,
     _draw_splits,
     _shard_rng,
+    _split_cdf,
     destroy_tree,
     explicit_cut_survey,
     run_experiment,
     sample_tree_explicit,
-    simulate_size_process,
 )
 
 SEED = 99173
@@ -44,6 +49,36 @@ SEED = 99173
 
 def _shape(children, u=0):
     return tuple(_shape(children, w) for w in children[u])
+
+
+def simulate_size_process(counts, toll, n, variant, rng):
+    """One size-process sample, one draw at a time: the batched engine's oracle."""
+    t1 = float(toll.t1)
+    if n == 1:
+        return DestructionSample(n=n, variant=variant, total_cost=t1, first_cut_root_size=0)
+    toll_of = lambda m: float(m) ** toll.alpha if toll.override is None else float(toll.override[m - 1])
+
+    def draw(m: int) -> int:
+        return int(np.searchsorted(_split_cdf(counts, m), rng.random(), side="right")) + 1
+
+    first = 0
+    cost = 0.0
+    stack = [n]
+    while stack:
+        m = stack.pop()
+        if m == 1:
+            cost += t1
+            continue
+        cost += toll_of(m)
+        k = draw(m)
+        if first == 0:
+            first = k
+        if variant == ONE_SIDED:
+            stack.append(k)
+        else:
+            stack.append(k)
+            stack.append(m - k)
+    return DestructionSample(n=n, variant=variant, total_cost=cost, first_cut_root_size=first)
 
 
 def _chi2_p(observed, probs, total):
@@ -188,6 +223,64 @@ def test_top_uniform_splits_in_range(spec):
         # two-sided destruction of size m makes exactly m - 1 cuts
         sample = simulate_size_process(counts, TollSpec(alpha=0), m, TWO_SIDED, _TopUniform(m - 1))
         assert 1 <= sample.first_cut_root_size <= m - 1
+
+
+@pytest.mark.parametrize("spec", [ordered(), binary(), cayley()], ids=lambda s: s.label())
+def test_draw_splits_equals_row_search(spec):
+    # the guide start may land on either side of the answer; the walk must fix both
+    n = 200
+    counts = compute_counts(spec, n, exact_cutoff=1)
+    table = _cumulative_rows(counts, n)
+    top = np.nextafter(1.0, 0.0)
+    for m in range(2, n + 1):
+        cdf = _split_cdf(counts, m)
+        u = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0), [0.0, top]])
+        u = u[u < 1.0]
+        expected = np.searchsorted(cdf, u, side="right") + 1
+        np.testing.assert_array_equal(_draw_splits(table, np.full(u.size, m), u), expected)
+
+    n, draws = 2000, 100_000
+    counts = compute_counts(spec, n, exact_cutoff=1)
+    rng = _shard_rng(SEED, 9)
+    sizes = rng.integers(2, n + 1, size=draws)
+    u = rng.random(draws)
+    expected = np.empty(draws, dtype=np.int64)
+    for m in np.unique(sizes):
+        at = sizes == m
+        expected[at] = np.searchsorted(_split_cdf(counts, m), u[at], side="right") + 1
+    np.testing.assert_array_equal(_draw_splits(_cumulative_rows(counts, n), sizes, u), expected)
+
+
+def test_fixed_seed_golden_stats():
+    # recorded with one binary search per distinct size; the guide-table draw must not move them
+    two = run_experiment(
+        ExperimentConfig(
+            family=ordered(), variant=TWO_SIDED, alpha=1.0, n=300, samples=5000, seed=7, s_max=3
+        )
+    )
+    assert two == SampleStats(
+        count=5000,
+        moment_estimates=[9196.9354, 88465087.1014, 889852518434.5006],
+        standard_errors=[27.864826567507894, 552626.4715168548, 8715554404.46094],
+        seed=7,
+    )
+    one = run_experiment(
+        ExperimentConfig(
+            family=cayley(), variant=ONE_SIDED, alpha=0.5, n=57, samples=5000, seed=7, size_one_cost=0
+        )
+    )
+    assert one == SampleStats(
+        count=5000,
+        moment_estimates=[53.76265334290107, 3553.8239678893665],
+        standard_errors=[0.36428938501593766, 46.18045810129504],
+        seed=7,
+    )
+
+
+def test_counts_of_another_family_rejected():
+    config = ExperimentConfig(family=ordered(), variant=ONE_SIDED, alpha=1.0, n=50, samples=100, seed=1)
+    with pytest.raises(ConfigError):
+        run_experiment(config, counts=compute_counts(cayley(), 50, exact_cutoff=1))
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0])
