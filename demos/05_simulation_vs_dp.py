@@ -2,9 +2,11 @@
 
 The size-process engine never builds a tree: it draws component sizes
 from the splitting law, which is exact because cutting keeps the pieces
-random within the family.  The explicit engine samples a literal tree
-and cuts uniformly random edges -- its whole purpose is to test that
-assumption, which it does below via the first-cut histogram.
+random within the family.  The explicit engine builds literal trees, a
+shard of them at once (offspring vectors from the family's law, turned
+into trees by the cycle lemma), and cuts their edges in a uniform random
+order -- its whole purpose is to test that assumption, which it does
+below via the first-cut histogram.
 
 Experiments are deterministic: fixed shards, one Philox stream per
 shard keyed by (seed, shard), partial sums combined in shard order, so

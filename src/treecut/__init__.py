@@ -27,7 +27,6 @@ from .errors import (
     OverflowPolicyError,
     RootMismatch,
     TreecutError,
-    UnsupportedFamily,
 )
 from .family import (
     FamilyConstants,
@@ -63,13 +62,10 @@ from .moments import (
     two_sided_moments,
 )
 from .simulate import (
-    DestructionSample,
     ExperimentConfig,
     SampleStats,
-    destroy_tree,
     explicit_cut_survey,
     run_experiment,
-    sample_tree_explicit,
 )
 
 __version__ = "0.1.0"

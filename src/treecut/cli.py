@@ -65,7 +65,11 @@ def _family_from_args(args) -> FamilySpec:
 def _toll_from_args(args) -> TollSpec:
     size_one = None
     if getattr(args, "size_one_cost", None) is not None:
-        size_one = Fraction(args.size_one_cost) if "/" in args.size_one_cost else float(args.size_one_cost)
+        text = args.size_one_cost
+        try:
+            size_one = Fraction(text) if "/" in text else float(text)
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError(f"--size-one-cost takes a number or p/q, got {text!r}") from None
         if isinstance(size_one, float) and size_one.is_integer():
             size_one = int(size_one)
     return TollSpec(alpha=args.alpha, size_one_cost=size_one)
@@ -187,6 +191,7 @@ def _cmd_simulate(args) -> int:
         size_one_cost=toll.size_one_cost,
     )
     stats = run_experiment(config)
+    size_one = _fmt(toll.size_one_cost) if isinstance(toll.size_one_cost, Fraction) else toll.size_one_cost
     payload = {
         "config": {
             "kind": spec.kind,
@@ -201,7 +206,7 @@ def _cmd_simulate(args) -> int:
             "engine": config.engine,
             "workers": config.workers,
             "s_max": config.s_max,
-            "size_one_cost": config.size_one_cost,
+            "size_one_cost": size_one,
         },
         "moment_estimates": stats.moment_estimates,
         "standard_errors": stats.standard_errors,

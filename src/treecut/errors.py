@@ -21,10 +21,6 @@ class OverflowPolicyError(TreecutError):
     """Exact rational storage was requested past the configured bound."""
 
 
-class UnsupportedFamily(TreecutError, ValueError):
-    """Explicit tree sampling is not implemented for this parameterization."""
-
-
 class DomainError(TreecutError, ValueError):
     """Parameter sits at (or numerically too close to) a pole of a formula."""
 

@@ -89,6 +89,8 @@ class TollSpec:
             for t in self.override:
                 if not math.isfinite(float(t)):
                     raise ConfigError("override toll values must be finite")
+        if self.size_one_cost is not None and not math.isfinite(float(self.size_one_cost)):
+            raise ConfigError(f"size_one_cost must be finite, got {self.size_one_cost}")
 
     @property
     def t1(self) -> Value:

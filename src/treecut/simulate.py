@@ -13,11 +13,20 @@ Two engines with very different trust models:
   the result equals a binary search of the row, draw for draw.  The
   table costs 8 B + 2 B per (m, k) entry: about 20 MB at n = 2000 and
   0.5 GB at n = 10^4.
-* ``explicit`` samples an actual tree (uniform ordered tree by cycle
-  lemma, uniform labeled rooted tree for the exponential family,
-  conditioned branching-process rejection for d-ary) and literally cuts
-  uniformly random edges.  It exists to *test* the size-process
-  assumption, and is capped at EXPLICIT_N_MAX vertices.
+* ``explicit`` builds actual trees and literally cuts them, a shard at
+  a time; it exists to *test* the size-process assumption, for every
+  family, and is capped at EXPLICIT_N_MAX vertices.  Each tree starts
+  as an offspring vector c with sum n - 1 drawn from the family's law
+  given that sum (Multinomial for kind A, a uniform subset of the d*n
+  child slots for kind B, Dirichlet-multinomial for kind C), rotated by
+  the cycle lemma into its preorder Lukasiewicz word (Devroye 2012);
+  one stack pass over the n positions turns the batch's words into
+  parent arrays.  Destruction draws a uniform order of the n - 1 edges
+  and adds the edges back from the last cut to the first with a
+  component label per vertex: each edge's merged size is the size of
+  the component it was cut in.  Two-sided cost is the sum of their
+  tolls plus n * t1; one-sided counts only the records, the edges whose
+  merged component holds the root (Janson 2006), plus t1.
 
 Reproducibility contract: an experiment is deterministic given
 (config, seed) regardless of worker count.  Samples are processed in
@@ -28,16 +37,15 @@ are combined in shard order.
 
 from __future__ import annotations
 
-import heapq
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, List, NamedTuple, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .counts import WeightedCounts, compute_counts, _prob_row_float
-from .errors import ConfigError, UnsupportedFamily
+from .errors import ConfigError
 from .family import FamilySpec
 from .moments import ONE_SIDED, TWO_SIDED, TollSpec
 
@@ -46,16 +54,6 @@ EXPLICIT_N_MAX = 64
 
 SIZE_PROCESS = "size_process"
 EXPLICIT = "explicit"
-
-
-@dataclass(frozen=True)
-class DestructionSample:
-    """One destruction run: its total cost and the first-cut split."""
-
-    n: int
-    variant: str
-    total_cost: float
-    first_cut_root_size: int  # 0 when n == 1 (nothing was cut)
 
 
 @dataclass(frozen=True)
@@ -198,224 +196,112 @@ def _size_process_two_sided(table, tolls, t1, n, batch, rng) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Explicit trees
+# Explicit engine: a batch of real trees, cut as records
 # ---------------------------------------------------------------------------
 
 
-def sample_tree_explicit(spec: FamilySpec, n: int, rng: np.random.Generator) -> List[List[int]]:
-    """A random size-n tree of the family, as child lists rooted at node 0.
+def _offspring(spec: FamilySpec, n: int, batch: int, rng: np.random.Generator) -> np.ndarray:
+    """``batch`` offspring vectors c in N^n with sum n - 1, one per row.
 
-    Supported: kind A (uniform labeled rooted tree; the shape law does
-    not depend on alpha0), kind C with alpha0 == alpha1 (uniform ordered
-    tree), kind B (branching process conditioned on total size).
+    A tree weighs the product of phi_{c_v} over its vertices, so given
+    sum(c) = n - 1 the vector has a law proportional to that product
+    (alpha0 and beta scale every size-n tree alike):
+
+        A  prod 1/c_i!                Multinomial(n - 1; 1/n, ..., 1/n)
+        B  prod C(d, c_i)             a uniform (n-1)-subset of the d*n child slots
+        C  prod (gamma)_{c_i} / c_i!  Dirichlet-multinomial(n - 1; gamma, ..., gamma),
+                                      a uniform composition at gamma = 1 (ordered trees)
     """
-    if not 1 <= n <= EXPLICIT_N_MAX:
-        raise ConfigError(f"explicit sampling supports 1 <= n <= {EXPLICIT_N_MAX}, got {n}")
-    if spec.kind == "A":
-        return _sample_labeled_rooted(n, rng)
-    if spec.kind == "C":
-        if spec.alpha0 != spec.alpha1:
-            raise UnsupportedFamily(
-                "explicit sampling for kind C is implemented only for "
-                "unweighted ordered trees (alpha0 == alpha1)"
-            )
-        return _sample_ordered(n, rng)
-    return _sample_dary(spec.d, n, rng)
+    if spec.kind == "A":  # each of the n - 1 children picks one of n parents
+        picks = rng.integers(0, n, size=(batch, n - 1)) + n * np.arange(batch)[:, None]
+        return np.bincount(picks.ravel(), minlength=batch * n).reshape(batch, n)
+    if spec.kind == "B":
+        return rng.multivariate_hypergeometric(np.full(n, spec.d), n - 1, size=batch, method="count")
+    return rng.multinomial(n - 1, rng.dirichlet(np.full(n, float(spec.gamma)), size=batch))
 
 
-def _sample_ordered(n: int, rng: np.random.Generator) -> List[List[int]]:
-    """Uniform ordered tree by the cycle lemma.
+def _lukasiewicz(c: np.ndarray) -> np.ndarray:
+    """Rotate each row to start just past the first minimum of its walk.
 
-    A uniform arrangement of n-1 up-steps and n down-steps has exactly
-    one rotation that stays nonnegative until the final step; starting
-    just past the first minimum of the prefix sums finds it.  Dropping
-    that final down-step leaves a uniform Dyck word, read as a DFS.
+    The walk sum_{j<=i} (c_j - 1) ends at -1, so exactly one rotation
+    stays >= 0 until its last step (the cycle lemma): the preorder
+    offspring counts of a tree, each tree reached by n equally likely
+    vectors.  Returned vertex-major: column b is row b's word.
     """
-    children: List[List[int]] = [[] for _ in range(n)]
-    if n == 1:
-        return children
-    steps = np.full(2 * n - 1, -1, dtype=np.int8)
-    steps[: n - 1] = 1
-    steps = rng.permutation(steps)
-    cut = int(np.argmin(np.cumsum(steps))) + 1
-    word = np.concatenate([steps[cut:], steps[:cut]])[:-1]
-    stack = [0]
-    nxt = 1
-    for step in word:
-        if step == 1:
-            children[stack[-1]].append(nxt)
-            stack.append(nxt)
-            nxt += 1
-        else:
-            stack.pop()
-    return children
+    n = c.shape[1]
+    start = np.argmin(np.cumsum(c - 1, axis=1), axis=1) + 1
+    return np.ascontiguousarray(np.take_along_axis(c, (start[:, None] + np.arange(n)) % n, axis=1).T)
 
 
-def _sample_labeled_rooted(n: int, rng: np.random.Generator) -> List[List[int]]:
-    """Uniform random labeled rooted tree on n vertices (Pruefer decode)."""
-    children: List[List[int]] = [[] for _ in range(n)]
-    if n == 1:
-        return children
-    adj: List[List[int]] = [[] for _ in range(n)]
-    if n == 2:
-        adj[0].append(1)
-        adj[1].append(0)
-    else:
-        seq = [int(v) for v in rng.integers(0, n, size=n - 2)]
-        degree = [1] * n
-        for v in seq:
-            degree[v] += 1
-        leaves = [i for i in range(n) if degree[i] == 1]
-        heapq.heapify(leaves)
-        for v in seq:
-            leaf = heapq.heappop(leaves)
-            adj[leaf].append(v)
-            adj[v].append(leaf)
-            degree[v] -= 1
-            if degree[v] == 1:
-                heapq.heappush(leaves, v)
-        u, w = heapq.heappop(leaves), heapq.heappop(leaves)
-        adj[u].append(w)
-        adj[w].append(u)
-    root = int(rng.integers(n))
-    seen = [False] * n
-    seen[root] = True
-    stack = [root]
-    for u in stack:  # grows while iterating: preorder sweep
-        for w in adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                stack.append(w)
-                children[u].append(w)
-    return _relabel(children, root)
+def _parents(word: np.ndarray) -> np.ndarray:
+    """Preorder parent arrays (n, batch) of a batch of Lukasiewicz words.
 
-
-def _relabel(children: List[List[int]], root: int) -> List[List[int]]:
-    """Renumber nodes so the root is 0 (preorder); shape is unchanged."""
-    n = len(children)
-    new_id = [-1] * n
-    out: List[List[int]] = [[] for _ in range(n)]
-    stack = [root]
-    new_id[root] = 0
-    count = 1
-    while stack:
-        u = stack.pop()
-        for w in children[u]:
-            new_id[w] = count
-            count += 1
-            out[new_id[u]].append(new_id[w])
-            stack.append(w)
-    return out
-
-
-def _sample_dary(d: int, n: int, rng: np.random.Generator) -> List[List[int]]:
-    """d-ary tree by rejection from Binomial(d, 1/d) branching.
-
-    The size-tilted offspring law of the d-ary family is exactly
-    Binomial(d, 1/d) (critical), independent of alpha0; conditioning on
-    total size n by rejection is exact.
+    One pass over the positions with a stack per column of the vertices
+    that still have open child slots: vertex i hangs below the top one.
+    Row 0 (the root) is left 0.
     """
-    p = 1.0 / d
-    while True:
-        counts: List[int] = []
-        total = 0  # offspring counts assigned so far
-        pending = 1  # nodes still awaiting an offspring count
-        while pending:
-            c = int(rng.binomial(d, p))
-            counts.append(c)
-            total += 1
-            pending += c - 1
-            if total + pending > n:
-                break
-        if pending or total != n:
-            continue
-        children: List[List[int]] = [[] for _ in range(n)]
-        queue = [0]
-        nxt = 1
-        for idx, u in enumerate(queue):
-            for _ in range(counts[idx]):
-                children[u].append(nxt)
-                queue.append(nxt)
-                nxt += 1
-        return children
+    n, batch = word.shape
+    cols = np.arange(batch)
+    parent = np.zeros((n, batch), dtype=np.intp)
+    stack = np.zeros(n * batch, dtype=np.intp)  # level h of column b at h * batch + b; the root at level 0
+    open_slots = word.ravel().copy()
+    height = np.ones(batch, dtype=np.intp)
+    for i in range(1, n):
+        top = stack[(height - 1) * batch + cols]
+        parent[i] = top
+        at = top * batch + cols
+        open_slots[at] -= 1
+        height -= open_slots[at] == 0
+        stack[height * batch + cols] = i  # kept only when i has children of its own
+        height += word[i] > 0
+    return parent
 
 
-def destroy_tree(
-    children: Sequence[Sequence[int]],
-    variant: str,
-    toll: TollSpec,
-    rng: np.random.Generator,
-) -> DestructionSample:
-    """Literal destruction of a fixed tree by uniform random edge cuts."""
-    if variant not in (ONE_SIDED, TWO_SIDED):
-        raise ConfigError(f"unknown variant {variant!r}")
-    n = len(children)
-    t1 = float(toll.t1)
-    toll_of = lambda m: float(m) ** toll.alpha if toll.override is None else float(toll.override[m - 1])
-    if n == 1:
-        return DestructionSample(n=1, variant=variant, total_cost=t1, first_cut_root_size=0)
+def _cut_records(parent: np.ndarray, order: np.ndarray, tolls: np.ndarray, one_sided: bool):
+    """Cut costs and first-cut root sizes of a batch of trees cut in ``order``.
 
-    kids = [list(c) for c in children]
-    if variant == ONE_SIDED:
-        alive = [True] * n
-        pool = list(range(1, n))  # an edge <-> its lower endpoint
-        m = n
-        cost = 0.0
-        first = 0
-        while m > 1:
-            cost += toll_of(m)
-            while True:
-                idx = int(rng.integers(len(pool)))
-                v = pool[idx]
-                if alive[v]:
-                    break
-                pool[idx] = pool[-1]
-                pool.pop()
-            removed = 0
-            stack = [v]
-            while stack:
-                u = stack.pop()
-                alive[u] = False
-                removed += 1
-                stack.extend(w for w in kids[u] if alive[w])
-            m -= removed
-            if first == 0:
-                first = m
-        return DestructionSample(n=n, variant=variant, total_cost=cost + t1, first_cut_root_size=first)
-
-    parent = [-1] * n
-    for u, cs in enumerate(kids):
-        for w in cs:
-            parent[w] = u
-    cost = 0.0
-    first = 0
-    work = [(0, _preorder(kids, 0, n))]
-    while work:
-        root, members = work.pop()
-        m = len(members)
-        if m == 1:
-            cost += t1
-            continue
-        cost += toll_of(m)
-        v = members[int(rng.integers(1, m))]  # members[0] is the component root
-        kids[parent[v]].remove(v)
-        sub = _preorder(kids, v, m)
-        in_sub = set(sub)
-        rest = [u for u in members if u not in in_sub]
-        if first == 0:
-            first = len(rest)
-        work.append((root, rest))
-        work.append((v, sub))
-    return DestructionSample(n=n, variant=variant, total_cost=cost, first_cut_root_size=first)
+    ``parent`` is (n, batch) and ``order[j]`` the lower vertices of the
+    j-th edges cut.  Adding the edges back from the last cut to the
+    first, each edge joins the two components it split, so the merged
+    size is the size of the component it was cut in.  Two-sided
+    destruction pays toll(merged) for every edge; one-sided pays it only
+    for the records, the edges whose merged component holds the root.
+    The size-1 charges are left to the caller.  The first cut's root side
+    is the tree less the lower vertex's subtree, the last merge's other
+    half.
+    """
+    n, batch = parent.shape
+    cols = np.arange(batch)
+    lower = order * batch + cols
+    upper = np.take_along_axis(parent, order, axis=0) * batch + cols
+    # each vertex's component, named by its top vertex; int8 holds n <= EXPLICIT_N_MAX
+    top = np.repeat(np.arange(n, dtype=np.int8), batch).reshape(n, batch)
+    size = np.ones(n * batch, dtype=np.intp)  # component sizes, kept at their top vertex
+    cost = np.zeros(batch)
+    root_side = np.zeros(batch, dtype=np.intp)
+    for j in range(n - 2, -1, -1):
+        v = order[j]  # the top of its own component while its edge is missing
+        up = top.ravel()[upper[j]].astype(np.intp)
+        at = up * batch + cols
+        root_side = size[at]
+        merged = root_side + size[lower[j]]
+        size[at] = merged
+        top += (top == v.astype(np.int8)).view(np.int8) * (up - v).astype(np.int8)
+        cost += np.where(up == 0, tolls[merged], 0.0) if one_sided else tolls[merged]
+    return cost, root_side
 
 
-def _preorder(kids: Sequence[Sequence[int]], root: int, cap: int) -> List[int]:
-    out = [root]
-    for u in out:
-        out.extend(kids[u])
-        if len(out) > cap:  # pragma: no cover - defensive
-            raise RuntimeError("component larger than its bound")
-    return out
+def _explicit_shard(spec: FamilySpec, tolls: np.ndarray, n: int, one_sided: bool, batch: int, rng: np.random.Generator):
+    """Total costs and first-cut root sizes of ``batch`` explicit destructions.
+
+    ``tolls`` is ``TollSpec.float_values(n)``: t[1] is the size-1 cost,
+    paid once one-sided (the root) and n times two-sided.  The cut order
+    is a uniform permutation of each tree's n - 1 edges.
+    """
+    parent = _parents(_lukasiewicz(_offspring(spec, n, batch, rng)))
+    order = rng.permuted(np.repeat(np.arange(1, n), batch).reshape(n - 1, batch), axis=0)
+    cost, root_side = _cut_records(parent, order, tolls, one_sided)
+    return cost + (1 if one_sided else n) * tolls[1], root_side
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +326,11 @@ def _validate_config(config: ExperimentConfig) -> None:
         raise ConfigError(f"alpha must be >= 0, got {config.alpha}")
     if config.engine == EXPLICIT and config.n > EXPLICIT_N_MAX:
         raise ConfigError(f"explicit engine is capped at n = {EXPLICIT_N_MAX}")
+
+
+def _shards(samples: int) -> List[Tuple[int, int]]:
+    """(shard index, batch size) pairs: full shards of SHARD_SIZE, then the rest."""
+    return [(i, min(SHARD_SIZE, samples - i * SHARD_SIZE)) for i in range((samples + SHARD_SIZE - 1) // SHARD_SIZE)]
 
 
 def _toll_for(config: ExperimentConfig) -> TollSpec:
@@ -473,19 +364,14 @@ def run_experiment(config: ExperimentConfig, counts: Optional[WeightedCounts] = 
             return engine(table, tolls, t1, config.n, batch, rng)
 
     else:
-        spec = config.family
-        # fail fast on unsupported parameterizations, before spawning work
-        sample_tree_explicit(spec, min(config.n, 2), _shard_rng(config.seed, 0))
+        tolls = toll.float_values(config.n)
+        one_sided = config.variant == ONE_SIDED
 
         def shard_fn(shard: int, batch: int) -> np.ndarray:
             rng = _shard_rng(config.seed, shard)
-            out = np.empty(batch)
-            for i in range(batch):
-                tree = sample_tree_explicit(spec, config.n, rng)
-                out[i] = destroy_tree(tree, config.variant, toll, rng).total_cost
-            return out
+            return _explicit_shard(config.family, tolls, config.n, one_sided, batch, rng)[0]
 
-    shards = [(i, min(SHARD_SIZE, config.samples - i * SHARD_SIZE)) for i in range((config.samples + SHARD_SIZE - 1) // SHARD_SIZE)]
+    shards = _shards(config.samples)
     n_pows = 2 * config.s_max
 
     def shard_sums(args) -> np.ndarray:
@@ -536,19 +422,26 @@ def explicit_cut_survey(
     samples: int,
     seed: int,
 ) -> CutSurvey:
-    """Destroy ``samples`` explicit trees, recording first-cut root sizes."""
+    """Destroy ``samples`` explicit trees, recording first-cut root sizes.
+
+    The trees and cuts are those of ``run_experiment`` with the explicit
+    engine and the same seed.
+    """
     if samples < 1:
         raise ConfigError("samples must be >= 1")
-    rng = _shard_rng(seed, 0)
+    if variant not in (ONE_SIDED, TWO_SIDED):
+        raise ConfigError(f"unknown variant {variant!r}")
+    if not 1 <= n <= EXPLICIT_N_MAX:
+        raise ConfigError(f"explicit engine supports 1 <= n <= {EXPLICIT_N_MAX}, got {n}")
+    tolls = toll.float_values(n)
     hist = np.zeros(n, dtype=np.int64)
     total = 0.0
     total2 = 0.0
-    for _ in range(samples):
-        tree = sample_tree_explicit(spec, n, rng)
-        sample = destroy_tree(tree, variant, toll, rng)
-        hist[sample.first_cut_root_size] += 1
-        total += sample.total_cost
-        total2 += sample.total_cost**2
+    for shard, batch in _shards(samples):
+        cost, root_side = _explicit_shard(spec, tolls, n, variant == ONE_SIDED, batch, _shard_rng(seed, shard))
+        hist += np.bincount(root_side, minlength=n)
+        total += float(np.sum(cost))
+        total2 += float(np.sum(cost**2))
     mean = total / samples
     var = max(0.0, (total2 - samples * mean * mean) / (samples - 1)) if samples > 1 else float("nan")
     return CutSurvey(

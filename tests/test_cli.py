@@ -4,9 +4,12 @@ Claims covered:
     - reference outputs for constants / probs / limits / moments
     - exact rationals survive serialization as p/q strings
     - JSON outputs parse back; identical argv (and seed) gives
-      byte-identical output, also when the worker count changes
+      byte-identical output, also when the worker count changes, for
+      both simulation engines
     - the README simulate example prints the bytes it printed before
-    - exit codes: 0 ok, 1 validation or usage error, 2 failed criteria
+    - exit codes: 0 ok, 1 validation or usage error, 2 failed criteria;
+      a --size-one-cost that is no finite number is a validation error
+    - a rational --size-one-cost is echoed as a p/q string
 """
 
 import hashlib
@@ -114,11 +117,12 @@ def test_simulate_deterministic_and_exact(capture):
     assert json.loads(out4)["standard_errors"] == payload["standard_errors"]
 
 
-def test_simulate_workers_byte_identical_nondegenerate(capture):
+@pytest.mark.parametrize("engine", ["size", "explicit"])
+def test_simulate_workers_byte_identical_nondegenerate(capture, engine):
     base = (
         "simulate", "--kind", "C", "--alpha0", "1", "--alpha1", "1",
         "--variant", "one", "--alpha", "1", "--n", "60",
-        "--samples", "9000", "--seed", "5",
+        "--samples", "9000", "--seed", "5", "--engine", engine,
     )
     _, out1, _ = capture(*base, "--workers", "1")
     _, out4, _ = capture(*base, "--workers", "4")
@@ -180,6 +184,33 @@ def test_validation_errors_exit_1(capture):
         "--alpha", "0.5", "--nmax", "10", "--mode", "exact",
     )
     assert code == 1 and "rational" in err
+
+
+def test_simulate_rational_size_one_cost(capture):
+    code, out, _ = capture(
+        "simulate", "--kind", "A", "--alpha0", "1", "--variant", "two", "--alpha", "0", "--n", "5",
+        "--samples", "10", "--seed", "1", "--size-one-cost", "1/2",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["config"]["size_one_cost"] == "1/2"
+    assert payload["moment_estimates"][0] == 4 + 5 / 2  # n - 1 cuts at alpha = 0, n size-1 pieces
+
+
+@pytest.mark.parametrize("value", ["abc", "1/0", "x/2", "nan", "inf"])
+@pytest.mark.parametrize("command", ["moments", "simulate"])
+def test_bad_size_one_cost_exits_1(capture, command, value):
+    args = {
+        "moments": ("--nmax", "5"),
+        "simulate": ("--n", "5", "--samples", "10", "--seed", "1"),
+    }[command]
+    code, out, err = capture(
+        command, "--kind", "A", "--alpha0", "1", "--variant", "two", "--alpha", "1", *args,
+        "--size-one-cost", value,
+    )
+    assert code == 1
+    assert out == "" and err.startswith("treecut: error: ")
+    assert "Traceback" not in err
 
 
 def test_usage_error_exit_1():

@@ -19,6 +19,7 @@ Claims covered:
       the mean's powers at n=10^4
     - Jensen, toll monotonicity, one-sided <= two-sided means
     - shifted moments by binomial expansion, exact in rational mode
+    - TollSpec rejects a non-finite size-1 cost and keeps negative ones
 """
 
 import math
@@ -220,6 +221,13 @@ def test_toll_spec_validation():
     assert TollSpec(alpha=2.0).is_rational
     values = TollSpec(alpha=2).float_values(4)
     assert list(values[1:]) == [1.0, 4.0, 9.0, 16.0]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_size_one_cost_must_be_finite(value):
+    with pytest.raises(ConfigError):
+        TollSpec(alpha=1, size_one_cost=value)
+    assert TollSpec(alpha=1, size_one_cost=-0.5).t1 == -0.5  # negative finite costs stay allowed
 
 
 def test_rational_mode_requires_rational_toll(tables):
