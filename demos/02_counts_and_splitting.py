@@ -1,7 +1,8 @@
 """Weighted counts T_n and the splitting law of the first cut.
 
-The counts come out of one convolution recurrence; ordered trees give
-Catalan numbers, Cayley trees n^(n-1)/n!.  The splitting probabilities
+The exact counts come from one closed form for every family (Lagrange
+inversion of T = z*Phi(T)); ordered trees give Catalan numbers, Cayley
+trees n^(n-1)/n!.  The splitting probabilities
 p_{n,k} (law of the root-side size after one uniform edge cut) are
 exact rationals, sum to one, and at large n are evaluated in log scale
 where T_n itself has ~1800 digits.

@@ -8,36 +8,32 @@ which is exactly the statement that the splitting probabilities
 
     p_{n,k} = (a1*k + a0) * T_k * T_{n-k} / ((n-1) * T_n)
 
-sum to one.  T_n is kept two ways: exactly up to a cutoff, and as the
-rho-scaled float a_n = rho^n * T_n for every n, where rho = tau/Phi(tau)
-(tau = 1/a1) is the singularity of the tree GF.  T_n grows like
-c * rho^-n * n^-3/2 and overflows doubles near n ~ 520 already for
-ordered trees, but a_n ~ c * n^-3/2 stays well inside double range, and
-rho^n = rho^k * rho^(n-k) leaves the recurrence and p_{n,k} unchanged
-with a in place of T.  Since w_k + w_{n-k} = a1*n + 2*a0 for
+sum to one.  Very simple trees are exactly the three Phi forms, and for
+each of them Lagrange inversion of T(z) = z*Phi(T(z)) solves the
+recurrence in closed form:
+
+    T_n = (a0 + a1) / (n-1)! * prod_{i=2}^{n-1} (a1*n + a0*i),   n >= 2.
+
+Exact counts come from it as plain integers.  With L the lcm of the
+denominators of a0 and a1, so that W_k = L*(a1*k + a0) is an integer,
+
+    S_n = (n-1)! * L^(n-1) * T_n = W_1 * prod_{i=2}^{n-1} L*(a1*n + a0*i),
+
+a product over an arithmetic progression (a power when a0 = 0).  This
+is the scale the exact moment DP of :mod:`treecut.moments` runs on; the
+exact T_n are handed out as reduced Fractions S_n / ((n-1)! * L^(n-1)).
+Its oracles are the recurrence itself, transcribed in Fractions in the
+tests, and :func:`lagrange_counts`, by series arithmetic.
+
+Every T_n is also kept as the rho-scaled float a_n = rho^n * T_n, where
+rho = tau/Phi(tau) (tau = 1/a1) is the singularity of the tree GF.  T_n
+grows like c * rho^-n * n^-3/2 and overflows doubles near n ~ 520
+already for ordered trees, but a_n ~ c * n^-3/2 stays well inside double
+range, and rho^n = rho^k * rho^(n-k) leaves the recurrence and p_{n,k}
+unchanged with a in place of T.  Since w_k + w_{n-k} = a1*n + 2*a0 for
 w_k = a1*k + a0, the float recurrence folds to a plain convolution:
 
     a_n = (a1*n + 2*a0) / (2*(n-1)) * sum_k a_k * a_{n-k},   a_1 = rho.
-
-An independent oracle computes T_n by Lagrange inversion of
-T(z) = z*Phi(T(z)).
-
-The exact recurrence runs on plain integers S_n = c_n * T_n, with L the
-lcm of the denominators of a0 and a1, so that W_k = L*(a1*k + a0) is an
-integer.  The scale starts as c_n = L^(n-1), under which
-
-    (n-1) * S_n = sum_k W_k * S_k * S_{n-k},
-
-and stays there while every such sum divides exactly by n-1 (ordered,
-binary and d-ary trees, kind C with integer gamma).  At the first sum
-that does not, the scale switches for the whole table to the
-exponential-type normalisation c_n = (n-1)! * L^(n-1), which needs no
-division at all:
-
-    S_n = sum_k W_k * C(n-2, k-1) * S_k * S_{n-k}.
-
-W_k + W_{n-k} does not depend on k, so both sums fold over k <-> n-k.
-The exact T_n are handed out as reduced Fractions S_n / c_n.
 """
 
 from __future__ import annotations
@@ -45,31 +41,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, mul
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
 from .errors import OutOfRange, OverflowPolicyError
 from .family import FamilySpec, phi_coefficient, phi_value, tau_exact
 
-_LN2 = math.log(2.0)
-
 #: Hard ceiling on how many exact rationals a WeightedCounts may store.
 MAX_EXACT_CUTOFF = 20_000
-
-
-def _ln_fraction(x: Fraction) -> float:
-    """Natural log of a positive Fraction, safe for huge numerators."""
-
-    def ln_int(i: int) -> float:
-        bits = i.bit_length()
-        if bits <= 900:
-            return math.log(i)
-        shift = bits - 900
-        return math.log(i >> shift) + shift * _LN2
-
-    return ln_int(x.numerator) - ln_int(x.denominator)
 
 
 @dataclass(frozen=True)
@@ -80,8 +60,8 @@ class WeightedCounts:
     (index 0 is a placeholder).  ``log_values[n]`` is ln T_n for every
     1 <= n <= n_max.  ``rho_scaled[n]`` is a_n = rho**n * T_n for
     1 <= n <= n_max, with ``rho`` = tau/Phi(tau) in double precision.
-    ``scaled[n]`` is the integer c_n * T_n the exact values come from,
-    with c_n = L^(n-1), times (n-1)! when ``factorial_scale`` is set.
+    ``scaled[n]`` is the integer S_n = (n-1)! * L^(n-1) * T_n the exact
+    values come from (index 0 = 0).
     """
 
     family: FamilySpec
@@ -92,7 +72,6 @@ class WeightedCounts:
     rho: float
     rho_scaled: np.ndarray = field(repr=False)
     scaled: List[int] = field(repr=False)
-    factorial_scale: bool = field(repr=False)
 
     @property
     def exact_limit(self) -> int:
@@ -107,19 +86,6 @@ class WeightedCounts:
         if not 1 <= n <= self.n_max:
             raise OutOfRange(f"n must be in [1, {self.n_max}], got {n}")
         return float(self.log_values[n])
-
-    def factorial_scaled(self, n_max: int) -> List[int]:
-        """(n-1)! * L^(n-1) * T_n as ints for 1 <= n <= n_max (index 0 = 0)."""
-        if not 1 <= n_max <= self.exact_limit:
-            raise OutOfRange(f"exact T_n available for 1 <= n <= {self.exact_limit}, got {n_max}")
-        if self.factorial_scale:
-            return self.scaled[: n_max + 1]
-        out = [0]
-        fact = 1
-        for n in range(1, n_max + 1):
-            out.append(fact * self.scaled[n])
-            fact *= n
-        return out
 
 
 def _weight_scale(spec: FamilySpec) -> int:
@@ -138,46 +104,20 @@ def integer_weights(spec: FamilySpec, n_max: int) -> List[int]:
     return [la1 * k + la0 for k in range(n_max + 1)]
 
 
-def folded_sum(w: List[int], s: List[int], n: int, binom: Optional[List[int]] = None) -> int:
-    """sum_k W_k * B_k * S_k * S_{n-k} over 1 <= k <= n-1, B_k = C(n-2, k-1) or 1.
-
-    Terms k and n-k share S_k * S_{n-k} and B_k, and their weights add up
-    to W_1 + W_{n-1}; the middle term of an even n stands alone.
-    """
-    half, mid = (n - 1) // 2, n // 2
-    lower = s[1 : half + 1] if binom is None else list(map(mul, binom, s[1 : half + 1]))
-    acc = (w[1] + w[n - 1]) * sum(map(mul, lower, s[n - 1 : n - half - 1 : -1]))
-    if n % 2 == 0:
-        acc += w[mid] * (1 if binom is None else binom[mid - 1]) * s[mid] ** 2
-    return acc
-
-
-def _scaled_counts(spec: FamilySpec, n_exact: int) -> Tuple[List[int], bool]:
-    """S_n = c_n * T_n for 1 <= n <= n_exact, and whether c_n carries (n-1)!."""
-    w = integer_weights(spec, n_exact)
+def _scaled_counts(spec: FamilySpec, n_exact: int) -> List[int]:
+    """S_n = W_1 * prod_{i=2}^{n-1} (L*a1*n + L*a0*i) for 1 <= n <= n_exact (index 0 = 0)."""
+    scale = _weight_scale(spec)
+    la1, la0 = int(scale * spec.a1), int(scale * spec.a0)
     s = [0, 1]
-    factorial = False
-    binom: List[int] = []  # C(n-2, k-1) for k = 1..n-1, factorial scale only
     for n in range(2, n_exact + 1):
-        if factorial:
-            binom = [1, *map(add, binom, binom[1:]), 1]
-        else:
-            total, rest = divmod(folded_sum(w, s, n), n - 1)
-            if rest == 0:
-                s.append(total)
-                continue
-            factorial = True
-            fact = 1
-            for k in range(2, n):
-                fact *= k - 1
-                s[k] *= fact
-            binom = [math.comb(n - 2, j) for j in range(n - 1)]
-        s.append(folded_sum(w, s, n, binom))
-    return s, factorial
+        first = la1 * n + 2 * la0  # the factor at i = 2
+        prod = first ** (n - 2) if la0 == 0 else math.prod(range(first, la1 * n + n * la0, la0))
+        s.append((la1 + la0) * prod)
+    return s
 
 
 def compute_counts(spec: FamilySpec, n_max: int, exact_cutoff: int = 400) -> WeightedCounts:
-    """Run the convolution recurrence in exact and rho-scaled float form.
+    """Exact counts from the closed form, rho-scaled floats from the recurrence.
 
     Exact Fractions are kept for n <= min(n_max, exact_cutoff); the
     rho-scaled values (and hence ln T_n) cover all n <= n_max.
@@ -188,13 +128,13 @@ def compute_counts(spec: FamilySpec, n_max: int, exact_cutoff: int = 400) -> Wei
         raise OverflowPolicyError(f"exact_cutoff={exact_cutoff} exceeds the configured bound {MAX_EXACT_CUTOFF}")
     n_exact = min(n_max, exact_cutoff)
 
-    scaled, factorial = _scaled_counts(spec, n_exact)
+    scaled = _scaled_counts(spec, n_exact)
     scale = _weight_scale(spec)
     exact: List[Fraction] = [Fraction(0)]
     c_n = 1
     for n in range(1, n_exact + 1):
         exact.append(Fraction(scaled[n], c_n))
-        c_n *= scale * n if factorial else scale
+        c_n *= scale * n
 
     tau = float(tau_exact(spec))
     rho = tau / phi_value(spec, tau)
@@ -220,7 +160,6 @@ def compute_counts(spec: FamilySpec, n_max: int, exact_cutoff: int = 400) -> Wei
         rho=rho,
         rho_scaled=a,
         scaled=scaled,
-        factorial_scale=factorial,
     )
 
 
@@ -286,20 +225,17 @@ def split_distribution(
 
 
 def _prob_row_exact(counts: WeightedCounts, n: int) -> List[Fraction]:
-    """Exact row p_{n,1..n-1} from the scaled counts, one Fraction per k.
-
-    p_{n,k} = W_k * S_k * S_{n-k} / ((n-1) * S_n) under c_n = L^(n-1),
-    and W_k * C(n-2, k-1) * S_k * S_{n-k} / S_n under the factorial scale.
-    """
+    """Exact row p_{n,1..n-1} = W_k * T_k * T_{n-k} / (L * (n-1) * T_n), one Fraction per k."""
     w = integer_weights(counts.family, n)
-    s = counts.scaled
-    if counts.factorial_scale:
-        weights = [w[k] * math.comb(n - 2, k - 1) for k in range(1, n)]
-        denom = s[n]
-    else:
-        weights = w[1:n]
-        denom = (n - 1) * s[n]
-    return [Fraction(wk * s[k] * s[n - k], denom) for k, wk in enumerate(weights, start=1)]
+    t = counts.exact
+    denom = _weight_scale(counts.family) * (n - 1) * t[n].numerator
+    return [
+        Fraction(
+            w[k] * t[k].numerator * t[n - k].numerator * t[n].denominator,
+            denom * t[k].denominator * t[n - k].denominator,
+        )
+        for k in range(1, n)
+    ]
 
 
 def _prob_row_float(counts: WeightedCounts, n: int) -> np.ndarray:

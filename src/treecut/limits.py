@@ -63,8 +63,10 @@ def limit_moments_two_sided(alpha: float, s_max: int) -> LimitMoments:
     formula has a Gamma pole, so that case is rejected rather than
     returning a huge float; use :func:`limit_moments_two_sided_half`.
     """
-    if alpha <= 0:
+    if not alpha > 0:
         raise DomainError(f"two-sided limit moments need alpha > 0, got {alpha}")
+    if s_max < 0:
+        raise DomainError("s_max must be >= 0")
     if abs(alpha - 0.5) < HALF_POLE_WINDOW:
         raise DomainError(
             "alpha is at (or numerically at) the Gamma pole alpha = 1/2; "
@@ -190,8 +192,10 @@ def limit_moments_two_sided_half(s_max: int) -> LimitMoments:
 
 def limit_moments_one_sided(alpha: float, s_max: int) -> LimitMoments:
     """One-sided limit moments: m_s = s!/2^(s/2) * prod_j Gamma(j a')/Gamma(j a' + 1/2)."""
-    if alpha < 0:
+    if not alpha >= 0:
         raise DomainError(f"one-sided limit moments need alpha >= 0, got {alpha}")
+    if s_max < 0:
+        raise DomainError("s_max must be >= 0")
     ap = alpha + 0.5
     m = [1.0]
     log_prod = 0.0

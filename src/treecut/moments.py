@@ -28,10 +28,11 @@ recurrence runs on plain integers
 
     N_n^s = (n-1)! * L^(n-1) * T_n * D^s * E V_n^s,
 
-where L clears the denominators of a0 and a1 (see :mod:`treecut.counts`)
-and D those of the tolls t_1..t_n.  The moments divide by n-1 at every
-level, so the table always takes the factorial scale, under which each
-step is an integer sum of products with no division.  The reduced
+where L clears the denominators of a0 and a1 and D those of the tolls
+t_1..t_n.  Order 0 is the integer count S_n of :mod:`treecut.counts`,
+which is on this scale already.  The factor (n-1)! absorbs the division
+by n-1 that every level of the moments needs, so each step is an
+integer sum of products with no division.  The reduced
 Fractions E V_n^s = N_n^s / (N_n^0 * D^s) are built once, after the
 recurrence.
 
@@ -56,7 +57,7 @@ from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from .counts import WeightedCounts, folded_sum, integer_weights
+from .counts import WeightedCounts, integer_weights
 from .errors import ConfigError, OutOfRange
 from .family import FamilySpec
 
@@ -234,13 +235,27 @@ def two_sided_moments(
 # ---------------------------------------------------------------------------
 
 
+def folded_sum(w: List[int], s: List[int], n: int, binom: List[int]) -> int:
+    """sum_k W_k * B_k * S_k * S_{n-k} over 1 <= k <= n-1, with B_k = C(n-2, k-1).
+
+    Terms k and n-k share S_k * S_{n-k} and B_k, and their weights add up
+    to W_1 + W_{n-1}; the middle term of an even n stands alone.
+    """
+    half, mid = (n - 1) // 2, n // 2
+    lower = map(mul, binom, s[1 : half + 1])
+    acc = (w[1] + w[n - 1]) * sum(map(mul, lower, s[n - 1 : n - half - 1 : -1]))
+    if n % 2 == 0:
+        acc += w[mid] * binom[mid - 1] * s[mid] ** 2
+    return acc
+
+
 def _rational_rows(counts: WeightedCounts, toll: TollSpec, variant: str, n_max: int, s_max: int) -> List[List]:
     """Exact rows[s][n] = E V_n^s as reduced Fractions, from an integer recurrence.
 
     N[s][n] = (n-1)! * L^(n-1) * T_n * D^s * E V_n^s is an integer, with
     W_k = L*(a1*k + a0), D the lcm of the toll denominators and
-    tau_n = D*t_n.  Row 0 is the factorial-scaled count.  Both variants
-    share
+    tau_n = D*t_n.  Row 0 is the count S_n = ``counts.scaled``.  Both
+    variants share
 
         N[s][n] = sum_r C(s,r) * tau_n^(s-r) * Y_r,      Y_0 = N[0][n],
 
@@ -256,7 +271,7 @@ def _rational_rows(counts: WeightedCounts, toll: TollSpec, variant: str, n_max: 
     tolls = [toll.exact_value(n) for n in range(1, n_max + 1)]
     denom = math.lcm(*(t.denominator for t in tolls))
     tau = [0] + [t.numerator * (denom // t.denominator) for t in tolls]
-    rows = [counts.factorial_scaled(n_max)] + [[0] * (n_max + 1) for _ in range(s_max)]
+    rows = [counts.scaled[: n_max + 1]] + [[0] * (n_max + 1) for _ in range(s_max)]
     for s in range(1, s_max + 1):
         rows[s][1] = tau[1] ** s
     comb = [[math.comb(s, r) for r in range(s + 1)] for s in range(s_max + 1)]

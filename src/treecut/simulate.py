@@ -322,6 +322,8 @@ def _validate_config(config: ExperimentConfig) -> None:
         raise ConfigError(f"workers must be >= 1, got {config.workers}")
     if config.s_max < 1:
         raise ConfigError(f"s_max must be >= 1, got {config.s_max}")
+    if config.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {config.seed}")
     if not config.alpha >= 0:
         raise ConfigError(f"alpha must be >= 0, got {config.alpha}")
     if config.engine == EXPLICIT and config.n > EXPLICIT_N_MAX:
@@ -433,6 +435,8 @@ def explicit_cut_survey(
         raise ConfigError(f"unknown variant {variant!r}")
     if not 1 <= n <= EXPLICIT_N_MAX:
         raise ConfigError(f"explicit engine supports 1 <= n <= {EXPLICIT_N_MAX}, got {n}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     tolls = toll.float_values(n)
     hist = np.zeros(n, dtype=np.int64)
     total = 0.0

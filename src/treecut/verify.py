@@ -23,6 +23,7 @@ import functools
 import math
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -142,7 +143,7 @@ def criterion_02_bruteforce_equivalence():
 
 @_criterion(3, "count oracles")
 def criterion_03_count_oracles():
-    """Recurrence counts vs Lagrange inversion and closed forms."""
+    """Closed-form counts vs Lagrange inversion, Catalan and Cayley numbers."""
     bad: List[str] = []
     for name, spec in _reference_families():
         counts = compute_counts(spec, 30, exact_cutoff=30)
@@ -153,13 +154,11 @@ def criterion_03_count_oracles():
     if any(wo.exact_t(n) != math.comb(2 * (n - 1), n - 1) // n for n in range(1, 21)):
         bad.append("ordered vs Catalan")
     wa = compute_counts(cayley(), 20, exact_cutoff=20)
-    from fractions import Fraction
-
     if any(wa.exact_t(n) != Fraction(n ** (n - 1), math.factorial(n)) for n in range(1, 21)):
         bad.append("cayley vs n^(n-1)/n!")
     if bad:
         return False, "; ".join(bad)
-    return True, "recurrence == Lagrange (n<=30, 3 families); Catalan and Cayley closed forms (n<=20)"
+    return True, "closed form == Lagrange (n<=30, 3 families); Catalan and Cayley closed forms (n<=20)"
 
 
 @_criterion(4, "randomness preservation (explicit cuts, n=10)", budget=30.0)

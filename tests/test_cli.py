@@ -8,7 +8,8 @@ Claims covered:
       both simulation engines
     - the README simulate example prints the bytes it printed before
     - exit codes: 0 ok, 1 validation or usage error, 2 failed criteria;
-      a --size-one-cost that is no finite number is a validation error
+      a --size-one-cost that is no finite number, a negative --seed, and
+      a negative --smax or NaN --alpha for limits are validation errors
     - a rational --size-one-cost is echoed as a p/q string
 """
 
@@ -208,6 +209,33 @@ def test_bad_size_one_cost_exits_1(capture, command, value):
         command, "--kind", "A", "--alpha0", "1", "--variant", "two", "--alpha", "1", *args,
         "--size-one-cost", value,
     )
+    assert code == 1
+    assert out == "" and err.startswith("treecut: error: ")
+    assert "Traceback" not in err
+
+
+def test_negative_seed_exits_1(capture):
+    code, out, err = capture(
+        "simulate", "--kind", "A", "--alpha0", "1", "--variant", "two", "--alpha", "1", "--n", "5",
+        "--samples", "10", "--seed", "-1",
+    )
+    assert code == 1
+    assert out == "" and err.startswith("treecut: error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--regime", "one", "--smax", "-1"),
+        ("--regime", "two", "--alpha", "1", "--smax", "-1"),
+        ("--regime", "one", "--alpha", "nan"),
+        ("--regime", "two", "--alpha", "nan"),
+    ],
+    ids=["one-smax", "two-smax", "one-nan", "two-nan"],
+)
+def test_bad_limits_input_exits_1(capture, args):
+    code, out, err = capture("limits", *args)
     assert code == 1
     assert out == "" and err.startswith("treecut: error: ")
     assert "Traceback" not in err

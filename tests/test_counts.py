@@ -1,7 +1,11 @@
 """Weighted counts and splitting distributions.
 
 Claims covered:
-    - recurrence counts match Catalan / Cayley closed forms and the
+    - the closed-form counts, exact and integer-scaled, equal a plain
+      Fraction transcription of the convolution recurrence up to n=120
+      for kinds A, B and C (a0 zero, positive and negative, integer and
+      fractional parameters)
+    - they match the Catalan / Cayley closed forms and the
       Lagrange-inversion oracle, exactly
     - splitting probabilities are nonnegative (also for kind C, whose
       a0 is negative) and sum to one exactly; the normalization doubles
@@ -21,7 +25,6 @@ import pytest
 from treecut.bruteforce import first_cut_distribution
 from treecut.counts import (
     MAX_EXACT_CUTOFF,
-    _ln_fraction,
     _prob_row_float,
     compute_counts,
     lagrange_counts,
@@ -31,6 +34,29 @@ from treecut.errors import OutOfRange, OverflowPolicyError
 from treecut.family import binary, cayley, make_family, ordered
 
 FAMILIES = [cayley(), binary(), ordered()]
+
+_LN2 = math.log(2.0)
+
+
+def _ln_fraction(x: Fraction) -> float:
+    """Natural log of a positive Fraction, safe for huge numerators."""
+
+    def ln_int(i: int) -> float:
+        bits = i.bit_length()
+        if bits <= 900:
+            return math.log(i)
+        shift = bits - 900
+        return math.log(i >> shift) + shift * _LN2
+
+    return ln_int(x.numerator) - ln_int(x.denominator)
+
+
+def _recurrence_counts(spec, n_max):
+    """Oracle: (n-1) T_n = sum_k (a1*k + a0) T_k T_{n-k}, T_1 = 1, in Fractions."""
+    t = [Fraction(0), Fraction(1)]
+    for n in range(2, n_max + 1):
+        t.append(sum((spec.a1 * k + spec.a0) * t[k] * t[n - k] for k in range(1, n)) / (n - 1))
+    return t
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +75,30 @@ def test_closed_forms(tables):
         assert tables["C"].exact_t(n) == math.comb(2 * (n - 1), n - 1) // n  # Catalan
         assert tables["A"].exact_t(n) == Fraction(n ** (n - 1), math.factorial(n))
         assert tables["B"].exact_t(n) == Fraction(math.comb(2 * n, n - 1), n)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        make_family("A", 1),
+        make_family("A", "7/3"),
+        make_family("B", "3/2", d=4),
+        make_family("B", 5, d=7),
+        ordered(),  # gamma = 1
+        make_family("C", 3, alpha1=2),  # gamma = 3
+        make_family("C", 1, alpha1=2),  # gamma = 1/3
+        make_family("C", "2/3", alpha1="5/7"),
+    ],
+    ids=lambda s: s.label(),
+)
+def test_closed_form_matches_recurrence(spec):
+    n_max = 120
+    counts = compute_counts(spec, n_max, exact_cutoff=n_max)
+    oracle = _recurrence_counts(spec, n_max)
+    assert counts.exact == oracle[: n_max + 1]
+    scale = math.lcm(spec.a0.denominator, spec.a1.denominator)
+    assert counts.scaled[1:] == [math.factorial(n - 1) * scale ** (n - 1) * oracle[n] for n in range(1, n_max + 1)]
+    assert all(isinstance(v, int) for v in counts.scaled)
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,8 @@
 Claims covered:
     - two-sided recurrence values at alpha = 1 and 2 against hand algebra
     - the Gamma pole at alpha = 1/2 raises instead of returning garbage
+    - a negative order s_max and a NaN alpha raise instead of returning
+      a truncated list or NaN moments
     - the s = 1 coefficient-space constant ties back to m_1 through the
       family constants (for any family)
     - J integrals: Beta closed forms, sign structure, admissible-index
@@ -52,7 +54,7 @@ def test_two_sided_below_half_matches_direct_gamma():
     assert lm.m[2] > 0
 
 
-@pytest.mark.parametrize("alpha", [0.5, 0.5 + 5e-7, 0.5 - 5e-7, 0.0, -1.0])
+@pytest.mark.parametrize("alpha", [0.5, 0.5 + 5e-7, 0.5 - 5e-7, 0.0, -1.0, math.nan])
 def test_two_sided_pole_window(alpha):
     with pytest.raises(DomainError):
         limit_moments_two_sided(alpha, 2)
@@ -129,6 +131,15 @@ def test_one_sided_closed_product():
     assert lm.m[2] == pytest.approx(8.0 / 15.0, rel=1e-13)
     with pytest.raises(DomainError):
         limit_moments_one_sided(-0.5, 2)
+    with pytest.raises(DomainError):
+        limit_moments_one_sided(math.nan, 2)
+
+
+@pytest.mark.parametrize("fn", [limit_moments_one_sided, limit_moments_two_sided], ids=["one", "two"])
+def test_negative_order_rejected(fn):
+    assert fn(1.0, 0).m == [1.0]
+    with pytest.raises(DomainError):
+        fn(1.0, -1)
 
 
 def test_one_sided_alpha0_is_rayleigh():

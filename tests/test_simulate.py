@@ -386,6 +386,8 @@ def test_explicit_sampler_guards():
         run_experiment(dataclasses.replace(config, n=EXPLICIT_N_MAX + 1))
     with pytest.raises(ConfigError):
         explicit_cut_survey(ordered(), TollSpec(alpha=0), EXPLICIT_N_MAX + 1, ONE_SIDED, 10, SEED)
+    with pytest.raises(ConfigError):
+        explicit_cut_survey(ordered(), TollSpec(alpha=0), 5, ONE_SIDED, 10, -1)
 
 
 def test_destroy_tree_boundaries():
@@ -727,6 +729,7 @@ def test_config_validation():
         {"engine": "bogus"},
         {"alpha": -1.0},
         {"s_max": 0},
+        {"seed": -1},
         {"engine": EXPLICIT, "n": 65},
     ):
         with pytest.raises(ConfigError):
