@@ -51,6 +51,9 @@ from .family import FamilySpec, phi_coefficient, phi_value, tau_exact
 #: Hard ceiling on how many exact rationals a WeightedCounts may store.
 MAX_EXACT_CUTOFF = 20_000
 
+#: Factors per math.prod call at the leaves of :func:`_balanced_prod`.
+_PROD_CHUNK = 64
+
 
 @dataclass(frozen=True)
 class WeightedCounts:
@@ -104,6 +107,19 @@ def integer_weights(spec: FamilySpec, n_max: int) -> List[int]:
     return [la1 * k + la0 for k in range(n_max + 1)]
 
 
+def _balanced_prod(factors: range) -> int:
+    """Product of small ints: math.prod per chunk, then the chunk products pairwise.
+
+    Multiplying left to right costs a bigint-by-small-int product per
+    factor, quadratic in the result's length; the balanced tree ends in a
+    few products of equal-sized bigints, where Karatsuba pays off.
+    """
+    parts = [math.prod(factors[i : i + _PROD_CHUNK]) for i in range(0, len(factors), _PROD_CHUNK)]
+    while len(parts) > 1:
+        parts = [math.prod(parts[i : i + 2]) for i in range(0, len(parts), 2)]
+    return parts[0] if parts else 1
+
+
 def _scaled_counts(spec: FamilySpec, n_exact: int) -> List[int]:
     """S_n = W_1 * prod_{i=2}^{n-1} (L*a1*n + L*a0*i) for 1 <= n <= n_exact (index 0 = 0)."""
     scale = _weight_scale(spec)
@@ -111,7 +127,7 @@ def _scaled_counts(spec: FamilySpec, n_exact: int) -> List[int]:
     s = [0, 1]
     for n in range(2, n_exact + 1):
         first = la1 * n + 2 * la0  # the factor at i = 2
-        prod = first ** (n - 2) if la0 == 0 else math.prod(range(first, la1 * n + n * la0, la0))
+        prod = first ** (n - 2) if la0 == 0 else _balanced_prod(range(first, la1 * n + n * la0, la0))
         s.append((la1 + la0) * prod)
     return s
 
@@ -124,6 +140,8 @@ def compute_counts(spec: FamilySpec, n_max: int, exact_cutoff: int = 400) -> Wei
     """
     if n_max < 1:
         raise OutOfRange(f"n_max must be >= 1, got {n_max}")
+    if exact_cutoff < 0:
+        raise OutOfRange(f"exact_cutoff must be >= 0, got {exact_cutoff}")
     if exact_cutoff > MAX_EXACT_CUTOFF:
         raise OverflowPolicyError(f"exact_cutoff={exact_cutoff} exceeds the configured bound {MAX_EXACT_CUTOFF}")
     n_exact = min(n_max, exact_cutoff)

@@ -31,9 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from scipy.optimize import brentq
-
-from .errors import ConstraintViolation, RootMismatch
+from .errors import ConstraintViolation, DomainError, RootMismatch
 
 RationalLike = Union[int, str, Fraction, float]
 
@@ -211,50 +209,72 @@ def tau_exact(spec: FamilySpec) -> Fraction:
 
 
 def _numeric_tau(spec: FamilySpec) -> float:
-    """Bracketed root of t*Phi'(t) - Phi(t), independent of the closed form.
+    """Bisection root of f(t) = t*Phi'(t) - Phi(t), independent of the closed form.
 
-    f(0) = -1 and f is strictly increasing (f' = t*Phi''), so the root is
-    bracketed by expanding the upper end until the sign flips.
+    f(0) = -1 and f' = t*Phi'' > 0, so f has one root and bisection on a
+    sign-change bracket always converges.  The bracket starts at Phi's
+    own scale: 1/alpha0 for kinds A and B (the root lies in [1/alpha0,
+    2/alpha0]) and the radius 1/beta for kind C (the root lies below
+    it).  It doubles or halves by the sign of f until it holds the root
+    within a factor of 2, so it works for every alpha0 whose scale a
+    double can carry.  Where Phi overflows, and at or past kind C's
+    pole, f counts as positive.  Bisection stops at
+    hi - lo <= 1e-15*width + 8.9e-16*hi, with width the bracket's first
+    width, which leaves a relative error of about 2e-15 at any scale.
     """
 
-    def f(t: float) -> float:
-        return t * phi_deriv1(spec, t) - phi_value(spec, t)
+    pole_rate = float(spec.beta) if spec.kind == "C" else 0.0
 
-    radius = phi_radius(spec)
-    lo = 1e-12
-    if math.isinf(radius):
-        hi = 1.0
-        while f(hi) <= 0.0:
-            hi *= 2.0
-            if hi > 1e9:  # pragma: no cover - defensive
-                raise RootMismatch(f"no sign change found for {spec.label()}")
+    def negative(t: float) -> bool:
+        if pole_rate * t >= 1.0:
+            return False
+        try:
+            return t * phi_deriv1(spec, t) - phi_value(spec, t) < 0.0
+        except OverflowError:
+            return False
+
+    scale = phi_radius(spec) if spec.kind == "C" else float(1 / spec.alpha0)
+    if negative(scale):
+        lo, hi = scale, 2.0 * scale
+        while negative(hi):
+            lo, hi = hi, 2.0 * hi
     else:
-        frac = 0.5
-        hi = radius * frac
-        while f(hi) <= 0.0:
-            frac = (1.0 + frac) / 2.0
-            hi = radius * frac
-            if 1.0 - frac < 1e-14:  # pragma: no cover - defensive
-                raise RootMismatch(f"no sign change found for {spec.label()}")
-    return brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
+        lo, hi = 0.5 * scale, scale
+        while not negative(lo):
+            lo, hi = 0.5 * lo, lo
+    xtol = 1e-15 * (hi - lo)
+    while hi - lo > xtol + 8.9e-16 * hi:
+        mid = 0.5 * (lo + hi)
+        if negative(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def solve_constants(spec: FamilySpec, precision: float = 1e-10) -> FamilyConstants:
     """Singularity constants from the closed-form tau, cross-checked numerically.
 
-    The closed form tau = 1/a1 is the source of truth; an independent
-    bracketed root-finder on t*Phi'(t) - Phi(t) must agree within
-    ``precision`` or RootMismatch is raised.
+    The closed form tau = 1/a1 is the source of truth.  The bisection of
+    :func:`_numeric_tau` on t*Phi'(t) - Phi(t) must agree with it to a
+    relative ``precision``, or RootMismatch is raised.  DomainError is
+    raised when tau or Phi''(tau) leaves double range, where the
+    constants below would divide by zero or overflow.
     """
-    tau = float(tau_exact(spec))
-    t_num = _numeric_tau(spec)
-    if abs(t_num - tau) > precision * max(1.0, abs(tau)):
+    try:
+        tau = float(tau_exact(spec))
+        t_num = _numeric_tau(spec)
+    except OverflowError as exc:
+        raise DomainError(f"tau = 1/a1 leaves double range for {spec.label()}") from exc
+    if abs(t_num - tau) > precision * tau:
         raise RootMismatch(
             f"numeric root {t_num!r} disagrees with closed form {tau!r} for {spec.label()}"
         )
 
     phi = phi_value(spec, tau)
     phi2 = phi_deriv2(spec, tau)
+    if not 0.0 < tau * phi2 < math.inf:
+        raise DomainError(f"Phi''(tau) = {phi2!r} leaves double range for {spec.label()}")
     rho = tau / phi
     b = phi * math.sqrt(2.0 / (tau * phi2))
     c = b * math.sqrt(rho) / (2.0 * math.sqrt(math.pi))

@@ -63,8 +63,8 @@ def limit_moments_two_sided(alpha: float, s_max: int) -> LimitMoments:
     formula has a Gamma pole, so that case is rejected rather than
     returning a huge float; use :func:`limit_moments_two_sided_half`.
     """
-    if not alpha > 0:
-        raise DomainError(f"two-sided limit moments need alpha > 0, got {alpha}")
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise DomainError(f"two-sided limit moments need a finite alpha > 0, got {alpha}")
     if s_max < 0:
         raise DomainError("s_max must be >= 0")
     if abs(alpha - 0.5) < HALF_POLE_WINDOW:
@@ -192,8 +192,8 @@ def limit_moments_two_sided_half(s_max: int) -> LimitMoments:
 
 def limit_moments_one_sided(alpha: float, s_max: int) -> LimitMoments:
     """One-sided limit moments: m_s = s!/2^(s/2) * prod_j Gamma(j a')/Gamma(j a' + 1/2)."""
-    if not alpha >= 0:
-        raise DomainError(f"one-sided limit moments need alpha >= 0, got {alpha}")
+    if not (alpha >= 0 and math.isfinite(alpha)):
+        raise DomainError(f"one-sided limit moments need a finite alpha >= 0, got {alpha}")
     if s_max < 0:
         raise DomainError("s_max must be >= 0")
     ap = alpha + 0.5

@@ -82,8 +82,8 @@ class TollSpec:
     size_one_cost: Optional[Value] = None
 
     def __post_init__(self):
-        if self.override is None and not self.alpha >= 0:
-            raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
+        if self.override is None and not (self.alpha >= 0 and math.isfinite(self.alpha)):
+            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
         if self.override is not None:
             if len(self.override) < 1:
                 raise ConfigError("override table must supply at least t_1")

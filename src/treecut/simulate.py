@@ -324,8 +324,8 @@ def _validate_config(config: ExperimentConfig) -> None:
         raise ConfigError(f"s_max must be >= 1, got {config.s_max}")
     if config.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {config.seed}")
-    if not config.alpha >= 0:
-        raise ConfigError(f"alpha must be >= 0, got {config.alpha}")
+    if not (config.alpha >= 0 and math.isfinite(config.alpha)):
+        raise ConfigError(f"alpha must be finite and >= 0, got {config.alpha}")
     if config.engine == EXPLICIT and config.n > EXPLICIT_N_MAX:
         raise ConfigError(f"explicit engine is capped at n = {EXPLICIT_N_MAX}")
 

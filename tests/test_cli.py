@@ -16,6 +16,7 @@ Claims covered:
 import hashlib
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -40,6 +41,23 @@ def test_constants_reference(capture):
     assert payload["rho"] == 0.25
     assert payload["sigma2"] == 2.0
     assert payload["a0"] == "-1" and payload["a1"] == "2"
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        ("--kind", "A", "--alpha0", "1e11"),
+        ("--kind", "B", "--alpha0", "1e13", "--d", "2"),
+        ("--kind", "C", "--alpha0", "1e13", "--alpha1", "1e13"),
+        ("--kind", "C", "--alpha0", "1", "--alpha1", "1e12"),
+    ],
+    ids=["A-1e11", "B-1e13", "C-1e13", "C-alpha1-1e12"],
+)
+def test_constants_at_extreme_scales(capture, family):
+    code, out, err = capture("constants", *family)
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["tau"] == float(1 / Fraction(payload["a1"]))
 
 
 def test_probs_reference(capture):
@@ -231,11 +249,33 @@ def test_negative_seed_exits_1(capture):
         ("--regime", "two", "--alpha", "1", "--smax", "-1"),
         ("--regime", "one", "--alpha", "nan"),
         ("--regime", "two", "--alpha", "nan"),
+        ("--regime", "one", "--alpha", "inf"),
+        ("--regime", "two", "--alpha", "inf"),
     ],
-    ids=["one-smax", "two-smax", "one-nan", "two-nan"],
+    ids=["one-smax", "two-smax", "one-nan", "two-nan", "one-inf", "two-inf"],
 )
 def test_bad_limits_input_exits_1(capture, args):
     code, out, err = capture("limits", *args)
+    assert code == 1
+    assert out == "" and err.startswith("treecut: error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("moments", "--kind", "A", "--alpha0", "1", "--variant", "two", "--alpha", "inf", "--nmax", "5"),
+        (
+            "simulate", "--kind", "A", "--alpha0", "1", "--variant", "two", "--alpha", "inf", "--n", "5",
+            "--samples", "10", "--seed", "1",
+        ),
+        ("counts", "--kind", "A", "--alpha0", "1", "--nmax", "5", "--exact-cutoff", "-5"),
+        ("constants", "--kind", "A", "--alpha0", "1e-300"),
+    ],
+    ids=["moments-inf", "simulate-inf", "counts-cutoff", "constants-underflow"],
+)
+def test_bad_command_input_exits_1(capture, argv):
+    code, out, err = capture(*argv)
     assert code == 1
     assert out == "" and err.startswith("treecut: error: ")
     assert "Traceback" not in err

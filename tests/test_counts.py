@@ -5,6 +5,8 @@ Claims covered:
       Fraction transcription of the convolution recurrence up to n=120
       for kinds A, B and C (a0 zero, positive and negative, integer and
       fractional parameters)
+    - the balanced product gives the same integers as multiplying each
+      closed-form product left to right
     - they match the Catalan / Cayley closed forms and the
       Lagrange-inversion oracle, exactly
     - splitting probabilities are nonnegative (also for kind C, whose
@@ -26,6 +28,8 @@ from treecut.bruteforce import first_cut_distribution
 from treecut.counts import (
     MAX_EXACT_CUTOFF,
     _prob_row_float,
+    _scaled_counts,
+    _weight_scale,
     compute_counts,
     lagrange_counts,
     split_distribution,
@@ -99,6 +103,20 @@ def test_closed_form_matches_recurrence(spec):
     scale = math.lcm(spec.a0.denominator, spec.a1.denominator)
     assert counts.scaled[1:] == [math.factorial(n - 1) * scale ** (n - 1) * oracle[n] for n in range(1, n_max + 1)]
     assert all(isinstance(v, int) for v in counts.scaled)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [make_family("B", "3/2", d=4), binary(), ordered(), make_family("C", 1, alpha1=2), make_family("C", "2/3", alpha1="5/7")],
+    ids=lambda s: s.label(),
+)
+def test_scaled_counts_equal_left_to_right_product(spec):
+    scale = _weight_scale(spec)
+    la1, la0 = int(scale * spec.a1), int(scale * spec.a0)
+    left_to_right = [0, 1] + [
+        (la1 + la0) * math.prod(range(la1 * n + 2 * la0, la1 * n + n * la0, la0)) for n in range(2, 401)
+    ]
+    assert _scaled_counts(spec, 400) == left_to_right
 
 
 @pytest.mark.parametrize(
@@ -194,6 +212,9 @@ def test_range_errors():
         compute_counts(ordered(), 0)
     with pytest.raises(OverflowPolicyError):
         compute_counts(ordered(), 10, exact_cutoff=MAX_EXACT_CUTOFF + 1)
+    with pytest.raises(OutOfRange):
+        compute_counts(ordered(), 10, exact_cutoff=-1)
+    assert compute_counts(ordered(), 10, exact_cutoff=0).exact_limit == 0
 
 
 def test_counts_positive_and_anchored():

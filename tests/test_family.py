@@ -3,18 +3,26 @@
 Claims covered:
     - (a0, a1) derivations for the three kinds, with constraint checks
     - exact degree-weight coefficients, including phi_k = 0 past a B arity
-    - closed-form tau = 1/a1 agrees with an independent bracketed root
+    - closed-form tau = 1/a1 agrees with an independent bisection root,
+      to 1e-13 relative error, from alpha0 = 1e-12 to 1e100 and next to
+      kind C's pole; constants that leave double range raise DomainError
+    - importing the package loads no scipy.optimize
     - derived constants (rho, b, c, sigma) and their exact identities
     - plain-text config block round trip
 """
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from treecut.errors import ConstraintViolation, RootMismatch
+import treecut
+from treecut.errors import ConstraintViolation, DomainError, RootMismatch
 from treecut.family import (
+    _numeric_tau,
     binary,
     cayley,
     format_config,
@@ -111,6 +119,40 @@ def test_constants_identities(spec):
     assert 2 * math.sqrt(math.pi) * con.c * con.sigma == pytest.approx(
         math.sqrt(2) * con.tau, rel=1e-12
     )
+
+
+SCALES = [Fraction(10) ** e for e in (-12, -6, 0, 6, 11, 13, 50, 100)] + [Fraction(1, 3), Fraction(7, 2)]
+EXTREME_GRID = (
+    [make_family("A", a0) for a0 in SCALES]
+    + [make_family("B", a0, d=d) for a0 in SCALES for d in (2, 3, 7)]
+    + [make_family("C", a0, alpha1=a0 * r) for a0 in SCALES for r in (Fraction(1, 2) + Fraction(1, 10**9), 1, 10**12)]
+    + [make_family("C", 1, alpha1=10**12), make_family("C", 10**13, alpha1=10**13)]
+)
+
+
+def _short_id(spec):
+    second = spec.d if spec.kind == "B" else spec.alpha1
+    return f"{spec.kind}-{float(spec.alpha0):.3g}" + ("" if second is None else f"-{float(second):.10g}")
+
+
+@pytest.mark.parametrize("spec", EXTREME_GRID, ids=_short_id)
+def test_numeric_tau_matches_closed_form_at_every_scale(spec):
+    tau = float(tau_exact(spec))
+    assert abs(_numeric_tau(spec) - tau) <= 1e-13 * tau
+
+
+@pytest.mark.parametrize("alpha0", ["1e-300", "1e300", "1e-400"])
+def test_constants_outside_double_range_raise(alpha0):
+    with pytest.raises(DomainError):
+        solve_constants(make_family("A", alpha0))
+
+
+def test_import_loads_no_scipy_optimize():
+    src = os.path.dirname(os.path.dirname(treecut.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, treecut, treecut.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_root_mismatch_gate(monkeypatch):

@@ -54,7 +54,7 @@ def test_two_sided_below_half_matches_direct_gamma():
     assert lm.m[2] > 0
 
 
-@pytest.mark.parametrize("alpha", [0.5, 0.5 + 5e-7, 0.5 - 5e-7, 0.0, -1.0, math.nan])
+@pytest.mark.parametrize("alpha", [0.5, 0.5 + 5e-7, 0.5 - 5e-7, 0.0, -1.0, math.nan, math.inf])
 def test_two_sided_pole_window(alpha):
     with pytest.raises(DomainError):
         limit_moments_two_sided(alpha, 2)
@@ -133,6 +133,8 @@ def test_one_sided_closed_product():
         limit_moments_one_sided(-0.5, 2)
     with pytest.raises(DomainError):
         limit_moments_one_sided(math.nan, 2)
+    with pytest.raises(DomainError):
+        limit_moments_one_sided(math.inf, 2)
 
 
 @pytest.mark.parametrize("fn", [limit_moments_one_sided, limit_moments_two_sided], ids=["one", "two"])

@@ -211,6 +211,8 @@ def test_toll_spec_validation():
     with pytest.raises(ConfigError):
         TollSpec(alpha=-1)
     with pytest.raises(ConfigError):
+        TollSpec(alpha=math.inf)
+    with pytest.raises(ConfigError):
         TollSpec(override=())
     with pytest.raises(ConfigError):
         TollSpec(override=(1.0, math.inf))
