@@ -1,7 +1,8 @@
 """Convergence analysis: finite-n moment tables vs limit predictions.
 
-Normalization depends on the regime.  With alpha' = alpha + 1/2 and
-sigma from the family constants:
+Normalization depends on the regime of :func:`treecut.limits.regime`,
+where alpha within HALF_POLE_WINDOW = 1e-6 of 1/2 is the alpha = 1/2
+regime.  With alpha' = alpha + 1/2 and sigma from the family constants:
 
 * one-sided, any alpha >= 0:      mu_n^[s] / (sigma^s n^(s alpha'))
 * two-sided, alpha > 1/2:         mu_n^[s] / (sigma^s n^(s alpha'))
@@ -29,31 +30,33 @@ import numpy as np
 from .errors import ConfigError, IllConditioned, MissingShift
 from .family import FamilyConstants
 from .limits import (
-    HALF_POLE_WINDOW,
-    LimitMoments,
+    ONE_SIDED,
+    TWO_SIDED_EDGES,
+    TWO_SIDED_HALF,
+    TWO_SIDED_LINEAR,
     limit_moments_one_sided,
     limit_moments_two_sided,
     limit_moments_two_sided_half,
+    regime,
 )
-from .moments import ONE_SIDED, TWO_SIDED, MomentTable, shifted_moments
+from .moments import MomentTable, shifted_moments
 
 #: Column-normalized design matrices worse than this are rejected.
 CONDITION_LIMIT = 1e3
 
-#: Default number of geometric grid points between n_max/8 and n_max.
+#: Number of geometric grid points between n_max/8 and n_max.
 GRID_POINTS = 16
 
 
-def fit_grid(n_max: int, points: int = GRID_POINTS, low_factor: int = 8) -> np.ndarray:
-    """Geometric grid of distinct integers in [n_max/low_factor, n_max]."""
-    lo = max(2, n_max // low_factor)
-    grid = np.unique(np.geomspace(lo, n_max, points).astype(int))
+def fit_grid(n_max: int) -> np.ndarray:
+    """Geometric grid of GRID_POINTS distinct integers in [n_max/8, n_max]."""
+    grid = np.unique(np.geomspace(max(2, n_max // 8), n_max, GRID_POINTS).astype(int))
     if grid.size < 4:
         raise ConfigError(f"fit grid from n_max={n_max} has fewer than 4 points")
     return grid
 
 
-def _scaled_lstsq(design: np.ndarray, y: np.ndarray, cond_limit: float = CONDITION_LIMIT):
+def _scaled_lstsq(design: np.ndarray, y: np.ndarray, cond_limit: float):
     """Least squares on column-normalized design; guards conditioning."""
     scale = np.linalg.norm(design, axis=0)
     scaled = design / scale
@@ -69,6 +72,31 @@ def _scaled_lstsq(design: np.ndarray, y: np.ndarray, cond_limit: float = CONDITI
     fitted = design @ coef
     residual = float(np.sqrt(np.mean(((fitted - y) / y) ** 2)))
     return coef, residual, cond
+
+
+def _fit_mean(table: MomentTable, regimes: Sequence[str], n_min: int, what: str) -> np.ndarray:
+    """The mean row E V_n of a table that the fit of ``what`` applies to."""
+    kind = regime(table.variant, float(table.toll.alpha))
+    if kind not in regimes:
+        raise ConfigError(f"{what} estimation applies to {' and '.join(regimes)} tables, not {kind}")
+    if table.n_max < n_min:
+        raise ConfigError(f"{what} estimation needs n_max >= {n_min}, got {table.n_max}")
+    return table.row(1)
+
+
+def _grid_fit(mean: np.ndarray, n_max: int, columns, offset=lambda nn: 0.0, cond_limit: float = CONDITION_LIMIT):
+    """Fit E V_n - offset(n) on the list ``columns(n)``, over fit_grid(n_max) and its half.
+
+    ``n`` reaches both functions as a float array.  Returns
+    ``(coef, residual, condition)`` on the whole grid and the
+    coefficients refitted on the points n <= n_max/2.
+    """
+    grid = fit_grid(n_max)
+    fits = []
+    for points in (grid, grid[grid <= n_max // 2]):
+        nn = points.astype(float)
+        fits.append(_scaled_lstsq(np.column_stack(columns(nn)), mean[points] - offset(nn), cond_limit))
+    return fits[0], fits[1][0]
 
 
 @dataclass(frozen=True)
@@ -102,81 +130,46 @@ class DeltaFit:
         return abs(self.delta - self.delta_half) / abs(self.delta)
 
 
-def estimate_mu(table: MomentTable, grid: Optional[Sequence[int]] = None) -> MuFit:
+def estimate_mu(table: MomentTable) -> MuFit:
     """Fit mu in mu_n^[1] ~ mu*n + A*n^(alpha+1/2) + B*n^alpha.
 
-    Needs alpha < 1/2 and n_max >= 512.  The fit runs in double
-    precision on the float moments, rational tables included.
+    Needs a two-sided table with alpha < 1/2 and n_max >= 512.  The fit
+    runs in double precision on the float moments, rational tables
+    included.
     """
-    alpha = float(table.toll.alpha)
     if table.toll.override is not None:
         raise ConfigError("mu estimation needs the power toll t_n = n^alpha")
-    if not alpha < 0.5:
-        raise ConfigError(f"mu is the linear coefficient for alpha < 1/2, got alpha={alpha}")
-    if table.n_max < 512:
-        raise ConfigError(f"mu estimation needs n_max >= 512, got {table.n_max}")
-    grid = fit_grid(table.n_max) if grid is None else np.asarray(list(grid), dtype=int)
-    mu1 = table.row(1)
-
-    def fit(points: np.ndarray):
-        nn = points.astype(float)
-        design = np.column_stack([nn, nn ** (alpha + 0.5), nn**alpha])
-        return _scaled_lstsq(design, mu1[points])
-
-    coef, residual, cond = fit(grid)
-    half = grid[grid <= table.n_max // 2]
-    coef_half, _, _ = fit(half)
-    return MuFit(
-        value=float(coef[0]),
-        residual=residual,
-        value_half=float(coef_half[0]),
-        condition=float(cond),
-    )
+    mean = _fit_mean(table, (TWO_SIDED_EDGES, TWO_SIDED_LINEAR), 512, "mu")
+    alpha = float(table.toll.alpha)
+    (coef, residual, cond), coef_half = _grid_fit(mean, table.n_max, lambda nn: [nn, nn ** (alpha + 0.5), nn**alpha])
+    return MuFit(value=float(coef[0]), residual=residual, value_half=float(coef_half[0]), condition=float(cond))
 
 
-def estimate_delta(
-    table: MomentTable,
-    constants: FamilyConstants,
-    grid: Optional[Sequence[int]] = None,
-) -> DeltaFit:
+def estimate_delta(table: MomentTable, constants: FamilyConstants) -> DeltaFit:
     """Fit delta in mu_n^[1] ~ (sigma/sqrt(2 pi)) n ln n + delta*n + ...
 
     The n*ln(n) coefficient is pinned to its known value; remaining model
     terms are sqrt(n)*ln(n) and sqrt(n).  A free fit (leading coefficient
     also estimated) is returned as a cross-check; delta itself is an
-    estimate with no independently known value.
+    estimate with no independently known value.  The n*ln(n)/n basis is
+    collinear over one decade of n (condition ~1e4), still far from
+    double-precision rank loss, so both fits accept conditions up to 1e7.
     """
-    alpha = float(table.toll.alpha)
-    if table.variant != TWO_SIDED or abs(alpha - 0.5) > 1e-12:
-        raise ConfigError("delta estimation applies to two-sided tables at alpha = 1/2")
-    if table.n_max < 1000:
-        raise ConfigError(f"delta estimation needs n_max >= 1000, got {table.n_max}")
-    grid = fit_grid(table.n_max) if grid is None else np.asarray(list(grid), dtype=int)
-    mu1 = table.row(1)
+    mean = _fit_mean(table, (TWO_SIDED_HALF,), 1000, "delta")
     lead = constants.sigma / math.sqrt(2.0 * math.pi)
 
-    def fit(points: np.ndarray):
-        # the n*ln(n)/n basis is collinear over one decade of n (condition
-        # ~1e4); that is still far from double-precision rank loss
-        nn = points.astype(float)
-        logs = np.log(nn)
-        y = mu1[points]
-        free_design = np.column_stack([nn * logs, nn, np.sqrt(nn) * logs, np.sqrt(nn)])
-        free_coef, _, _ = _scaled_lstsq(free_design, y, cond_limit=1e7)
-        fixed_design = np.column_stack([nn, np.sqrt(nn) * logs, np.sqrt(nn)])
-        fixed_coef, residual, _ = _scaled_lstsq(fixed_design, y - lead * nn * logs, cond_limit=1e7)
-        return float(fixed_coef[0]), float(free_coef[0]), residual
+    def lower(nn: np.ndarray) -> List[np.ndarray]:
+        return [nn, np.sqrt(nn) * np.log(nn), np.sqrt(nn)]
 
-    delta, free, residual = fit(grid)
-    half = grid[grid <= table.n_max // 2]
-    delta_half, free_half, _ = fit(half)
+    (free, _, _), free_half = _grid_fit(mean, table.n_max, lambda nn: [nn * np.log(nn)] + lower(nn), cond_limit=1e7)
+    (fixed, residual, _), fixed_half = _grid_fit(mean, table.n_max, lower, lambda nn: lead * nn * np.log(nn), 1e7)
     return DeltaFit(
-        delta=delta,
+        delta=float(fixed[0]),
         residual=residual,
-        delta_half=delta_half,
+        delta_half=float(fixed_half[0]),
         fixed_coefficient=lead,
-        free_coefficient=free,
-        free_coefficient_half=free_half,
+        free_coefficient=float(free[0]),
+        free_coefficient_half=float(free_half[0]),
     )
 
 
@@ -201,93 +194,62 @@ class ConvergenceReport:
         return [row for row in self.rows if row.s == s]
 
 
-def _regime_limits(variant: str, alpha: float, s_max: int) -> Optional[LimitMoments]:
-    if variant == ONE_SIDED:
-        return limit_moments_one_sided(alpha, s_max)
-    if alpha == 0:
-        return None  # deterministic; handled inline
-    if abs(alpha - 0.5) < HALF_POLE_WINDOW:
-        return limit_moments_two_sided_half(s_max)
-    return limit_moments_two_sided(alpha, s_max)
-
-
 def normalize_moments(
     table: MomentTable,
     constants: FamilyConstants,
     grid: Optional[Sequence[int]] = None,
-    s_values: Optional[Sequence[int]] = None,
     mu: Optional[float] = None,
     delta: Optional[float] = None,
 ) -> ConvergenceReport:
     """Normalized moments on a grid of n, next to their limit values.
 
-    For the shifted two-sided regimes (0 < alpha < 1/2 and alpha = 1/2)
-    the linear coefficient is fitted on demand; pass ``mu``/``delta`` to
+    Every order s = 1..s_max of the table is reported as
+    E(V_n - shift(n))^s / (scale^s n^(s*power)), with the shift, scale,
+    power and limit of the table's :func:`treecut.limits.regime`.  For
+    the shifted two-sided regimes (0 < alpha < 1/2 and alpha = 1/2) the
+    linear coefficient is fitted on demand; pass ``mu``/``delta`` to
     override.  MissingShift is raised when the table is too short to fit
     and no coefficient was supplied.
     """
     alpha = float(table.toll.alpha)
-    sigma = constants.sigma
-    grid = fit_grid(table.n_max, low_factor=8) if grid is None else np.asarray(list(grid), dtype=int)
-    s_values = range(1, table.s_max + 1) if s_values is None else s_values
-    s_max = max(s_values)
-    ap = alpha + 0.5
-    fitted: Dict[str, float] = {}
-
-    shift = None
-    if table.variant == TWO_SIDED and 0 < alpha and abs(alpha - 0.5) < HALF_POLE_WINDOW:
+    kind = regime(table.variant, alpha)
+    grid = fit_grid(table.n_max) if grid is None else np.asarray(list(grid), dtype=int)
+    s_max = table.s_max
+    shift, scale, power, fitted = None, constants.sigma, alpha + 0.5, {}
+    if kind == TWO_SIDED_EDGES:  # deterministic cost: per edge plus the size-1 boundary charge
+        scale, power = 1.0, 1.0
+        limit = [(1.0 + float(table.toll.t1)) ** s for s in range(s_max + 1)]
+    elif kind == TWO_SIDED_HALF:
         if delta is None:
             try:
                 delta = estimate_delta(table, constants).delta
             except ConfigError as exc:
                 raise MissingShift(f"alpha = 1/2 normalization needs delta: {exc}") from exc
-        lead = sigma / math.sqrt(2.0 * math.pi)
-        shift = lambda n: lead * n * math.log(n) + delta * n
-        fitted["delta"] = float(delta)
-        norm_power = 1.0
-    elif table.variant == TWO_SIDED and 0 < alpha < 0.5:
+        lead = constants.sigma / math.sqrt(2.0 * math.pi)
+        shift, power, fitted = (lambda n: lead * n * math.log(n) + delta * n), 1.0, {"delta": float(delta)}
+        limit = limit_moments_two_sided_half(s_max).m
+    elif kind == TWO_SIDED_LINEAR:
         if mu is None:
             try:
                 mu = estimate_mu(table).value
             except ConfigError as exc:
                 raise MissingShift(f"alpha < 1/2 normalization needs mu: {exc}") from exc
-        shift = lambda n: mu * n
-        fitted["mu"] = float(mu)
-        norm_power = ap
+        shift, fitted = (lambda n: mu * n), {"mu": float(mu)}
+        limit = limit_moments_two_sided(alpha, s_max).m
+    elif kind == ONE_SIDED:
+        limit = limit_moments_one_sided(alpha, s_max).m
     else:
-        norm_power = ap
+        limit = limit_moments_two_sided(alpha, s_max).m
 
-    limits = _regime_limits(table.variant, alpha, s_max)
+    ns = [int(n) for n in grid]
     rows: List[ReportRow] = []
-    for s in s_values:
-        if table.variant == TWO_SIDED and alpha == 0:
-            # deterministic cost: per edge plus the size-1 boundary charge
-            limit_value = (1.0 + float(table.toll.t1)) ** s
-            values = {int(n): float(table.moment(int(n), s)) / float(n) ** s for n in grid}
-        else:
-            limit_value = limits.m[s]
-            if shift is not None:
-                centered = shifted_moments(table, shift, s, n_values=[int(n) for n in grid])
-                values = {
-                    int(n): float(c) / (sigma**s * float(n) ** (s * norm_power))
-                    for n, c in zip(grid, centered)
-                }
-            else:
-                values = {
-                    int(n): float(table.moment(int(n), s)) / (sigma**s * float(n) ** (s * norm_power))
-                    for n in grid
-                }
-        for n in grid:
-            value = values[int(n)]
-            err = abs(value - limit_value) / abs(limit_value) if limit_value != 0 else abs(value)
-            rows.append(ReportRow(n=int(n), s=s, normalized=value, limit=limit_value, rel_error=err))
-    return ConvergenceReport(
-        family=table.family.label(),
-        variant=table.variant,
-        alpha=alpha,
-        rows=rows,
-        fitted=fitted,
-    )
+    for s in range(1, s_max + 1):
+        raw = [table.moment(n, s) for n in ns] if shift is None else shifted_moments(table, shift, s, n_values=ns)
+        for n, moment in zip(ns, raw):
+            value = float(moment) / (scale**s * float(n) ** (s * power))
+            err = abs(value - limit[s]) / abs(limit[s]) if limit[s] != 0 else abs(value)
+            rows.append(ReportRow(n=n, s=s, normalized=value, limit=limit[s], rel_error=err))
+    return ConvergenceReport(table.family.label(), table.variant, alpha, rows, fitted)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 from .errors import ConstraintViolation, DomainError, RootMismatch
 
@@ -252,12 +252,30 @@ def _numeric_tau(spec: FamilySpec) -> float:
     return 0.5 * (lo + hi)
 
 
-def solve_constants(spec: FamilySpec, precision: float = 1e-10) -> FamilyConstants:
+#: Relative agreement the numeric root must reach with tau = 1/a1.
+TAU_PRECISION = 1e-10
+
+
+def _phi_at_tau(spec: FamilySpec, tau: float) -> Tuple[float, float]:
+    """Phi(tau) and Phi''(tau).
+
+    For kind C both are powers of 1 - beta*tau, which cancels in doubles
+    next to the pole (5e-13 at alpha0 = 1, alpha1 = 1e12); it is taken
+    from its exact value alpha0/a1 instead.
+    """
+    if spec.kind != "C":
+        return phi_value(spec, tau), phi_deriv2(spec, tau)
+    gap = float(spec.alpha0 / spec.a1)
+    beta, gamma = float(spec.beta), float(spec.gamma)
+    return gap ** (-gamma), gamma * (gamma + 1.0) * beta * beta * gap ** (-gamma - 2.0)
+
+
+def solve_constants(spec: FamilySpec) -> FamilyConstants:
     """Singularity constants from the closed-form tau, cross-checked numerically.
 
     The closed form tau = 1/a1 is the source of truth.  The bisection of
     :func:`_numeric_tau` on t*Phi'(t) - Phi(t) must agree with it to a
-    relative ``precision``, or RootMismatch is raised.  DomainError is
+    relative TAU_PRECISION, or RootMismatch is raised.  DomainError is
     raised when tau or Phi''(tau) leaves double range, where the
     constants below would divide by zero or overflow.
     """
@@ -266,13 +284,12 @@ def solve_constants(spec: FamilySpec, precision: float = 1e-10) -> FamilyConstan
         t_num = _numeric_tau(spec)
     except OverflowError as exc:
         raise DomainError(f"tau = 1/a1 leaves double range for {spec.label()}") from exc
-    if abs(t_num - tau) > precision * tau:
+    if abs(t_num - tau) > TAU_PRECISION * tau:
         raise RootMismatch(
             f"numeric root {t_num!r} disagrees with closed form {tau!r} for {spec.label()}"
         )
 
-    phi = phi_value(spec, tau)
-    phi2 = phi_deriv2(spec, tau)
+    phi, phi2 = _phi_at_tau(spec, tau)
     if not 0.0 < tau * phi2 < math.inf:
         raise DomainError(f"Phi''(tau) = {phi2!r} leaves double range for {spec.label()}")
     rho = tau / phi

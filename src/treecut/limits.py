@@ -32,9 +32,32 @@ from .moments import ONE_SIDED, TWO_SIDED
 from .quadrature import tanh_sinh_01
 
 TWO_SIDED_HALF = "two_sided_half"
+TWO_SIDED_LINEAR = "two_sided_linear"
+TWO_SIDED_EDGES = "two_sided_edges"
 
-#: alpha this close to 1/2 hits the Gamma pole in the generic recurrence.
+#: alpha this close to 1/2 hits the Gamma pole in the generic recurrence,
+#: so it counts as the alpha = 1/2 regime everywhere.
 HALF_POLE_WINDOW = 1e-6
+
+
+def regime(variant: str, alpha: float) -> str:
+    """The toll regime of (variant, alpha), which fixes how the cost normalizes.
+
+    ``one_sided`` for every alpha; two-sided: ``two_sided_edges`` at
+    alpha = 0 (the cost is deterministic), ``two_sided_half`` within
+    HALF_POLE_WINDOW of 1/2 (centred by its n ln n and linear terms),
+    ``two_sided_linear`` below 1/2 (centred by its linear term) and
+    ``two_sided`` above.
+    """
+    if variant == ONE_SIDED:
+        return ONE_SIDED
+    if variant != TWO_SIDED:
+        raise DomainError(f"unknown variant {variant!r}")
+    if alpha == 0:
+        return TWO_SIDED_EDGES
+    if abs(alpha - 0.5) < HALF_POLE_WINDOW:
+        return TWO_SIDED_HALF
+    return TWO_SIDED_LINEAR if alpha < 0.5 else TWO_SIDED
 
 
 @dataclass(frozen=True)
@@ -118,7 +141,7 @@ def _entropy_ratio_pow(x: np.ndarray, xm: np.ndarray, s1: int) -> np.ndarray:
     return (x * ln_x / xm + ln_xm) ** s1
 
 
-def j_integral(s1: int, s2: int, s3: int, tol: float = 1e-12) -> float:
+def j_integral(s1: int, s2: int, s3: int) -> float:
     """J(s1,s2,s3) = ∫_0^1 [x ln x + (1-x)ln(1-x)]^s1 x^(s2-1/2) (1-x)^(s3-3/2) dx.
 
     Tanh-sinh quadrature; the (1-x) powers inside the entropy factor are
@@ -130,7 +153,7 @@ def j_integral(s1: int, s2: int, s3: int, tol: float = 1e-12) -> float:
     def f(x: np.ndarray, xm: np.ndarray) -> np.ndarray:
         return _entropy_ratio_pow(x, xm, s1) * x ** (s2 - 0.5) * xm ** (s1 + s3 - 1.5)
 
-    return tanh_sinh_01(f, tol=tol)
+    return tanh_sinh_01(f)
 
 
 def j_integral_adaptive(s1: int, s2: int, s3: int) -> float:
@@ -244,19 +267,18 @@ def predicted_mean(constants: FamilyConstants, alpha: float, variant: str) -> Le
     :func:`treecut.analysis.estimate_mu`); alpha = 0 is the edge count n - 1.
     """
     sigma = constants.sigma
-    if variant == ONE_SIDED:
+    kind = regime(variant, alpha)
+    if kind == ONE_SIDED:
         if alpha < 0:
             raise DomainError("one-sided regime needs alpha >= 0")
         coeff = sigma * _gamma_ratio(alpha + 0.5, alpha + 1.0) / math.sqrt(2.0)
         return LeadingTerm(coefficient=coeff, n_power=alpha + 0.5, log_power=0)
-    if variant != TWO_SIDED:
-        raise DomainError(f"unknown variant {variant!r}")
-    if alpha == 0:
+    if kind == TWO_SIDED_EDGES:
         # cost is exactly the number of edges under the edges-only convention
         return LeadingTerm(coefficient=1.0, n_power=1.0, log_power=0)
-    if abs(alpha - 0.5) < HALF_POLE_WINDOW:
+    if kind == TWO_SIDED_HALF:
         return LeadingTerm(coefficient=sigma / math.sqrt(2.0 * math.pi), n_power=1.0, log_power=1)
-    if alpha < 0.5:
+    if kind == TWO_SIDED_LINEAR:
         return LeadingTerm(coefficient=None, n_power=1.0, log_power=0, estimate_required=True)
     coeff = sigma * _gamma_ratio(alpha - 0.5, alpha) / math.sqrt(2.0)
     return LeadingTerm(coefficient=coeff, n_power=alpha + 0.5, log_power=0)

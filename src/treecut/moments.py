@@ -65,7 +65,6 @@ Value = Union[Fraction, float]
 
 ONE_SIDED = "one_sided"
 TWO_SIDED = "two_sided"
-_VARIANTS = (ONE_SIDED, TWO_SIDED)
 
 
 @dataclass(frozen=True)

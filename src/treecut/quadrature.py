@@ -23,6 +23,10 @@ import numpy as np
 _HALF_PI = math.pi / 2.0
 # |u| cap keeping exp(2u) finite; nodes beyond contribute < 1e-290 * f.
 _T_MAX = 6.0
+#: Two successive levels must agree to this, relative to max(1, |estimate|).
+TOL = 1e-12
+#: Finest level tried: mesh size 0.5 / 2**MAX_LEVEL.
+MAX_LEVEL = 10
 
 
 def _nodes(h: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -38,17 +42,13 @@ def _nodes(h: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x[keep], xm[keep], w[keep]
 
 
-def tanh_sinh_01(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    tol: float = 1e-12,
-    max_level: int = 10,
-) -> float:
-    """Integrate f(x, 1-x) over (0, 1); raises if levels fail to settle."""
+def tanh_sinh_01(f: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> float:
+    """Integrate f(x, 1-x) over (0, 1); raises ArithmeticError if levels fail to settle."""
     previous = None
-    for level in range(max_level + 1):
+    for level in range(MAX_LEVEL + 1):
         x, xm, w = _nodes(0.5 / 2**level)
         estimate = float(np.dot(w, f(x, xm)))
-        if previous is not None and abs(estimate - previous) <= tol * max(1.0, abs(estimate)):
+        if previous is not None and abs(estimate - previous) <= TOL * max(1.0, abs(estimate)):
             return estimate
         previous = estimate
-    raise ArithmeticError(f"tanh-sinh quadrature did not converge to {tol} (last={previous})")
+    raise ArithmeticError(f"tanh-sinh quadrature did not converge to {TOL} (last={previous})")

@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple, TypeVar
 
 import numpy as np
 
@@ -54,6 +54,8 @@ EXPLICIT_N_MAX = 64
 
 SIZE_PROCESS = "size_process"
 EXPLICIT = "explicit"
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -309,34 +311,64 @@ def _explicit_shard(spec: FamilySpec, tolls: np.ndarray, n: int, one_sided: bool
 # ---------------------------------------------------------------------------
 
 
-def _validate_config(config: ExperimentConfig) -> None:
-    if config.variant not in (ONE_SIDED, TWO_SIDED):
-        raise ConfigError(f"unknown variant {config.variant!r}")
-    if config.engine not in (SIZE_PROCESS, EXPLICIT):
-        raise ConfigError(f"unknown engine {config.engine!r}")
-    if config.samples < 1:
-        raise ConfigError(f"samples must be >= 1, got {config.samples}")
-    if config.n < 1:
-        raise ConfigError(f"n must be >= 1, got {config.n}")
-    if config.workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {config.workers}")
-    if config.s_max < 1:
-        raise ConfigError(f"s_max must be >= 1, got {config.s_max}")
-    if config.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {config.seed}")
-    if not (config.alpha >= 0 and math.isfinite(config.alpha)):
-        raise ConfigError(f"alpha must be finite and >= 0, got {config.alpha}")
-    if config.engine == EXPLICIT and config.n > EXPLICIT_N_MAX:
+def _check_run(variant: str, engine: str, n: int, samples: int, seed: int) -> None:
+    if variant not in (ONE_SIDED, TWO_SIDED):
+        raise ConfigError(f"unknown variant {variant!r}")
+    if engine not in (SIZE_PROCESS, EXPLICIT):
+        raise ConfigError(f"unknown engine {engine!r}")
+    if samples < 1:
+        raise ConfigError(f"samples must be >= 1, got {samples}")
+    if n < 1:
+        raise ConfigError(f"n must be >= 1, got {n}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    if engine == EXPLICIT and n > EXPLICIT_N_MAX:
         raise ConfigError(f"explicit engine is capped at n = {EXPLICIT_N_MAX}")
 
 
-def _shards(samples: int) -> List[Tuple[int, int]]:
-    """(shard index, batch size) pairs: full shards of SHARD_SIZE, then the rest."""
-    return [(i, min(SHARD_SIZE, samples - i * SHARD_SIZE)) for i in range((samples + SHARD_SIZE - 1) // SHARD_SIZE)]
+def _map_shards(
+    shard_fn: Callable[[np.random.Generator, int], T], seed: int, samples: int, workers: int = 1
+) -> List[T]:
+    """``shard_fn(rng, batch)`` of every shard, in shard order.
+
+    The shards are SHARD_SIZE samples each, then the rest; shard i draws
+    from its own Philox stream, so the results do not depend on
+    ``workers``.
+    """
+    shards = [(i, min(SHARD_SIZE, samples - i * SHARD_SIZE)) for i in range((samples + SHARD_SIZE - 1) // SHARD_SIZE)]
+
+    def run(item: Tuple[int, int]) -> T:
+        shard, batch = item
+        return shard_fn(_shard_rng(seed, shard), batch)
+
+    if workers == 1:
+        return [run(item) for item in shards]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run, shards))
 
 
-def _toll_for(config: ExperimentConfig) -> TollSpec:
-    return TollSpec(alpha=config.alpha, size_one_cost=config.size_one_cost)
+def _power_sums(costs: np.ndarray, powers: int) -> np.ndarray:
+    return np.array([np.sum(costs**j) for j in range(1, powers + 1)])
+
+
+def _means_and_errors(partials: List[np.ndarray], count: int, s_max: int) -> Tuple[List[float], List[float]]:
+    """Means of the powers 1..s_max of the cost and their standard errors.
+
+    ``partials`` are per-shard sums of the powers 1..2*s_max, added in
+    shard order.
+    """
+    totals = np.zeros(2 * s_max)
+    for part in partials:
+        totals += part
+    means = totals / count
+    errors = []
+    for j in range(1, s_max + 1):
+        if count < 2:
+            errors.append(float("nan"))
+            continue
+        var = max(0.0, (totals[2 * j - 1] - count * means[j - 1] ** 2) / (count - 1))
+        errors.append(math.sqrt(var / count))
+    return [float(m) for m in means[:s_max]], errors
 
 
 def run_experiment(config: ExperimentConfig, counts: Optional[WeightedCounts] = None) -> SampleStats:
@@ -345,11 +377,15 @@ def run_experiment(config: ExperimentConfig, counts: Optional[WeightedCounts] = 
     ``counts`` may be supplied to reuse a table across experiments (only
     the size-process engine needs one).
     """
-    _validate_config(config)
-    toll = _toll_for(config)
-    t1 = float(toll.t1)
+    _check_run(config.variant, config.engine, config.n, config.samples, config.seed)
+    if config.workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {config.workers}")
+    if config.s_max < 1:
+        raise ConfigError(f"s_max must be >= 1, got {config.s_max}")
+    toll = TollSpec(alpha=config.alpha, size_one_cost=config.size_one_cost)
+    tolls = toll.float_values(config.n)
 
-    shard_fn: Callable[[int, int], np.ndarray]
+    costs: Callable[[np.random.Generator, int], np.ndarray]
     if config.engine == SIZE_PROCESS:
         if counts is None:
             counts = compute_counts(config.family, config.n, exact_cutoff=1)
@@ -358,50 +394,24 @@ def run_experiment(config: ExperimentConfig, counts: Optional[WeightedCounts] = 
         if counts.n_max < config.n:
             raise ConfigError(f"counts table reaches n={counts.n_max}, need {config.n}")
         table = _cumulative_rows(counts, config.n)
-        tolls = toll.float_values(config.n)
         engine = _size_process_one_sided if config.variant == ONE_SIDED else _size_process_two_sided
+        t1 = float(toll.t1)
 
-        def shard_fn(shard: int, batch: int) -> np.ndarray:
-            rng = _shard_rng(config.seed, shard)
+        def costs(rng: np.random.Generator, batch: int) -> np.ndarray:
             return engine(table, tolls, t1, config.n, batch, rng)
 
     else:
-        tolls = toll.float_values(config.n)
         one_sided = config.variant == ONE_SIDED
 
-        def shard_fn(shard: int, batch: int) -> np.ndarray:
-            rng = _shard_rng(config.seed, shard)
+        def costs(rng: np.random.Generator, batch: int) -> np.ndarray:
             return _explicit_shard(config.family, tolls, config.n, one_sided, batch, rng)[0]
 
-    shards = _shards(config.samples)
-    n_pows = 2 * config.s_max
-
-    def shard_sums(args) -> np.ndarray:
-        shard, batch = args
-        costs = shard_fn(shard, batch)
-        return np.array([np.sum(costs**j) for j in range(1, n_pows + 1)])
-
-    if config.workers == 1:
-        partials = [shard_sums(item) for item in shards]
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            partials = list(pool.map(shard_sums, shards))
-
-    totals = np.zeros(n_pows)
-    for part in partials:  # fixed shard order => worker-count independent
-        totals += part
-
-    count = config.samples
-    means = totals / count
-    estimates = [float(means[j - 1]) for j in range(1, config.s_max + 1)]
-    errors = []
-    for j in range(1, config.s_max + 1):
-        if count < 2:
-            errors.append(float("nan"))
-            continue
-        var = max(0.0, (totals[2 * j - 1] - count * means[j - 1] ** 2) / (count - 1))
-        errors.append(math.sqrt(var / count))
-    return SampleStats(count=count, moment_estimates=estimates, standard_errors=errors, seed=config.seed)
+    powers = 2 * config.s_max
+    partials = _map_shards(
+        lambda rng, batch: _power_sums(costs(rng, batch), powers), config.seed, config.samples, config.workers
+    )
+    estimates, errors = _means_and_errors(partials, config.samples, config.s_max)
+    return SampleStats(count=config.samples, moment_estimates=estimates, standard_errors=errors, seed=config.seed)
 
 
 @dataclass(frozen=True)
@@ -427,32 +437,16 @@ def explicit_cut_survey(
     """Destroy ``samples`` explicit trees, recording first-cut root sizes.
 
     The trees and cuts are those of ``run_experiment`` with the explicit
-    engine and the same seed.
+    engine and the same seed, and so are the cost mean and its standard
+    error.
     """
-    if samples < 1:
-        raise ConfigError("samples must be >= 1")
-    if variant not in (ONE_SIDED, TWO_SIDED):
-        raise ConfigError(f"unknown variant {variant!r}")
-    if not 1 <= n <= EXPLICIT_N_MAX:
-        raise ConfigError(f"explicit engine supports 1 <= n <= {EXPLICIT_N_MAX}, got {n}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    _check_run(variant, EXPLICIT, n, samples, seed)
     tolls = toll.float_values(n)
-    hist = np.zeros(n, dtype=np.int64)
-    total = 0.0
-    total2 = 0.0
-    for shard, batch in _shards(samples):
-        cost, root_side = _explicit_shard(spec, tolls, n, variant == ONE_SIDED, batch, _shard_rng(seed, shard))
-        hist += np.bincount(root_side, minlength=n)
-        total += float(np.sum(cost))
-        total2 += float(np.sum(cost**2))
-    mean = total / samples
-    var = max(0.0, (total2 - samples * mean * mean) / (samples - 1)) if samples > 1 else float("nan")
-    return CutSurvey(
-        n=n,
-        variant=variant,
-        count=samples,
-        histogram=hist,
-        cost_mean=mean,
-        cost_se=math.sqrt(var / samples) if samples > 1 else float("nan"),
-    )
+
+    def survey_shard(rng: np.random.Generator, batch: int):
+        cost, root_side = _explicit_shard(spec, tolls, n, variant == ONE_SIDED, batch, rng)
+        return _power_sums(cost, 2), np.bincount(root_side, minlength=n)
+
+    sums, hists = zip(*_map_shards(survey_shard, seed, samples))
+    (mean,), (se,) = _means_and_errors(sums, samples, 1)
+    return CutSurvey(n=n, variant=variant, count=samples, histogram=sum(hists), cost_mean=mean, cost_se=se)

@@ -226,10 +226,7 @@ def criterion_06_two_sided_alpha1():
     package = limits.limit_moments_two_sided(1.0, 3).m
     oracle = _limit_moment_oracle(1.0, 3)
     report = analysis.normalize_moments(table, constants, grid=[250, 500, 1000, 2000])
-    errors = []
-    for s in (1, 2, 3):
-        norm = table.moment(n, s) / (constants.sigma**s * float(n) ** (1.5 * s))
-        errors.append(abs(norm / oracle[s] - 1))
+    errors = [abs(row.normalized / oracle[row.s] - 1) for row in report.rows if row.n == n]
     oracle_gap = max(abs(a - b) for a, b in zip(package, oracle))
     ok = max(errors) <= 0.03 and oracle_gap < 1e-10
     details = (
@@ -299,12 +296,9 @@ def criterion_09_one_sided_alpha1():
     table = one_sided_moments(counts, TollSpec(alpha=1), n, 2, mode="float")
     lm = limits.limit_moments_one_sided(1.0, 2)
     report = analysis.normalize_moments(table, constants, grid=[250, 500, 1000, 2000])
-    formula_ok = True
-    errors = []
-    for s, target in ((1, math.sqrt(math.pi / 8.0)), (2, 8.0 / 15.0)):
-        formula_ok &= abs(lm.m[s] - target) <= 1e-12
-        norm = table.moment(n, s) / (constants.sigma**s * float(n) ** (1.5 * s))
-        errors.append(abs(norm / target - 1))
+    targets = {1: math.sqrt(math.pi / 8.0), 2: 8.0 / 15.0}
+    formula_ok = all(abs(lm.m[s] - target) <= 1e-12 for s, target in targets.items())
+    errors = [abs(row.normalized / targets[row.s] - 1) for row in report.rows if row.n == n]
     ok = formula_ok and max(errors) <= 0.03
     details = f"rel errors s=1,2: {', '.join(f'{e * 100:.2f}%' for e in errors)} (need <= 3%)"
     return ok, details, _report_rows(9, "ordered", report)

@@ -12,6 +12,8 @@ Claims covered:
       coefficient in a free fit
     - family-independence gaps shrink along the grid
     - MissingShift fires when a shifted regime cannot be fitted
+    - alpha = 1/2 +- 1e-9 normalizes as alpha = 1/2; mu is fitted on
+      two-sided tables only
 """
 
 import pytest
@@ -87,6 +89,9 @@ def test_estimate_mu_guards(ordered_counts):
     high = two_sided_moments(ordered_counts, TollSpec(alpha=1), 600, 1, mode="float")
     with pytest.raises(ConfigError):
         estimate_mu(high)
+    # the one-sided mean grows like n^(alpha+1/2) and has no linear term
+    with pytest.raises(ConfigError):
+        estimate_mu(one_sided_moments(ordered_counts, TollSpec(alpha=0.25), 2000, 1, mode="float"))
 
 
 def test_missing_shift(ordered_counts, ordered_constants):
@@ -122,6 +127,18 @@ def test_half_regime_report(ordered_constants):
     ones = report.series(1)
     assert all(abs(row.normalized) < 0.02 for row in ones)  # m_1 = 0 after centering
     assert all(row.rel_error == abs(row.normalized) for row in ones)  # abs error at limit 0
+
+
+def test_half_window_is_one_regime(ordered_counts, ordered_constants):
+    # alpha within 1e-6 of 1/2 normalizes like alpha = 1/2, fitted delta included
+    deltas = [
+        normalize_moments(
+            two_sided_moments(ordered_counts, TollSpec(alpha=alpha), 2000, 2, mode="float"), ordered_constants
+        ).fitted["delta"]
+        for alpha in (0.5 - 1e-9, 0.5, 0.5 + 1e-9)
+    ]
+    assert deltas[0] == pytest.approx(deltas[1], abs=1e-6)
+    assert deltas[2] == pytest.approx(deltas[1], abs=1e-6)
 
 
 def test_estimate_delta_guards(ordered_counts, ordered_constants):

@@ -6,6 +6,7 @@ Claims covered:
     - closed-form tau = 1/a1 agrees with an independent bisection root,
       to 1e-13 relative error, from alpha0 = 1e-12 to 1e100 and next to
       kind C's pole; constants that leave double range raise DomainError
+    - sigma^2 = 1 + beta/alpha0 for kind C holds next to the pole
     - importing the package loads no scipy.optimize
     - derived constants (rho, b, c, sigma) and their exact identities
     - plain-text config block round trip
@@ -139,6 +140,14 @@ def _short_id(spec):
 def test_numeric_tau_matches_closed_form_at_every_scale(spec):
     tau = float(tau_exact(spec))
     assert abs(_numeric_tau(spec) - tau) <= 1e-13 * tau
+
+
+@pytest.mark.parametrize("alpha1", [10**6, 10**12])
+def test_kind_c_constants_next_to_the_pole(alpha1):
+    # 1 - beta*tau = alpha0/a1 is 5e-13 at alpha1 = 1e12; in doubles it cancels
+    spec = make_family("C", 1, alpha1=alpha1)
+    con = solve_constants(spec)
+    assert con.sigma2 == pytest.approx(float(1 + spec.beta / spec.alpha0), rel=1e-13)
 
 
 @pytest.mark.parametrize("alpha0", ["1e-300", "1e300", "1e-400"])

@@ -12,6 +12,8 @@ Claims covered:
     - the alpha = 1/2 recurrence assembled independently for s = 2
     - one-sided closed product vs Rayleigh moments at alpha = 0
     - Carleman-style growth sanity and positivity across regimes
+    - one map from (variant, alpha) to the regime; alpha within 1e-6 of
+      1/2 is the alpha = 1/2 regime
 """
 
 import math
@@ -22,7 +24,11 @@ from scipy.integrate import quad
 
 from treecut.errors import DomainError, NonIntegrable
 from treecut.family import ordered, cayley, solve_constants
+from treecut import quadrature
 from treecut.limits import (
+    TWO_SIDED_EDGES,
+    TWO_SIDED_HALF,
+    TWO_SIDED_LINEAR,
     j_integral,
     j_integral_adaptive,
     limit_moments_one_sided,
@@ -31,6 +37,7 @@ from treecut.limits import (
     predicted_mean,
     rayleigh_density,
     rayleigh_moment,
+    regime,
 )
 from treecut.moments import ONE_SIDED, TWO_SIDED
 
@@ -202,3 +209,18 @@ def test_predicted_mean_regimes():
     assert (edges.coefficient, edges.n_power) == (1.0, 1.0)
     with pytest.raises(DomainError):
         predicted_mean(ord_, 1.0, "sideways")
+
+
+def test_regime_map():
+    assert [regime(ONE_SIDED, a) for a in (0.0, 0.5, 2.0)] == [ONE_SIDED] * 3
+    cases = {0.0: TWO_SIDED_EDGES, 0.25: TWO_SIDED_LINEAR, 0.5 - 1e-9: TWO_SIDED_HALF, 0.5: TWO_SIDED_HALF,
+             0.5 + 1e-9: TWO_SIDED_HALF, 0.5 + 2e-6: TWO_SIDED, 1.0: TWO_SIDED}
+    assert {a: regime(TWO_SIDED, a) for a in cases} == cases
+    with pytest.raises(DomainError):
+        regime("sideways", 1.0)
+
+
+def test_tanh_sinh_raises_when_levels_run_out(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_LEVEL", 0)  # one level: never two estimates to compare
+    with pytest.raises(ArithmeticError):
+        j_integral(0, 1, 1)
