@@ -137,8 +137,6 @@ def estimate_mu(table: MomentTable) -> MuFit:
     runs in double precision on the float moments, rational tables
     included.
     """
-    if table.toll.override is not None:
-        raise ConfigError("mu estimation needs the power toll t_n = n^alpha")
     mean = _fit_mean(table, (TWO_SIDED_EDGES, TWO_SIDED_LINEAR), 512, "mu")
     alpha = float(table.toll.alpha)
     (coef, residual, cond), coef_half = _grid_fit(mean, table.n_max, lambda nn: [nn, nn ** (alpha + 0.5), nn**alpha])

@@ -74,42 +74,17 @@ def all_cuts(tree: Tree) -> Iterator[Tuple[Tree, Tree]]:
             yield tree[:i] + (kept,) + tree[i + 1 :], removed
 
 
-def one_sided_tree_moments(tree: Tree, toll: TollSpec, s_max: int) -> List[Fraction]:
-    """E[cost^s] of one-sided destruction of this fixed tree, s = 0..s_max."""
-    memo: Dict[Tree, List[Fraction]] = {}
-
-    def rec(t: Tree) -> List[Fraction]:
-        if t in memo:
-            return memo[t]
-        n = tree_size(t)
-        if n == 1:
-            t1 = Fraction(toll.t1)
-            result = [t1**s for s in range(s_max + 1)]
-        else:
-            tn = toll.exact_value(n)
-            sums = [Fraction(0)] * (s_max + 1)
-            for kept, _ in all_cuts(t):
-                sub = rec(kept)
-                for s in range(s_max + 1):
-                    sums[s] += sub[s]
-            result = []
-            for s in range(s_max + 1):
-                acc = Fraction(0)
-                for j in range(s + 1):
-                    acc += math.comb(s, j) * tn ** (s - j) * sums[j]
-                result.append(acc / (n - 1))
-        memo[t] = result
-        return result
-
-    return rec(tree)
-
-
-def two_sided_tree_moments(tree: Tree, toll: TollSpec, s_max: int) -> List[Fraction]:
-    """E[cost^s] of two-sided destruction of this fixed tree, s = 0..s_max.
+def tree_moments(tree: Tree, toll: TollSpec, s_max: int, variant: str) -> List[Fraction]:
+    """E[cost^s] of destroying this fixed tree, s = 0..s_max.
 
     After a cut the two components evolve independently, so the moments
-    of the sum expand multinomially from the component moments.
+    of the sum expand multinomially from the component moments.  The
+    one-sided process discards the cut-off side, whose cost is then the
+    constant 0, with moments (1, 0, ..., 0).
     """
+    if variant not in (ONE_SIDED, TWO_SIDED):
+        raise ValueError(f"unknown variant {variant!r}")
+    discarded = [Fraction(1)] + [Fraction(0)] * s_max
     memo: Dict[Tree, List[Fraction]] = {}
 
     def rec(t: Tree) -> List[Fraction]:
@@ -123,7 +98,8 @@ def two_sided_tree_moments(tree: Tree, toll: TollSpec, s_max: int) -> List[Fract
             tn = toll.exact_value(n)
             sums = [Fraction(0)] * (s_max + 1)
             for kept, removed in all_cuts(t):
-                a, b = rec(kept), rec(removed)
+                a = rec(kept)
+                b = discarded if variant == ONE_SIDED else rec(removed)
                 for s in range(s_max + 1):
                     sums[s] += sum(
                         math.comb(s, j) * a[j] * b[s - j] for j in range(s + 1)
@@ -144,16 +120,13 @@ def family_moments(
     spec: FamilySpec, n: int, toll: TollSpec, s_max: int, variant: str
 ) -> List[Fraction]:
     """Exact E[cost^s] over a random size-n tree of the family, s = 0..s_max."""
-    per_tree = one_sided_tree_moments if variant == ONE_SIDED else two_sided_tree_moments
-    if variant not in (ONE_SIDED, TWO_SIDED):
-        raise ValueError(f"unknown variant {variant!r}")
     total_weight = Fraction(0)
     sums = [Fraction(0)] * (s_max + 1)
     for tree in enumerate_trees(n):
         w = tree_weight(spec, tree)
         if w == 0:
             continue
-        values = per_tree(tree, toll, s_max)
+        values = tree_moments(tree, toll, s_max, variant)
         total_weight += w
         for s in range(s_max + 1):
             sums[s] += w * values[s]

@@ -69,7 +69,6 @@ class WeightedCounts:
 
     family: FamilySpec
     n_max: int
-    exact_cutoff: int
     exact: List[Fraction]
     log_values: np.ndarray
     rho: float
@@ -172,7 +171,6 @@ def compute_counts(spec: FamilySpec, n_max: int, exact_cutoff: int = 400) -> Wei
     return WeightedCounts(
         family=spec,
         n_max=n_max,
-        exact_cutoff=exact_cutoff,
         exact=exact,
         log_values=logs,
         rho=rho,

@@ -21,15 +21,15 @@ alpha = 0 exactly the number of edges, n - 1 (with the default it is
 exactly 2n - 1).  The two conventions differ by a deterministic shift:
 one-sided by t_1, two-sided by n * t_1.
 
-Tables are exact whenever every toll value is rational (integer alpha,
-or a rational override table), else double precision; an 80-bit
+Tables are exact whenever every toll value is rational (integer alpha
+and a rational size-1 cost), else double precision; an 80-bit
 extended mode is available via ``dtype=numpy.longdouble``.  The exact
 recurrence runs on plain integers
 
     N_n^s = (n-1)! * L^(n-1) * T_n * D^s * E V_n^s,
 
-where L clears the denominators of a0 and a1 and D those of the tolls
-t_1..t_n.  Order 0 is the integer count S_n of :mod:`treecut.counts`,
+where L clears the denominators of a0 and a1 and D that of the size-1
+cost t_1.  Order 0 is the integer count S_n of :mod:`treecut.counts`,
 which is on this scale already.  The factor (n-1)! absorbs the division
 by n-1 that every level of the moments needs, so each step is an
 integer sum of products with no division.  The reduced
@@ -69,68 +69,41 @@ TWO_SIDED = "two_sided"
 
 @dataclass(frozen=True)
 class TollSpec:
-    """Toll t_n = n^alpha, an optional override table, and the size-1 cost.
+    """Toll t_n = n^alpha for n >= 2, and the cost of a size-1 component.
 
-    ``override`` (when given) supplies t_1..t_len(override) verbatim and
-    takes precedence over alpha.  ``size_one_cost`` is the cost assigned
-    to a size-1 component; None means "t_1 from the override, else 1".
+    ``size_one_cost`` None means t_1 = 1^alpha = 1.
     """
 
     alpha: float = 0.0
-    override: Optional[tuple] = None
     size_one_cost: Optional[Value] = None
 
     def __post_init__(self):
-        if self.override is None and not (self.alpha >= 0 and math.isfinite(self.alpha)):
+        if not (self.alpha >= 0 and math.isfinite(self.alpha)):
             raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
-        if self.override is not None:
-            if len(self.override) < 1:
-                raise ConfigError("override table must supply at least t_1")
-            for t in self.override:
-                if not math.isfinite(float(t)):
-                    raise ConfigError("override toll values must be finite")
         if self.size_one_cost is not None and not math.isfinite(float(self.size_one_cost)):
             raise ConfigError(f"size_one_cost must be finite, got {self.size_one_cost}")
 
     @property
     def t1(self) -> Value:
-        if self.size_one_cost is not None:
-            return self.size_one_cost
-        if self.override is not None:
-            return self.override[0]
-        return 1
+        return 1 if self.size_one_cost is None else self.size_one_cost
 
     @property
     def is_rational(self) -> bool:
         """True when every toll value (including t_1) is exactly rational."""
-        if not isinstance(self.t1, (int, Fraction)):
-            return False
-        if self.override is not None:
-            return all(isinstance(t, (int, Fraction)) for t in self.override)
-        return float(self.alpha).is_integer()
+        return isinstance(self.t1, (int, Fraction)) and float(self.alpha).is_integer()
 
     def exact_value(self, n: int) -> Fraction:
         if not self.is_rational:
             raise ConfigError("toll is not exactly rational; use float mode")
         if n == 1:
             return Fraction(self.t1)
-        if self.override is not None:
-            if n > len(self.override):
-                raise OutOfRange(f"override table has no t_{n}")
-            return Fraction(self.override[n - 1])
         return Fraction(n) ** int(self.alpha)
 
     def float_values(self, n_max: int, dtype=np.float64) -> np.ndarray:
         """Array t[0..n_max] with t[0] unused and t[1] the size-1 cost."""
         values = np.zeros(n_max + 1, dtype=dtype)
-        if self.override is not None:
-            if n_max > len(self.override):
-                raise OutOfRange(f"override table has no t_{n_max}")
-            values[1 : n_max + 1] = [float(t) for t in self.override[:n_max]]
-        else:
-            n = np.arange(n_max + 1, dtype=dtype)
-            with np.errstate(divide="ignore"):
-                values[1:] = n[1:] ** dtype(self.alpha)
+        n = np.arange(n_max + 1, dtype=dtype)
+        values[1:] = n[1:] ** dtype(self.alpha)
         values[1] = float(self.t1)
         return values
 
@@ -169,7 +142,7 @@ def _resolve_mode(counts: WeightedCounts, toll: TollSpec, n_max: int, mode: str)
         return "rational" if toll.is_rational and n_max <= counts.exact_limit else "float"
     if mode == "rational":
         if not toll.is_rational:
-            raise ConfigError("rational mode needs integer alpha or a rational override")
+            raise ConfigError("rational mode needs integer alpha and a rational size-1 cost")
         if n_max > counts.exact_limit:
             raise ConfigError(
                 f"rational mode needs exact counts up to n_max={n_max}; "
@@ -181,11 +154,20 @@ def _resolve_mode(counts: WeightedCounts, toll: TollSpec, n_max: int, mode: str)
     raise ConfigError(f"unknown mode {mode!r}")
 
 
-def _check_args(counts: WeightedCounts, n_max: int, s_max: int) -> None:
+def _moment_table(
+    counts: WeightedCounts, toll: TollSpec, variant: str, n_max: Optional[int], s_max: int, mode: str, dtype
+) -> MomentTable:
+    n_max = counts.n_max if n_max is None else n_max
     if not 1 <= n_max <= counts.n_max:
         raise OutOfRange(f"n_max must be in [1, {counts.n_max}], got {n_max}")
     if s_max < 0:
         raise OutOfRange(f"s_max must be >= 0, got {s_max}")
+    resolved = _resolve_mode(counts, toll, n_max, mode)
+    if resolved == "rational":
+        rows = _rational_rows(counts, toll, variant, n_max, s_max)
+    else:
+        rows = _float_rows(counts, toll, variant, n_max, s_max, dtype)
+    return MomentTable(variant, counts.family, toll, n_max, s_max, resolved, rows)
 
 
 def one_sided_moments(
@@ -197,14 +179,7 @@ def one_sided_moments(
     dtype=np.float64,
 ) -> MomentTable:
     """Moment table of the one-sided (root-retaining) destruction cost."""
-    n_max = counts.n_max if n_max is None else n_max
-    _check_args(counts, n_max, s_max)
-    resolved = _resolve_mode(counts, toll, n_max, mode)
-    if resolved == "rational":
-        rows = _rational_rows(counts, toll, ONE_SIDED, n_max, s_max)
-    else:
-        rows = _float_rows(counts, toll, ONE_SIDED, n_max, s_max, dtype)
-    return MomentTable(ONE_SIDED, counts.family, toll, n_max, s_max, resolved, rows)
+    return _moment_table(counts, toll, ONE_SIDED, n_max, s_max, mode, dtype)
 
 
 def two_sided_moments(
@@ -219,14 +194,7 @@ def two_sided_moments(
 
     The inner sums are folded using the k <-> n-k symmetry of the summand.
     """
-    n_max = counts.n_max if n_max is None else n_max
-    _check_args(counts, n_max, s_max)
-    resolved = _resolve_mode(counts, toll, n_max, mode)
-    if resolved == "rational":
-        rows = _rational_rows(counts, toll, TWO_SIDED, n_max, s_max)
-    else:
-        rows = _float_rows(counts, toll, TWO_SIDED, n_max, s_max, dtype)
-    return MomentTable(TWO_SIDED, counts.family, toll, n_max, s_max, resolved, rows)
+    return _moment_table(counts, toll, TWO_SIDED, n_max, s_max, mode, dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +220,8 @@ def _rational_rows(counts: WeightedCounts, toll: TollSpec, variant: str, n_max: 
     """Exact rows[s][n] = E V_n^s as reduced Fractions, from an integer recurrence.
 
     N[s][n] = (n-1)! * L^(n-1) * T_n * D^s * E V_n^s is an integer, with
-    W_k = L*(a1*k + a0), D the lcm of the toll denominators and
-    tau_n = D*t_n.  Row 0 is the count S_n = ``counts.scaled``.  Both
+    W_k = L*(a1*k + a0), D the denominator of the size-1 cost t_1 and
+    tau_n = D*t_n, an integer since t_n = n^alpha for n >= 2.  Row 0 is the count S_n = ``counts.scaled``.  Both
     variants share
 
         N[s][n] = sum_r C(s,r) * tau_n^(s-r) * Y_r,      Y_0 = N[0][n],
@@ -267,9 +235,10 @@ def _rational_rows(counts: WeightedCounts, toll: TollSpec, variant: str, n_max: 
     W_k + W_{n-k} = W_1 + W_{n-1} for every k.
     """
     w = integer_weights(counts.family, n_max)
-    tolls = [toll.exact_value(n) for n in range(1, n_max + 1)]
-    denom = math.lcm(*(t.denominator for t in tolls))
-    tau = [0] + [t.numerator * (denom // t.denominator) for t in tolls]
+    t1 = Fraction(toll.t1)
+    denom = t1.denominator
+    power = int(toll.alpha)
+    tau = [0, t1.numerator] + [denom * n**power for n in range(2, n_max + 1)]
     rows = [counts.scaled[: n_max + 1]] + [[0] * (n_max + 1) for _ in range(s_max)]
     for s in range(1, s_max + 1):
         rows[s][1] = tau[1] ** s

@@ -101,6 +101,20 @@ def test_moments_edges_only_flag(capture):
     assert "5,1,4" in out.splitlines()  # exactly n - 1
 
 
+@pytest.mark.parametrize("variant, alpha, expected", [
+    ("two", "2", "d19933a598a32ab2a9641360a59bc70520c7ebc135ca8d2708bf6b32da114d79"),
+    ("one", "1", "dd329ecca3dfca6f5a93b018af632c1cb16ea6f23b7647910c8e16521460b907"),
+])
+def test_moments_rational_size_one_cost_bytes(capture, variant, alpha, expected):
+    # t_1 = 2/5 puts the scale D = 5 into the integer recurrence; the digests pin its output
+    code, out, _ = capture(
+        "moments", "--kind", "C", "--alpha0", "1", "--alpha1", "1", "--variant", variant,
+        "--alpha", alpha, "--nmax", "60", "--smax", "3", "--size-one-cost", "2/5",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
 def test_counts_csv(capture):
     code, out, _ = capture("counts", "--kind", "C", "--alpha0", "1", "--alpha1", "1", "--nmax", "5")
     assert code == 0

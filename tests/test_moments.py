@@ -212,14 +212,7 @@ def test_toll_spec_validation():
         TollSpec(alpha=-1)
     with pytest.raises(ConfigError):
         TollSpec(alpha=math.inf)
-    with pytest.raises(ConfigError):
-        TollSpec(override=())
-    with pytest.raises(ConfigError):
-        TollSpec(override=(1.0, math.inf))
-    toll = TollSpec(override=(1, 4, 9), size_one_cost=None)
-    assert toll.t1 == 1 and toll.exact_value(3) == 9 and toll.is_rational
-    with pytest.raises(OutOfRange):
-        toll.exact_value(4)
+    assert TollSpec(alpha=2).exact_value(3) == 9
     assert not TollSpec(alpha=0.5).is_rational
     assert TollSpec(alpha=2.0).is_rational
     values = TollSpec(alpha=2).float_values(4)
@@ -242,14 +235,6 @@ def test_rational_mode_requires_rational_toll(tables):
     # auto quietly picks float in both cases
     assert one_sided_moments(tables["C"], TollSpec(alpha=0.5), 10, 1).mode == "float"
     assert one_sided_moments(short, TollSpec(alpha=1), 50, 1).mode == "float"
-
-
-def test_override_table_drives_the_dp(tables):
-    # constant toll via override == alpha 0
-    toll = TollSpec(override=tuple([1] * 30))
-    a = one_sided_moments(tables["C"], toll, 30, 2, mode="rational")
-    b = one_sided_moments(tables["C"], TollSpec(alpha=0), 30, 2, mode="rational")
-    assert all(a.moment(n, s) == b.moment(n, s) for n in range(1, 31) for s in range(3))
 
 
 def test_extended_precision_mode(tables):
@@ -320,12 +305,13 @@ ORACLE_FAMILIES = [
 
 @pytest.mark.parametrize("spec", ORACLE_FAMILIES, ids=lambda s: s.label())
 def test_integer_kernel_matches_fraction_reference(spec):
+    # t_1 = 2/5 makes D = 5, so order s carries the scale D^s
     n, s_max = 40, 3
     counts = compute_counts(spec, n, exact_cutoff=n)
-    override = tuple(Fraction(k * k + 1, k + 2) for k in range(1, n + 1))
-    toll = TollSpec(override=override, size_one_cost=Fraction(2, 5))
-    one = one_sided_moments(counts, toll, n, s_max, mode="rational")
-    assert one.rows == _reference_one_sided(counts, toll, n, s_max)
-    two = two_sided_moments(counts, toll, n, s_max, mode="rational")
-    assert two.rows == _reference_two_sided(counts, toll, n, s_max)
-    assert all(isinstance(v, Fraction) for row in two.rows for v in row[1:])
+    for alpha in (1, 2):
+        toll = TollSpec(alpha=alpha, size_one_cost=Fraction(2, 5))
+        one = one_sided_moments(counts, toll, n, s_max, mode="rational")
+        assert one.rows == _reference_one_sided(counts, toll, n, s_max)
+        two = two_sided_moments(counts, toll, n, s_max, mode="rational")
+        assert two.rows == _reference_two_sided(counts, toll, n, s_max)
+        assert all(isinstance(v, Fraction) for row in two.rows for v in row[1:])

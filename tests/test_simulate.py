@@ -227,7 +227,7 @@ def destroy_tree(children: Sequence[Sequence[int]], variant, toll, rng) -> Destr
         raise ConfigError(f"unknown variant {variant!r}")
     n = len(children)
     t1 = float(toll.t1)
-    toll_of = lambda m: float(m) ** toll.alpha if toll.override is None else float(toll.override[m - 1])
+    toll_of = lambda m: float(m) ** toll.alpha
     if n == 1:
         return DestructionSample(n=1, variant=variant, total_cost=t1, first_cut_root_size=0)
 
@@ -297,7 +297,7 @@ def simulate_size_process(counts, toll, n, variant, rng):
     t1 = float(toll.t1)
     if n == 1:
         return DestructionSample(n=n, variant=variant, total_cost=t1, first_cut_root_size=0)
-    toll_of = lambda m: float(m) ** toll.alpha if toll.override is None else float(toll.override[m - 1])
+    toll_of = lambda m: float(m) ** toll.alpha
 
     def draw(m: int) -> int:
         return int(np.searchsorted(_split_cdf(counts, m), rng.random(), side="right")) + 1
