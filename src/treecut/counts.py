@@ -8,9 +8,10 @@ which is exactly the statement that the splitting probabilities
 
     p_{n,k} = (a1*k + a0) * T_k * T_{n-k} / ((n-1) * T_n)
 
-sum to one.  Very simple trees are exactly the three Phi forms, and for
-each of them Lagrange inversion of T(z) = z*Phi(T(z)) solves the
-recurrence in closed form:
+sum to one.  That one expression gives the split law, evaluated on the
+exact counts or on the rho-scaled floats below.  Very simple trees are
+exactly the three Phi forms, and for each of them Lagrange inversion of
+T(z) = z*Phi(T(z)) solves the recurrence in closed form:
 
     T_n = (a0 + a1) / (n-1)! * prod_{i=2}^{n-1} (a1*n + a0*i),   n >= 2.
 
@@ -230,37 +231,25 @@ def split_distribution(
     """
     if not 2 <= n <= counts.n_max:
         raise OutOfRange(f"n must be in [2, {counts.n_max}], got {n}")
-    if n <= counts.exact_limit:
-        probs: List[Union[Fraction, float]] = _prob_row_exact(counts, n)
-    else:
-        probs = list(_prob_row_float(counts, n))
+    exact = n <= counts.exact_limit
+    probs = _split_row(counts, n, exact)
     if symmetrized:
-        rev = probs[::-1]
-        probs = [(p + q) / 2 for p, q in zip(probs, rev)]
-    return SplitDistribution(n=n, probs=probs, symmetrized=symmetrized, exact=n <= counts.exact_limit)
+        probs = (probs + probs[::-1]) / 2
+    return SplitDistribution(n=n, probs=list(probs), symmetrized=symmetrized, exact=exact)
 
 
-def _prob_row_exact(counts: WeightedCounts, n: int) -> List[Fraction]:
-    """Exact row p_{n,1..n-1} = W_k * T_k * T_{n-k} / (L * (n-1) * T_n), one Fraction per k."""
-    w = integer_weights(counts.family, n)
-    t = counts.exact
-    denom = _weight_scale(counts.family) * (n - 1) * t[n].numerator
-    return [
-        Fraction(
-            w[k] * t[k].numerator * t[n - k].numerator * t[n].denominator,
-            denom * t[k].denominator * t[n - k].denominator,
-        )
-        for k in range(1, n)
-    ]
+def _split_row(counts: WeightedCounts, n: int, exact: bool) -> np.ndarray:
+    """Row p_{n,1..n-1} = w_k * t_k * t_{n-k} / ((n-1) * t_n).
 
-
-def _prob_row_float(counts: WeightedCounts, n: int) -> np.ndarray:
-    """Float row p_{n,1..n-1} = w_k * a_k * a_{n-k} / ((n-1) * a_n).
-
-    rho^k * rho^(n-k) = rho^n, so the rho-scaled counts give the same law
-    as T_n while every factor stays inside double range.
+    t is T as Fractions when ``exact``, else the rho-scaled floats a:
+    rho^k * rho^(n-k) = rho^n, so a gives the same law as T while every
+    factor stays inside double range.
     """
     spec = counts.family
-    a = counts.rho_scaled
-    w = float(spec.a1) * np.arange(1, n, dtype=np.float64) + float(spec.a0)
-    return w * a[1:n] * a[n - 1 : 0 : -1] / ((n - 1) * a[n])
+    if exact:
+        t = np.array(counts.exact[: n + 1], dtype=object)
+        w = spec.a1 * np.arange(1, n, dtype=object) + spec.a0
+    else:
+        t = counts.rho_scaled
+        w = float(spec.a1) * np.arange(1, n, dtype=np.float64) + float(spec.a0)
+    return w * t[1:n] * t[n - 1 : 0 : -1] / ((n - 1) * t[n])

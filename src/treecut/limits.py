@@ -249,7 +249,10 @@ class LeadingTerm:
     coefficient: Optional[float]
     n_power: float
     log_power: int
-    estimate_required: bool = False
+
+    @property
+    def estimate_required(self) -> bool:
+        return self.coefficient is None
 
     def value(self, n: float) -> float:
         if self.coefficient is None:
@@ -260,25 +263,20 @@ class LeadingTerm:
 def predicted_mean(constants: FamilyConstants, alpha: float, variant: str) -> LeadingTerm:
     """Leading asymptotic term of the mean cost for the given regime.
 
-    One-sided (alpha >= 0): sigma*Gamma(alpha+1/2)/(sqrt(2)Gamma(alpha+1)) n^(alpha+1/2).
-    Two-sided: alpha > 1/2 gives sigma*Gamma(alpha-1/2)/(sqrt(2)Gamma(alpha)) n^(alpha+1/2);
-    alpha = 1/2 gives (sigma/sqrt(2 pi)) n ln n; 0 < alpha < 1/2 grows like
-    mu*n with mu not expressible here (fit it from data, see
+    One-sided and two-sided alpha > 1/2: sigma*m_1 n^(alpha+1/2), with m_1
+    the first limit moment of that variant.  Two-sided alpha = 1/2 gives
+    (sigma/sqrt(2 pi)) n ln n; 0 < alpha < 1/2 grows like mu*n with mu
+    not expressible here (fit it from data, see
     :func:`treecut.analysis.estimate_mu`); alpha = 0 is the edge count n - 1.
     """
     sigma = constants.sigma
     kind = regime(variant, alpha)
-    if kind == ONE_SIDED:
-        if alpha < 0:
-            raise DomainError("one-sided regime needs alpha >= 0")
-        coeff = sigma * _gamma_ratio(alpha + 0.5, alpha + 1.0) / math.sqrt(2.0)
-        return LeadingTerm(coefficient=coeff, n_power=alpha + 0.5, log_power=0)
     if kind == TWO_SIDED_EDGES:
         # cost is exactly the number of edges under the edges-only convention
         return LeadingTerm(coefficient=1.0, n_power=1.0, log_power=0)
     if kind == TWO_SIDED_HALF:
         return LeadingTerm(coefficient=sigma / math.sqrt(2.0 * math.pi), n_power=1.0, log_power=1)
     if kind == TWO_SIDED_LINEAR:
-        return LeadingTerm(coefficient=None, n_power=1.0, log_power=0, estimate_required=True)
-    coeff = sigma * _gamma_ratio(alpha - 0.5, alpha) / math.sqrt(2.0)
-    return LeadingTerm(coefficient=coeff, n_power=alpha + 0.5, log_power=0)
+        return LeadingTerm(coefficient=None, n_power=1.0, log_power=0)
+    limit = limit_moments_one_sided if kind == ONE_SIDED else limit_moments_two_sided
+    return LeadingTerm(coefficient=sigma * limit(alpha, 1).m[1], n_power=alpha + 0.5, log_power=0)

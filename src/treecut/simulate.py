@@ -44,7 +44,7 @@ from typing import Callable, List, NamedTuple, Optional, Tuple, TypeVar
 
 import numpy as np
 
-from .counts import WeightedCounts, compute_counts, _prob_row_float
+from .counts import WeightedCounts, _split_row, compute_counts
 from .errors import ConfigError
 from .family import FamilySpec
 from .moments import ONE_SIDED, TWO_SIDED, TollSpec
@@ -97,7 +97,7 @@ def _split_cdf(counts: WeightedCounts, m: int) -> np.ndarray:
     A plain cumsum may end a few ulps below 1; a uniform in that gap
     would draw K = m and leave an empty side.
     """
-    cum = np.cumsum(_prob_row_float(counts, m))
+    cum = np.cumsum(_split_row(counts, m, exact=False))
     cum[-1] = 1.0
     return cum
 

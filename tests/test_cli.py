@@ -2,6 +2,8 @@
 
 Claims covered:
     - reference outputs for constants / probs / limits / moments
+    - full split rows (exact up to n = 700, symmetrized, and a float row
+      past the exact cutoff) print the bytes they printed before
     - exact rationals survive serialization as p/q strings
     - JSON outputs parse back; identical argv (and seed) gives
       byte-identical output, also when the worker count changes, for
@@ -70,6 +72,22 @@ def test_probs_symmetrized(capture):
     code, out, _ = capture("probs", "--kind", "A", "--alpha0", "1", "--n", "4", "--symmetrized")
     assert code == 0
     assert out == "k,p\n1,3/8\n2,1/4\n3,3/8\n"
+
+
+@pytest.mark.parametrize("family, n, extra, expected", [
+    (("--kind", "A", "--alpha0", "1"), "700", (),
+     "fbeb632f829724f50bcff12245bbcda1cecb76369c73d7662e5c9663d2ca9f94"),
+    (("--kind", "C", "--alpha0", "2/3", "--alpha1", "5/7"), "500", (),
+     "7b23da7ff494babd27044019ec3b820566a46d81a339dfc2f94c1a3f6daf271b"),
+    (("--kind", "B", "--alpha0", "2", "--d", "2"), "300", ("--symmetrized",),
+     "7f2f0c17643ecb025d87832b37339f0a37011b41210aaf92127e83cf2774c5a9"),
+    (("--kind", "C", "--alpha0", "1", "--alpha1", "1"), "2500", (),  # past the exact cutoff: a float row
+     "5e538949e8eb60cf48037082c5670ac7520ff9bc44f4bb3868e3eb229033cb1b"),
+], ids=["A-700", "C-2/3-5/7-500", "B-300-sym", "C-2500-float"])
+def test_probs_row_bytes(capture, family, n, extra, expected):
+    code, out, _ = capture("probs", *family, "--n", n, *extra)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
 def test_limits_reference(capture):

@@ -15,6 +15,8 @@ Claims covered:
     - symmetrized distributions are palindromic and normalized
     - the exact splitting law equals the first-cut law found by
       enumerating every tree and edge (n <= 7)
+    - the exact splitting law equals W_k * C(n-2, k-1) * S_k * S_{n-k} / S_n
+      on the integer scale of the moment kernel (n <= 120, four families)
     - log-scale values agree with the exact rationals and stay stable
       far past double-precision overflow
 """
@@ -27,10 +29,11 @@ import pytest
 from treecut.bruteforce import first_cut_distribution
 from treecut.counts import (
     MAX_EXACT_CUTOFF,
-    _prob_row_float,
     _scaled_counts,
+    _split_row,
     _weight_scale,
     compute_counts,
+    integer_weights,
     lagrange_counts,
     split_distribution,
 )
@@ -149,6 +152,18 @@ def test_split_law_matches_enumeration(spec):
         assert list(split_distribution(counts, n).probs) == first_cut_distribution(spec, n)
 
 
+@pytest.mark.parametrize(
+    "spec", FAMILIES + [make_family("C", "2/3", alpha1="5/7")], ids=lambda s: s.label()
+)
+def test_exact_row_on_the_integer_scale(spec):
+    # the order-0 summand of the exact moment kernel: W_k * C(n-2, k-1) * S_k * S_{n-k} / S_n, L cancels
+    counts = compute_counts(spec, 120, exact_cutoff=120)
+    w, s = integer_weights(spec, 120), counts.scaled
+    for n in (2, 3, 17, 120):
+        expected = [Fraction(w[k] * math.comb(n - 2, k - 1) * s[k] * s[n - k], s[n]) for k in range(1, n)]
+        assert list(split_distribution(counts, n).probs) == expected
+
+
 def test_kind_c_weights_positive_despite_negative_a0():
     spec = ordered()
     assert spec.a0 < 0
@@ -188,7 +203,7 @@ def test_log_values_survive_overflow_scale():
     # T_n ~ c * 4^n / n^(3/2); ln T_3000 ~ 3000 ln 4, far past 1e308
     expected = 3000 * math.log(4) - 1.5 * math.log(3000) + math.log(0.1410474)
     assert counts.log_t(3000) == pytest.approx(expected, abs=0.01)
-    row = _prob_row_float(counts, 3000)
+    row = _split_row(counts, 3000, exact=False)
     assert row.sum() == pytest.approx(1.0, abs=1e-10)
     assert row.min() > 0
 
@@ -196,7 +211,7 @@ def test_log_values_survive_overflow_scale():
 def test_float_probs_match_exact_at_cutoff_boundary():
     counts = compute_counts(cayley(), 300, exact_cutoff=300)
     exact = split_distribution(counts, 300).as_array()
-    floats = _prob_row_float(counts, 300)
+    floats = _split_row(counts, 300, exact=False)
     assert abs(exact - floats).max() < 1e-12
 
 

@@ -194,6 +194,9 @@ def test_predicted_mean_regimes():
         0.5,
         0,
     )
+    assert not one.estimate_required
+    with pytest.raises(DomainError):
+        predicted_mean(cay, -0.5, ONE_SIDED)
     half = predicted_mean(ord_, 0.5, TWO_SIDED)
     assert half.coefficient == pytest.approx(1 / math.sqrt(math.pi), rel=1e-13)
     assert (half.n_power, half.log_power) == (1.0, 1)

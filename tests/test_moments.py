@@ -19,6 +19,9 @@ Claims covered:
       deterministic and its float central moments stay below 1e-13 of
       the mean's powers at n=10^4
     - Jensen, toll monotonicity, one-sided <= two-sided means
+    - re-rooting: on Cayley trees the exact two-sided alpha=1 mean is n
+      times the one-sided alpha=0 mean for n <= 60, for three size-1
+      costs; on ordered trees it is not
     - shifted moments by binomial expansion, exact in rational mode
     - TollSpec rejects a non-finite size-1 cost and keeps negative ones
 """
@@ -194,6 +197,23 @@ def test_two_sided_dominates_one_sided(tables):
             one = one_sided_moments(tables[spec.kind], toll, 150, 1, mode="float")
             two = two_sided_moments(tables[spec.kind], toll, 150, 1, mode="float")
             assert all(two.moment(n, 1) >= one.moment(n, 1) - 1e-9 for n in range(1, 151))
+
+
+@pytest.mark.parametrize("size_one", [None, 0, Fraction(2, 5)], ids=["default", "edges-only", "2/5"])
+def test_cayley_rerooting_identity(tables, size_one):
+    # A Cayley tree is equally likely rooted at each of its n vertices, and the
+    # two-sided alpha=1 cost charges each vertex once per cut that reaches it:
+    # summing the one-sided alpha=0 cost over all roots gives E X_n = n * E Y_n.
+    def means(spec):
+        counts = tables[spec.kind]
+        two = two_sided_moments(counts, TollSpec(alpha=1, size_one_cost=size_one), 60, 1, mode="rational")
+        one = one_sided_moments(counts, TollSpec(alpha=0, size_one_cost=size_one), 60, 1, mode="rational")
+        return [two.moment(n, 1) for n in range(1, 61)], [n * one.moment(n, 1) for n in range(1, 61)]
+
+    x, n_y = means(cayley())
+    assert x == n_y
+    x, n_y = means(ordered())  # re-rooting changes the law of an ordered tree
+    assert x[2] != n_y[2]
 
 
 def test_shifted_moments_identities(tables):
