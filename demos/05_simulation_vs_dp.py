@@ -36,8 +36,7 @@ for variant, maker in ((ONE_SIDED, one_sided_moments), (TWO_SIDED, two_sided_mom
     dp = float(maker(counts, TollSpec(alpha=1), n, 1, mode="float").moment(n, 1))
     stats = run_experiment(
         ExperimentConfig(family=spec, variant=variant, alpha=1.0, n=n,
-                         samples=40_000, seed=424242),
-        counts=counts,
+                         samples=40_000, seed=424242)
     )
     gap = abs(stats.moment_estimates[0] - dp) / stats.standard_errors[0]
     print(f"  {variant:<10} sample mean {stats.moment_estimates[0]:12.3f} "
@@ -46,8 +45,8 @@ for variant, maker in ((ONE_SIDED, one_sided_moments), (TWO_SIDED, two_sided_mom
 print()
 print("worker count never changes the result:")
 base = dict(family=spec, variant=TWO_SIDED, alpha=1.0, n=n, samples=20_000, seed=7)
-one = run_experiment(ExperimentConfig(**base, workers=1), counts=counts)
-four = run_experiment(ExperimentConfig(**base, workers=4), counts=counts)
+one = run_experiment(ExperimentConfig(**base, workers=1))
+four = run_experiment(ExperimentConfig(**base, workers=4))
 print("  workers=1 ->", one.moment_estimates)
 print("  workers=4 ->", four.moment_estimates)
 print("  bit-identical:", one == four)

@@ -15,18 +15,19 @@ Two engines with very different trust models:
   0.5 GB at n = 10^4.
 * ``explicit`` builds actual trees and literally cuts them, a shard at
   a time; it exists to *test* the size-process assumption, for every
-  family, and is capped at EXPLICIT_N_MAX vertices.  Each tree starts
-  as an offspring vector c with sum n - 1 drawn from the family's law
-  given that sum (Multinomial for kind A, a uniform subset of the d*n
-  child slots for kind B, Dirichlet-multinomial for kind C), rotated by
-  the cycle lemma into its preorder Lukasiewicz word (Devroye 2012);
-  one stack pass over the n positions turns the batch's words into
-  parent arrays.  Destruction draws a uniform order of the n - 1 edges
-  and adds the edges back from the last cut to the first with a
-  component label per vertex: each edge's merged size is the size of
-  the component it was cut in.  Two-sided cost is the sum of their
-  tolls plus n * t1; one-sided counts only the records, the edges whose
-  merged component holds the root (Janson 2006), plus t1.
+  family, at any n.  Each tree starts as an offspring vector c with sum
+  n - 1 drawn from the family's law given that sum (Multinomial for kind
+  A, a uniform subset of the d*n child slots for kind B,
+  Dirichlet-multinomial for kind C), rotated by the cycle lemma into its
+  preorder Lukasiewicz word (Devroye 2012); one stack pass over the n
+  positions turns the batch's words into parent arrays.  Destruction
+  draws a uniform order of the n - 1 edges and adds the edges back from
+  the last cut to the first with a union-find (Tarjan 1975): each
+  edge's merged size is the size of the component it was cut in.
+  Two-sided cost is the sum of their tolls plus n * t1; one-sided
+  counts only the records, the edges whose merged component holds the
+  root (Janson 2006), plus t1.  Sub-batches of 2^22 // n trees bound
+  the memory, about 280 MB at n = 10^4.
 
 Reproducibility contract: an experiment is deterministic given
 (config, seed) regardless of worker count.  Samples are processed in
@@ -38,6 +39,7 @@ are combined in shard order.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, List, NamedTuple, Optional, Tuple, TypeVar
@@ -50,7 +52,7 @@ from .family import FamilySpec
 from .moments import ONE_SIDED, TWO_SIDED, TollSpec
 
 SHARD_SIZE = 4096
-EXPLICIT_N_MAX = 64
+_EXPLICIT_CELLS = 1 << 22  # vertices (trees * n) an explicit sub-batch holds
 
 SIZE_PROCESS = "size_process"
 EXPLICIT = "explicit"
@@ -265,31 +267,36 @@ def _cut_records(parent: np.ndarray, order: np.ndarray, tolls: np.ndarray, one_s
     ``parent`` is (n, batch) and ``order[j]`` the lower vertices of the
     j-th edges cut.  Adding the edges back from the last cut to the
     first, each edge joins the two components it split, so the merged
-    size is the size of the component it was cut in.  Two-sided
-    destruction pays toll(merged) for every edge; one-sided pays it only
-    for the records, the edges whose merged component holds the root.
-    The size-1 charges are left to the caller.  The first cut's root side
-    is the tree less the lower vertex's subtree, the last merge's other
-    half.
+    size is the size of the component it was cut in.  A union-find over
+    the vertex-major flattening (Tarjan 1975) tracks the components:
+    ``link[x] == x`` marks a top, which holds its component's size.
+    Two-sided destruction pays toll(merged) for every edge; one-sided
+    pays it only for the records, the edges whose merged component holds
+    the root: its top is vertex 0, index < batch.  The size-1 charges
+    are left to the caller.  The first cut's root side is the tree less
+    the lower vertex's subtree, the last merge's other half.
     """
     n, batch = parent.shape
     cols = np.arange(batch)
     lower = order * batch + cols
     upper = np.take_along_axis(parent, order, axis=0) * batch + cols
-    # each vertex's component, named by its top vertex; int8 holds n <= EXPLICIT_N_MAX
-    top = np.repeat(np.arange(n, dtype=np.int8), batch).reshape(n, batch)
-    size = np.ones(n * batch, dtype=np.intp)  # component sizes, kept at their top vertex
+    link = np.arange(n * batch)
+    size = np.ones(n * batch, dtype=np.intp)
     cost = np.zeros(batch)
     root_side = np.zeros(batch, dtype=np.intp)
     for j in range(n - 2, -1, -1):
-        v = order[j]  # the top of its own component while its edge is missing
-        up = top.ravel()[upper[j]].astype(np.intp)
-        at = up * batch + cols
+        at = upper[j].copy()  # find by path halving: each visited vertex skips to its grandparent
+        moving = np.flatnonzero(link[at] != at)
+        while moving.size:
+            grand = link[link[at[moving]]]
+            link[at[moving]] = grand
+            at[moving] = grand
+            moving = moving[link[grand] != grand]
         root_side = size[at]
         merged = root_side + size[lower[j]]
         size[at] = merged
-        top += (top == v.astype(np.int8)).view(np.int8) * (up - v).astype(np.int8)
-        cost += np.where(up == 0, tolls[merged], 0.0) if one_sided else tolls[merged]
+        link[lower[j]] = at  # the lower vertex tops its own component while its edge is missing
+        cost += np.where(at < batch, tolls[merged], 0.0) if one_sided else tolls[merged]
     return cost, root_side
 
 
@@ -300,9 +307,13 @@ def _explicit_shard(spec: FamilySpec, tolls: np.ndarray, n: int, one_sided: bool
     paid once one-sided (the root) and n times two-sided.  The cut order
     is a uniform permutation of each tree's n - 1 edges.
     """
-    parent = _parents(_lukasiewicz(_offspring(spec, n, batch, rng)))
-    order = rng.permuted(np.repeat(np.arange(1, n), batch).reshape(n - 1, batch), axis=0)
-    cost, root_side = _cut_records(parent, order, tolls, one_sided)
+    step = max(1, _EXPLICIT_CELLS // n)
+    parts = []
+    for sub in (min(step, batch - start) for start in range(0, batch, step)):
+        parent = _parents(_lukasiewicz(_offspring(spec, n, sub, rng)))
+        order = rng.permuted(np.repeat(np.arange(1, n), sub).reshape(n - 1, sub), axis=0)
+        parts.append(_cut_records(parent, order, tolls, one_sided))
+    cost, root_side = (np.concatenate(part) for part in zip(*parts))
     return cost + (1 if one_sided else n) * tolls[1], root_side
 
 
@@ -322,8 +333,6 @@ def _check_run(variant: str, engine: str, n: int, samples: int, seed: int) -> No
         raise ConfigError(f"n must be >= 1, got {n}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    if engine == EXPLICIT and n > EXPLICIT_N_MAX:
-        raise ConfigError(f"explicit engine is capped at n = {EXPLICIT_N_MAX}")
 
 
 def _map_shards(
@@ -333,7 +342,8 @@ def _map_shards(
 
     The shards are SHARD_SIZE samples each, then the rest; shard i draws
     from its own Philox stream, so the results do not depend on
-    ``workers``.
+    ``workers``.  The pool starts at most one thread per shard and per
+    CPU, however many ``workers`` are asked for.
     """
     shards = [(i, min(SHARD_SIZE, samples - i * SHARD_SIZE)) for i in range((samples + SHARD_SIZE - 1) // SHARD_SIZE)]
 
@@ -341,9 +351,7 @@ def _map_shards(
         shard, batch = item
         return shard_fn(_shard_rng(seed, shard), batch)
 
-    if workers == 1:
-        return [run(item) for item in shards]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=min(workers, len(shards), os.cpu_count() or 1)) as pool:
         return list(pool.map(run, shards))
 
 
@@ -371,12 +379,8 @@ def _means_and_errors(partials: List[np.ndarray], count: int, s_max: int) -> Tup
     return [float(m) for m in means[:s_max]], errors
 
 
-def run_experiment(config: ExperimentConfig, counts: Optional[WeightedCounts] = None) -> SampleStats:
-    """Run a full experiment; deterministic given (config, seed).
-
-    ``counts`` may be supplied to reuse a table across experiments (only
-    the size-process engine needs one).
-    """
+def run_experiment(config: ExperimentConfig) -> SampleStats:
+    """Run a full experiment; deterministic given (config, seed)."""
     _check_run(config.variant, config.engine, config.n, config.samples, config.seed)
     if config.workers < 1:
         raise ConfigError(f"workers must be >= 1, got {config.workers}")
@@ -387,13 +391,7 @@ def run_experiment(config: ExperimentConfig, counts: Optional[WeightedCounts] = 
 
     costs: Callable[[np.random.Generator, int], np.ndarray]
     if config.engine == SIZE_PROCESS:
-        if counts is None:
-            counts = compute_counts(config.family, config.n, exact_cutoff=1)
-        if counts.family != config.family:
-            raise ConfigError(f"counts table is for {counts.family.label()}, the config for {config.family.label()}")
-        if counts.n_max < config.n:
-            raise ConfigError(f"counts table reaches n={counts.n_max}, need {config.n}")
-        table = _cumulative_rows(counts, config.n)
+        table = _cumulative_rows(compute_counts(config.family, config.n, exact_cutoff=1), config.n)
         engine = _size_process_one_sided if config.variant == ONE_SIDED else _size_process_two_sided
         t1 = float(toll.t1)
 

@@ -344,8 +344,8 @@ def criterion_11_monte_carlo():
             family=spec, variant=variant, alpha=1.0, n=n, samples=samples,
             seed=SEED, engine=simulate.SIZE_PROCESS, workers=1,
         )
-        stats = simulate.run_experiment(config, counts=counts)
-        replay = simulate.run_experiment(dataclasses.replace(config, workers=4), counts=counts)
+        stats = simulate.run_experiment(config)
+        replay = simulate.run_experiment(dataclasses.replace(config, workers=4))
         if stats != replay:
             failures.append(f"{variant}: workers=1 vs workers=4 not identical")
         maker = one_sided_moments if variant == ONE_SIDED else two_sided_moments

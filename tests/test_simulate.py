@@ -16,13 +16,17 @@ Claims covered:
     - the first-cut root-size law matches the splitting probabilities
       (randomness preservation, chi-square)
     - the explicit engine's mean and second moment sit within 4 SE of
-      the exact DP for five families and both variants at n = 30
+      the exact DP for five families and both variants at n = 30, and
+      its mean within 4 SE of the float DP at n = 2000
+    - a shard cut in several sub-batches keeps the edge-count identity,
+      the root-side range, worker independence and the survey's trees
     - the cut survey destroys the trees run_experiment destroys for the
       same seed
     - size-process and explicit engines agree with each other and with
       the exact DP within standard-error bounds
     - experiments are deterministic for a fixed seed regardless of
-      worker count, and configs are validated
+      worker count, the thread pool never outgrows the shards, and
+      configs are validated
     - the largest uniform below 1 still splits off a nonempty side
     - the guide-table draw equals a binary search of the cumulative row
       on every row entry and its float neighbours
@@ -39,6 +43,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from treecut import simulate
 from treecut.bruteforce import enumerate_trees, tree_weight
 from treecut.counts import compute_counts, split_distribution
 from treecut.errors import ConfigError
@@ -46,7 +51,7 @@ from treecut.family import binary, cayley, make_family, ordered
 from treecut.moments import ONE_SIDED, TWO_SIDED, TollSpec, one_sided_moments, two_sided_moments
 from treecut.simulate import (
     EXPLICIT,
-    EXPLICIT_N_MAX,
+    SHARD_SIZE,
     ExperimentConfig,
     SampleStats,
     _cumulative_rows,
@@ -54,6 +59,7 @@ from treecut.simulate import (
     _draw_splits,
     _explicit_shard,
     _lukasiewicz,
+    _map_shards,
     _offspring,
     _parents,
     _shard_rng,
@@ -91,8 +97,8 @@ def sample_tree_explicit(spec, n, rng) -> List[List[int]]:
     not depend on alpha0), kind C with alpha0 == alpha1 (uniform ordered
     tree), kind B (branching process conditioned on total size).
     """
-    if not 1 <= n <= EXPLICIT_N_MAX:
-        raise ConfigError(f"explicit sampling supports 1 <= n <= {EXPLICIT_N_MAX}, got {n}")
+    if not 1 <= n <= 64:
+        raise ConfigError(f"explicit sampling supports 1 <= n <= 64, got {n}")
     if spec.kind == "A":
         return _sample_labeled_rooted(n, rng)
     if spec.kind == "C":
@@ -376,16 +382,12 @@ def test_dary_sampler_valid():
 
 
 def test_explicit_sampler_guards():
-    # kind C with alpha0 != alpha1 has an explicit sampler; the size cap stays
+    # kind C with alpha0 != alpha1 has an explicit sampler
     config = ExperimentConfig(
         family=make_family("C", 1, alpha1=2), variant=TWO_SIDED, alpha=1.0, n=5, samples=100, seed=SEED,
         engine=EXPLICIT,
     )
     assert run_experiment(config).count == 100
-    with pytest.raises(ConfigError):
-        run_experiment(dataclasses.replace(config, n=EXPLICIT_N_MAX + 1))
-    with pytest.raises(ConfigError):
-        explicit_cut_survey(ordered(), TollSpec(alpha=0), EXPLICIT_N_MAX + 1, ONE_SIDED, 10, SEED)
     with pytest.raises(ConfigError):
         explicit_cut_survey(ordered(), TollSpec(alpha=0), 5, ONE_SIDED, 10, -1)
 
@@ -498,8 +500,8 @@ def _subtree_size(parent, v):
 
 @pytest.mark.parametrize(
     "parent",
-    [[0, 0, 1, 2], [0, 0, 0, 0], [0, 0, 1, 1, 0, 4], [0, 0, 1, 2, 2, 1, 0, 6, 6]],
-    ids=["path4", "star4", "tree6", "tree9"],
+    [[0, 0, 1, 2], [0, 0, 0, 0], [0, 0, 1, 1, 0, 4], [0, 0, 1, 2, 2, 1, 0, 6, 6], [0, *range(19)]],
+    ids=["path4", "star4", "tree6", "tree9", "path20"],  # a long path makes the finds deep
 )
 def test_cut_records_match_literal_cuts(parent):
     n = len(parent)
@@ -526,7 +528,7 @@ def test_explicit_engine_boundaries():
     assert np.all(cost == 2.0) and np.all(root_side == 1)
     edges_only = TollSpec(alpha=0, size_one_cost=0)
     for spec in SHAPE_FAMILIES:
-        for n in (2, 5, 10, EXPLICIT_N_MAX):
+        for n in (2, 5, 10, 64):
             cost, root_side = _explicit_shard(spec, edges_only.float_values(n), n, False, 64, _shard_rng(SEED, n))
             assert np.all(cost == n - 1)
             assert np.all((root_side >= 1) & (root_side <= n - 1))
@@ -549,6 +551,38 @@ def test_explicit_moments_match_dp(spec, variant):
     table = maker(compute_counts(spec, n, exact_cutoff=1), TollSpec(alpha=1), n, 2, mode="float")
     for s in (1, 2):
         assert abs(stats.moment_estimates[s - 1] - table.moment(n, s)) <= 4 * stats.standard_errors[s - 1]
+
+
+@pytest.mark.parametrize("variant", [ONE_SIDED, TWO_SIDED])
+@pytest.mark.parametrize("spec", [ordered(), cayley()], ids=lambda s: s.label())
+def test_explicit_means_match_dp_large_n(spec, variant):
+    n = 2000
+    stats = run_experiment(
+        ExperimentConfig(
+            family=spec, variant=variant, alpha=1.0, n=n, samples=1024, seed=SEED, engine=EXPLICIT, s_max=1
+        )
+    )
+    maker = one_sided_moments if variant == ONE_SIDED else two_sided_moments
+    dp = maker(compute_counts(spec, n, exact_cutoff=1), TollSpec(alpha=1), n, 1, mode="float").moment(n, 1)
+    assert abs(stats.moment_estimates[0] - dp) <= 4 * stats.standard_errors[0]
+
+
+def test_explicit_sub_batches(monkeypatch):
+    # 100 trees of n = 10 per sub-batch: a shard of 4096 is cut in 41 of them
+    monkeypatch.setattr(simulate, "_EXPLICIT_CELLS", 1000)
+    n = 10
+    edges_only = TollSpec(alpha=0, size_one_cost=0)
+    cost, root_side = _explicit_shard(ordered(), edges_only.float_values(n), n, False, 250, _shard_rng(SEED, 14))
+    assert cost.shape == root_side.shape == (250,)
+    assert np.all(cost == n - 1)
+    assert np.all((root_side >= 1) & (root_side <= n - 1))
+    config = ExperimentConfig(
+        family=cayley(), variant=ONE_SIDED, alpha=1.0, n=n, samples=SHARD_SIZE + 300, seed=SEED, engine=EXPLICIT
+    )
+    stats = run_experiment(config)
+    assert stats == run_experiment(dataclasses.replace(config, workers=2))
+    survey = explicit_cut_survey(cayley(), TollSpec(alpha=1), n, ONE_SIDED, SHARD_SIZE + 300, SEED)
+    assert (survey.cost_mean, survey.cost_se) == (stats.moment_estimates[0], stats.standard_errors[0])
 
 
 def test_size_process_single_samples():
@@ -655,12 +689,6 @@ def test_fixed_seed_golden_stats():
     )
 
 
-def test_counts_of_another_family_rejected():
-    config = ExperimentConfig(family=ordered(), variant=ONE_SIDED, alpha=1.0, n=50, samples=100, seed=1)
-    with pytest.raises(ConfigError):
-        run_experiment(config, counts=compute_counts(cayley(), 50, exact_cutoff=1))
-
-
 @pytest.mark.parametrize("alpha", [0.0, 1.0])
 @pytest.mark.parametrize("variant", [ONE_SIDED, TWO_SIDED])
 def test_engine_agreement(alpha, variant):
@@ -671,7 +699,7 @@ def test_engine_agreement(alpha, variant):
     base = ExperimentConfig(
         family=spec, variant=variant, alpha=alpha, n=n, samples=samples, seed=SEED
     )
-    size_stats = run_experiment(base, counts=counts)
+    size_stats = run_experiment(base)
     explicit_stats = run_experiment(
         ExperimentConfig(
             family=spec, variant=variant, alpha=alpha, n=n, samples=samples,
@@ -730,10 +758,33 @@ def test_config_validation():
         {"alpha": -1.0},
         {"s_max": 0},
         {"seed": -1},
-        {"engine": EXPLICIT, "n": 65},
     ):
         with pytest.raises(ConfigError):
             run_experiment(ExperimentConfig(**{**good, **overrides}))
+
+
+def test_thread_pool_bounded_by_shards(monkeypatch):
+    asked = []
+
+    class InlinePool:
+        """ThreadPoolExecutor stand-in: records its size, maps in the calling thread."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", InlinePool)
+    batches = _map_shards(lambda rng, batch: batch, SEED, 2 * SHARD_SIZE + 5, workers=1000)
+    assert batches == [SHARD_SIZE, SHARD_SIZE, 5]
+    assert len(asked) == 1 and 1 <= asked[0] <= 3
 
 
 def test_sample_stats_errors_positive_when_random():
