@@ -13,7 +13,10 @@ exponent alpha (alpha' = alpha + 1/2 throughout):
   the limit is the standard Rayleigh law with density y*exp(-y^2/2).
 
 Gamma ratios are evaluated as exp of log-Gamma differences so large
-s*alpha' cannot overflow.
+s*alpha' cannot overflow.  The log-Gamma is :func:`_lgamma`, a transcription
+of the Cephes ``lgam_sgn`` routine (S. L. Moshier) that
+``scipy.special.gammaln`` runs, so the package imports no scipy; the tests
+hold it equal to ``gammaln``/``gammasgn`` bit for bit.
 """
 
 from __future__ import annotations
@@ -21,10 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.special import gammaln, gammasgn
 
 from .errors import DomainError, NonIntegrable
 from .family import FamilyConstants
@@ -72,9 +74,79 @@ class LimitMoments:
         return self.m[s]
 
 
+# Cephes lgam_sgn coefficients: Stirling tail (A) and the rational
+# approximation of ln Gamma on [2, 3) (B / C).
+_LG_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+         -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+_LG_B = (-1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
+         -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5)
+_LG_C = (-3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
+         -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6)
+_LS2PI = 0.91893853320467274178  # ln sqrt(2 pi)
+_MAXLGM = 2.556348e305  # ln Gamma overflows above this
+
+
+def _polevl(x: float, coef) -> float:
+    """coef[0]*x^n + ... + coef[n] by Horner's rule."""
+    y = coef[0]
+    for c in coef[1:]:
+        y = y * x + c
+    return y
+
+
+def _p1evl(x: float, coef) -> float:
+    """Like :func:`_polevl` with an implicit leading coefficient 1."""
+    y = x + coef[0]
+    for c in coef[1:]:
+        y = y * x + c
+    return y
+
+
+def _lgamma(x: float) -> Tuple[float, float]:
+    """(ln|Gamma(x)|, sign of Gamma(x)) for x > -34, as Cephes lgam_sgn.
+
+    +inf at the poles 0, -1, ...; every argument the limit formulas form
+    lies above -1/2, so the reflection branch for x <= -34 is not ported.
+    """
+    if x <= -34.0:
+        raise DomainError(f"log-Gamma is only evaluated above -34, got {x}")
+    if x < 13.0:
+        z, p, u = 1.0, 0.0, x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            if u == 0.0:
+                return math.inf, 1.0
+            z /= u
+            p += 1.0
+            u = x + p
+        sign = 1.0
+        if z < 0.0:
+            sign, z = -1.0, -z
+        if u == 2.0:
+            return math.log(z), sign
+        p -= 2.0
+        x = x + p
+        return math.log(z) + x * _polevl(x, _LG_B) / _p1evl(x, _LG_C), sign
+    if x > _MAXLGM:
+        return math.inf, 1.0
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1.0e8:
+        return q, 1.0
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        q += ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+              + 0.0833333333333333333333) / x
+    else:
+        q += _polevl(p, _LG_A) / x
+    return q, 1.0
+
+
 def _gamma_ratio(a: float, b: float) -> float:
     """Gamma(a)/Gamma(b) for positive a, b, safe for large arguments."""
-    return math.exp(gammaln(a) - gammaln(b))
+    return math.exp(_lgamma(a)[0] - _lgamma(b)[0])
 
 
 def limit_moments_two_sided(alpha: float, s_max: int) -> LimitMoments:
@@ -96,14 +168,20 @@ def limit_moments_two_sided(alpha: float, s_max: int) -> LimitMoments:
             "use the dedicated alpha = 1/2 regime"
         )
     ap = alpha + 0.5
-    m1 = float(gammasgn(alpha - 0.5)) * math.exp(gammaln(alpha - 0.5) - gammaln(alpha)) / math.sqrt(2.0)
+    if ap == 0.5:
+        raise DomainError(
+            f"alpha = {alpha} vanishes in alpha + 1/2, which puts k*alpha' - 1/2 "
+            "on the Gamma pole at 0"
+        )
+    ln_m1, sign = _lgamma(alpha - 0.5)
+    m1 = sign * math.exp(ln_m1 - _lgamma(alpha)[0]) / math.sqrt(2.0)
     m = [1.0, m1]
     for s in range(2, s_max + 1):
         conv = 0.0
         for k in range(1, s):
             conv += (
                 math.comb(s, k)
-                * math.exp(gammaln(k * ap - 0.5) + gammaln((s - k) * ap - 0.5) - gammaln(s * ap - 0.5))
+                * math.exp(_lgamma(k * ap - 0.5)[0] + _lgamma((s - k) * ap - 0.5)[0] - _lgamma(s * ap - 0.5)[0])
                 * m[k]
                 * m[s - k]
             )
@@ -223,7 +301,7 @@ def limit_moments_one_sided(alpha: float, s_max: int) -> LimitMoments:
     m = [1.0]
     log_prod = 0.0
     for s in range(1, s_max + 1):
-        log_prod += gammaln(s * ap) - gammaln(s * ap + 0.5)
+        log_prod += _lgamma(s * ap)[0] - _lgamma(s * ap + 0.5)[0]
         m.append(math.exp(math.lgamma(s + 1) - (s / 2.0) * math.log(2.0) + log_prod))
     return LimitMoments(regime=ONE_SIDED, alpha=alpha, m=m)
 

@@ -27,7 +27,6 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
-from scipy.special import chdtrc
 
 from . import analysis, bruteforce, limits, simulate
 from .counts import compute_counts, lagrange_counts, split_distribution
@@ -164,6 +163,8 @@ def criterion_03_count_oracles():
 @_criterion(4, "randomness preservation (explicit cuts, n=10)", budget=30.0)
 def criterion_04_randomness_preservation():
     """Explicit cutting of ordered trees reproduces the splitting law."""
+    from scipy.special import chdtrc
+
     n, samples = 10, 100_000
     spec = ordered()
     toll = TollSpec(alpha=0)

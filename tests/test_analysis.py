@@ -12,13 +12,16 @@ Claims covered:
       coefficient in a free fit
     - family-independence gaps shrink along the grid
     - MissingShift fires when a shifted regime cannot be fitted
+    - the fit grid equals the np.unique of its geometric points
     - alpha = 1/2 +- 1e-9 normalizes as alpha = 1/2; mu is fitted on
       two-sided tables only
 """
 
+import numpy as np
 import pytest
 
 from treecut.analysis import (
+    GRID_POINTS,
     estimate_delta,
     estimate_mu,
     family_independence_check,
@@ -214,3 +217,10 @@ def test_fit_grid_shape():
     assert grid[0] >= 500 and grid[-1] == 4000 and len(grid) >= 4
     with pytest.raises(ConfigError):
         fit_grid(3)
+
+
+def test_fit_grid_matches_np_unique():
+    for n_max in range(30, 20_001, 7):
+        reference = np.unique(np.geomspace(max(2, n_max // 8), n_max, GRID_POINTS).astype(int))
+        grid = fit_grid(n_max)
+        assert grid.dtype == reference.dtype and np.array_equal(grid, reference), n_max

@@ -2,6 +2,8 @@
 
 Claims covered:
     - reference outputs for constants / probs / limits / moments
+    - limit moments in all three regimes print the bytes they printed
+      before, so a last-digit drift in the log-Gamma evaluation shows
     - full split rows (exact up to n = 700, symmetrized, and a float row
       past the exact cutoff) print the bytes they printed before
     - exact rationals survive serialization as p/q strings
@@ -97,6 +99,22 @@ def test_limits_reference(capture):
     assert values[0] == 1.0
     assert values[1] == pytest.approx(math.sqrt(math.pi / 2), rel=1e-12)
     assert values[2] == pytest.approx(2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("args, expected", [
+    (("--regime", "two", "--alpha", "0.3", "--smax", "6"),
+     "f7882b5d1dee55f1ab1fa6db28ae27c898c717ceb3d31cc0ff2052b113d84447"),
+    (("--regime", "two", "--alpha", "1", "--smax", "8"),
+     "1a8055bc5cb34324944d9fd56a3158447446fda25f40dfde304f8e170a8e29bd"),
+    (("--regime", "one", "--alpha", "1.7", "--smax", "6"),
+     "26c558f6cb7470b9863a5cb91d07269cb235bd46480de95eddb048ce9b980602"),
+    (("--regime", "two-half", "--smax", "6"),
+     "63989782146a98f63bd96e36379ca5bf5e0e240fc04d25441017a5b920329748"),
+], ids=["two-0.3", "two-1", "one-1.7", "two-half"])
+def test_limits_bytes(capture, args, expected):
+    code, out, _ = capture("limits", *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
 def test_moments_exact_csv(capture):

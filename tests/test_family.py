@@ -7,7 +7,8 @@ Claims covered:
       to 1e-13 relative error, from alpha0 = 1e-12 to 1e100 and next to
       kind C's pole; constants that leave double range raise DomainError
     - sigma^2 = 1 + beta/alpha0 for kind C holds next to the pole
-    - importing the package loads no scipy.optimize
+    - importing the package loads no scipy module at all, scipy.optimize
+      included
     - derived constants (rho, b, c, sigma) and their exact identities
     - plain-text config block round trip
 """
@@ -162,6 +163,17 @@ def test_import_loads_no_scipy_optimize():
     code = "import sys, treecut, treecut.cli; print('scipy.optimize' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(treecut.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, treecut, treecut.cli; "
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_root_mismatch_gate(monkeypatch):

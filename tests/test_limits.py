@@ -2,7 +2,11 @@
 
 Claims covered:
     - two-sided recurrence values at alpha = 1 and 2 against hand algebra
-    - the Gamma pole at alpha = 1/2 raises instead of returning garbage
+    - the Gamma pole at alpha = 1/2, and an alpha too small to survive
+      alpha + 1/2, raise instead of returning garbage or NaN
+    - the log-Gamma port equals scipy.special.gammaln / gammasgn bit for
+      bit at every argument the limit formulas form, at its branch
+      borders and at the ends of the float range
     - a negative order s_max and a NaN alpha raise instead of returning
       a truncated list or NaN moments
     - the s = 1 coefficient-space constant ties back to m_1 through the
@@ -21,6 +25,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammaln, gammasgn
 
 from treecut.errors import DomainError, NonIntegrable
 from treecut.family import ordered, cayley, solve_constants
@@ -29,6 +34,7 @@ from treecut.limits import (
     TWO_SIDED_EDGES,
     TWO_SIDED_HALF,
     TWO_SIDED_LINEAR,
+    _lgamma,
     j_integral,
     j_integral_adaptive,
     limit_moments_one_sided,
@@ -61,10 +67,47 @@ def test_two_sided_below_half_matches_direct_gamma():
     assert lm.m[2] > 0
 
 
-@pytest.mark.parametrize("alpha", [0.5, 0.5 + 5e-7, 0.5 - 5e-7, 0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "alpha", [0.5, 0.5 + 5e-7, 0.5 - 5e-7, 0.0, -1.0, math.nan, math.inf, 1e-17, 1e-300]
+)
 def test_two_sided_pole_window(alpha):
     with pytest.raises(DomainError):
         limit_moments_two_sided(alpha, 2)
+
+
+def _limit_gamma_arguments():
+    """Every Gamma argument the limit formulas form, alpha on a grid in (0, 8], s <= 12."""
+    for alpha in np.linspace(0.0, 8.0, 3201)[1:]:
+        alpha = float(alpha)
+        ap = alpha + 0.5
+        yield alpha - 0.5
+        yield alpha
+        for s in range(1, 13):
+            yield s * ap - 0.5
+            yield s * ap - 1.0
+            yield s * ap
+            yield s * ap + 0.5
+
+
+def _lgamma_borders():
+    for border in (-0.5, 1.0, 2.0, 3.0, 13.0, 1000.0, 1e8, 2.556348e305):
+        yield math.nextafter(border, -math.inf)
+        yield border
+        yield math.nextafter(border, math.inf)
+
+
+def test_lgamma_matches_scipy_bitwise():
+    xs = [*_limit_gamma_arguments(), *_lgamma_borders(), 5e-324, 1e-310, 1e306, math.inf,
+          -33.5, -20.25, -0.25]
+    mismatched = [x for x in xs if _lgamma(x) != (float(gammaln(x)), float(gammasgn(x)))]
+    assert mismatched == []
+
+
+def test_lgamma_pole_and_reflection_range():
+    assert _lgamma(0.0)[0] == math.inf == gammaln(0.0)
+    for x in (-34.0, -1e3, -math.inf):
+        with pytest.raises(DomainError):
+            _lgamma(x)
 
 
 @pytest.mark.parametrize("spec", [ordered(), cayley()], ids=lambda s: s.label())
