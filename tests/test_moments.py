@@ -13,11 +13,15 @@ Claims covered:
       zero, positive and negative) and a toll with its own denominators,
       and on Cayley trees at
       alpha=2 up to n=60; the float table follows it to 1e-12 up to n=150
-    - float tables track rational tables to 1e-13 (n=300, alpha=1,
-      s<=3, three families, both variants)
+    - float tables track rational tables to 1e-12 at n=200 with the
+      two-sided k-sum blocked by 1, 3 and the default 128 terms, equal
+      them at n <= 3, and track them to 1e-13 (n=300, alpha=1, s<=3,
+      three families, both variants)
     - the float kernel does not cancel: at alpha=0 the two-sided cost is
-      deterministic and its float central moments stay below 1e-13 of
+      deterministic and its float central moments stay below 2.5e-14 of
       the mean's powers at n=10^4
+    - two-sided float64 rows match the long-double rows to 5e-15 at
+      n=2000 (s<=4, alpha in {0, 1/2, 1}, three families)
     - Jensen, toll monotonicity, one-sided <= two-sided means
     - re-rooting: on Cayley trees the exact two-sided alpha=1 mean is n
       times the one-sided alpha=0 mean for n <= 60, for three size-1
@@ -32,6 +36,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from treecut import moments
 from treecut.bruteforce import family_moments
 from treecut.counts import compute_counts
 from treecut.errors import ConfigError, OutOfRange
@@ -115,17 +120,25 @@ def test_one_sided_boundary_shift(tables):
 
 
 @pytest.mark.parametrize("variant_maker", [one_sided_moments, two_sided_moments])
-def test_float_matches_rational(tables, variant_maker):
+def test_float_matches_rational(tables, variant_maker, monkeypatch):
     counts = tables["C"]
     toll = TollSpec(alpha=1)
     exact = variant_maker(counts, toll, 200, 3, mode="rational")
-    floats = variant_maker(counts, toll, 200, 3, mode="float")
-    worst = max(
-        abs(floats.moment(n, s) / float(exact.moment(n, s)) - 1)
-        for n in range(1, 201)
-        for s in range(4)
-    )
-    assert worst < 1e-12
+    # blocks of 1 and 3 terms put block edges inside the two-sided half-sums at both parities of n
+    for block in (1, 3, moments._BLOCK):
+        monkeypatch.setattr(moments, "_BLOCK", block)
+        floats = variant_maker(counts, toll, 200, 3, mode="float")
+        worst = max(
+            abs(floats.moment(n, s) / float(exact.moment(n, s)) - 1)
+            for n in range(1, 201)
+            for s in range(4)
+        )
+        assert worst < 1e-12, block
+        for n_max in (1, 2, 3):
+            small = variant_maker(counts, toll, n_max, 3, mode="float")
+            assert [small.moment(n, s) for n in range(1, n_max + 1) for s in range(4)] == [
+                float(exact.moment(n, s)) for n in range(1, n_max + 1) for s in range(4)
+            ], (block, n_max)
 
 
 @pytest.fixture(scope="module")
@@ -156,7 +169,7 @@ def test_float_central_moments_alpha0_n10000(spec):
     table = two_sided_moments(counts, TollSpec(alpha=0), n, 4, mode="float")
     mean = table.moment(n, 1)
     for s in (2, 3, 4):
-        assert abs(shifted_moments(table, lambda _: mean, s, [n])[0]) / mean**s <= 1e-13
+        assert abs(shifted_moments(table, lambda _: mean, s, [n])[0]) / mean**s <= 2.5e-14
 
 
 def test_paired_equals_direct(tables):
@@ -263,6 +276,15 @@ def test_extended_precision_mode(tables):
     wide = two_sided_moments(tables["C"], toll, 120, 2, mode="float", dtype=np.longdouble)
     assert wide.rows.dtype == np.longdouble
     assert np.allclose(wide.row(2)[1:], base.row(2)[1:], rtol=1e-10)
+    # the blocked two-sided k-sum keeps float64 within a few roundings of long double
+    n = 2000
+    for spec in FAMILIES:
+        counts = compute_counts(spec, n, exact_cutoff=1)
+        for alpha in (0, 0.5, 1):
+            toll = TollSpec(alpha=alpha)
+            base = two_sided_moments(counts, toll, n, 4, mode="float").rows[:, 1:]
+            wide = two_sided_moments(counts, toll, n, 4, mode="float", dtype=np.longdouble).rows[:, 1:]
+            assert np.max(np.abs(base / wide - 1)) <= 5e-15, (spec.label(), alpha)
 
 
 # ---------------------------------------------------------------------------
