@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
-from .counts import compute_counts, split_distribution
+from .counts import MAX_EXACT_CUTOFF, compute_counts, split_distribution
 from .errors import ConfigError, TreecutError
 from .family import FamilySpec, make_family, parse_config, solve_constants
 from .limits import (
@@ -151,7 +151,7 @@ def _cmd_moments(args) -> int:
     spec = _family_from_args(args)
     mode = {"exact": "rational", "float": "float", "auto": "auto"}[args.mode]
     toll = _toll_from_args(args)
-    wants_exact = mode == "rational" or (mode == "auto" and toll.is_rational)
+    wants_exact = mode == "rational" or (mode == "auto" and toll.is_rational and args.nmax <= MAX_EXACT_CUTOFF)
     counts = compute_counts(spec, args.nmax, exact_cutoff=args.nmax if wants_exact else 1)
     maker = one_sided_moments if _variant(args.variant) == ONE_SIDED else two_sided_moments
     table = maker(counts, toll, args.nmax, args.smax, mode=mode)

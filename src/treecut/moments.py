@@ -23,18 +23,16 @@ one-sided by t_1, two-sided by n * t_1.
 
 Tables are exact whenever every toll value is rational (integer alpha
 and a rational size-1 cost), else double precision; an 80-bit
-extended mode is available via ``dtype=numpy.longdouble``.  The exact
-recurrence runs on plain integers
+extended mode is available via ``dtype=numpy.longdouble``.  Exact
+values are the reduced Fractions N_n^s / (S_n * D^s) of the integers
 
     N_n^s = (n-1)! * L^(n-1) * T_n * D^s * E V_n^s,
 
-where L clears the denominators of a0 and a1 and D that of the size-1
-cost t_1.  Order 0 is the integer count S_n of :mod:`treecut.counts`,
-which is on this scale already.  The factor (n-1)! absorbs the division
-by n-1 that every level of the moments needs, so each step is an
-integer sum of products with no division.  The reduced
-Fractions E V_n^s = N_n^s / (N_n^0 * D^s) are built once, after the
-recurrence.
+where L clears the denominators of a0 and a1, D that of the size-1 cost
+t_1, and S_n = N_n^0 is the integer count of :mod:`treecut.counts`.  The
+recurrence runs on N_n^s / (n-1)! modulo primes just below 2^20, where
+1/(n-1) is a modular inverse and each k-sum a plain convolution, and
+rebuilds each N_n^s once by the Chinese remainder theorem.
 
 The float recurrence runs on F_n^s = a_n * E V_n^s, with the rho-scaled
 counts a_n = rho^n * T_n of :mod:`treecut.counts`, which stay inside
@@ -55,17 +53,17 @@ every ordered term lives in the tests, as their Fraction oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
 from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .counts import WeightedCounts, integer_weights
-from .errors import ConfigError, OutOfRange
+from .errors import ConfigError, OutOfRange, OverflowPolicyError
 from .family import FamilySpec
 
 Value = Union[Fraction, float]
@@ -210,76 +208,127 @@ def two_sided_moments(
 # ---------------------------------------------------------------------------
 
 
-def folded_sum(w: List[int], s: List[int], n: int, binom: List[int]) -> int:
-    """sum_k W_k * B_k * S_k * S_{n-k} over 1 <= k <= n-1, with B_k = C(n-2, k-1).
+#: Primes per chunk of the residue recurrence.
+_CHUNK = 64
 
-    Terms k and n-k share S_k * S_{n-k} and B_k, and their weights add up
-    to W_1 + W_{n-1}; the middle term of an even n stands alone.
+#: Values per float product of the Chinese remaindering.
+_CRT_BLOCK = 64
+
+
+@functools.cache
+def _primes() -> np.ndarray:
+    """The primes in (2^19, 2^20), largest first, sieved on first use.
+
+    Each exceeds MAX_EXACT_CUTOFF, and a product of two residues stays below 2^40.
     """
-    half, mid = (n - 1) // 2, n // 2
-    lower = map(mul, binom, s[1 : half + 1])
-    acc = (w[1] + w[n - 1]) * sum(map(mul, lower, s[n - 1 : n - half - 1 : -1]))
-    if n % 2 == 0:
-        acc += w[mid] * binom[mid - 1] * s[mid] ** 2
-    return acc
+    low = 1 << 19
+    odd = np.ones(low // 2, dtype=bool)  # odd[j] stands for low + 2j + 1
+    for i in range(3, 1 << 10, 2):
+        odd[(-low - 1) * (i + 1) // 2 % i :: i] = False
+    return (2 * np.flatnonzero(odd)[::-1] + low + 1).astype(np.int32)
+
+
+def _residue_primes(counts: WeightedCounts, toll: TollSpec, n_max: int, s_max: int) -> np.ndarray:
+    """The fewest primes of :func:`_primes` whose product exceeds 2 * max |N[s][n]|."""
+    t1 = Fraction(toll.t1)
+    reach = [(n - 1) * t1.denominator * n ** int(toll.alpha) + n * abs(t1.numerator) for n in range(n_max + 1)]
+    bits = 1 + max(counts.scaled[n].bit_length() + s_max * reach[n].bit_length() for n in range(1, n_max + 1))
+    primes = _primes()
+    count = int(np.searchsorted(np.cumsum(np.log2(primes[: bits // 19 + 2])), bits + 1)) + 1
+    if count > len(primes):
+        raise OverflowPolicyError(f"exact moments need {bits} bits, more than {len(primes)} residue primes hold")
+    return primes[:count].astype(np.int64)
+
+
+def _residue_rows(counts: WeightedCounts, toll: TollSpec, variant: str, n_max: int, s_max: int, q, crt) -> np.ndarray:
+    """crt * N[s][n] mod each prime of q, as an int64 array [s, n, prime] (n = 0 unused).
+
+    On m[s][n] = N[s][n] / (n-1)! the binomials of the integer sums cancel:
+    m[s][n] = sum_r C(s,r) tau_n^(s-r) y_r / (n-1), with the one-sided
+    y_r = sum_k W_k m[r][k] m[0][n-k] and the two-sided y_r = sum_{j+l=r}
+    C(r,j) sum_k W_k m[j][k] m[l][n-k], symmetric in (j, l), so its k-sum
+    folds to k <= n/2 with weight W_1 + W_{n-1} = 2 W_{n/2}.  A k-sum of
+    products below 2^40 is exact in int64, reduced once.  The toll enters
+    by Pascal's rule F_i(r) = F_{i-1}(r+1) + tau_n F_{i-1}(r), F_0 = y.
+    """
+    size, c, ps = s_max + 1, len(q), [int(p) for p in q]
+    n = np.arange(n_max + 1)[:, None]
+    w0, w1 = integer_weights(counts.family, 1)
+    slope, base = (np.array([x % p for p in ps]) for x in (w1 - w0, w0))  # W_k = W_0 + (W_1 - W_0) k
+    fac = np.ones((n_max + 1, c), dtype=np.int32)  # 1/(n-1) times the k-sum's weight; int32, promoted in products
+    for i in range(2, n_max):
+        fac[i + 1] = (q - q // i) * fac[q % i + 1, np.arange(c)] % q  # 1/i = -(q // i) / (q mod i)
+    if variant == TWO_SIDED:  # W_1 + W_{n-1}, or W_{n/2} for even n, whose middle term is doubled below
+        fac[:] = fac * ((slope * np.where(n % 2, n, n // 2) + base * np.where(n % 2, 2, 1)) % q) % q
+    else:
+        w = ((slope * n + base) % q).astype(np.int32)
+    t1 = Fraction(toll.t1)
+    tau = np.tile([t1.denominator % p for p in ps], (n_max + 1, 1))
+    for _ in range(int(toll.alpha)):
+        tau = tau * n % q
+    tau = tau.astype(np.int32)
+    mix = np.zeros((size, size * size), dtype=np.int64)  # y_r = sum_{j+l=r} C(r,j) G[j, l]
+    for j in range(size):
+        mix[j:, j * size : j * size + size - j] = np.diag([math.comb(j + l, j) for l in range(size - j)])
+    pairs = np.zeros((size, size, c), dtype=np.int64)
+    rows = np.zeros((size, n_max + 1, c), dtype=np.int64)
+    rows[:, 1] = [[pow(t1.numerator, s, p) for p in ps] for s in range(size)]  # tau_1 = D*t_1
+    for m in range(2, n_max + 1):
+        if variant == ONE_SIDED:
+            y = np.einsum("jkc,kc->jc", rows[:, 1:m], w[1:m] * rows[0, m - 1 : 0 : -1] % q)
+        else:
+            lower, upper = rows[:, 1 : (m + 1) // 2], rows[:, m - 1 : m // 2 : -1]  # k and n-k, k < n/2
+            for j in range(size):
+                np.einsum("kc,lkc->lc", lower[j], upper[: size - j], out=pairs[j, : size - j])
+            if m % 2 == 0:
+                pairs[...] = 2 * pairs + rows[:, m // 2, None] * rows[None, :, m // 2]
+            pairs %= q
+            y = mix @ pairs.reshape(size * size, c)
+        y = y % q * fac[m] % q
+        rows[0, m] = y[0]
+        for s in range(1, size):
+            y = (y[1:] + tau[m] * y[:-1]) % q
+            rows[s, m] = y[0]
+    for i in range(1, n_max + 1):  # N[s][i] = (i-1)! m[s][i]
+        rows[:, i] *= crt
+        crt = crt * i % q
+    rows %= q
+    return rows[1:]
 
 
 def _rational_rows(counts: WeightedCounts, toll: TollSpec, variant: str, n_max: int, s_max: int) -> List[List]:
-    """Exact rows[s][n] = E V_n^s as reduced Fractions, from an integer recurrence.
+    """Exact rows[s][n] = E V_n^s = N[s][n] / (S_n * D^s) as reduced Fractions.
 
-    N[s][n] = (n-1)! * L^(n-1) * T_n * D^s * E V_n^s is an integer, with
-    W_k = L*(a1*k + a0), D the denominator of the size-1 cost t_1 and
-    tau_n = D*t_n, an integer since t_n = n^alpha for n >= 2.  Row 0 is the count S_n = ``counts.scaled``.  Both
-    variants share
-
-        N[s][n] = sum_r C(s,r) * tau_n^(s-r) * Y_r,      Y_0 = N[0][n],
-
-    where, with B_k = C(n-2, k-1),
-
-        one-sided:  Y_r = sum_k W_k B_k N[r][k] N[0][n-k]
-        two-sided:  Y_r = sum_{j+l=r} C(r,j) sum_k W_k B_k N[j][k] N[l][n-k].
-
-    The two-sided sum is folded over k <-> n-k: B_k = B_{n-k}, and
-    W_k + W_{n-k} = W_1 + W_{n-1} for every k.
+    The recurrence runs modulo P primes, ``_CHUNK`` at a time.  A cost is
+    at most n-1 tolls t_m <= t_n plus n size-1 costs, so |N[s][n]| <=
+    S_n * ((n-1) tau_n + n |tau_1|)^s, and P is the fewest primes whose
+    product M exceeds twice that.  Each N is rebuilt once by the Chinese
+    remainder theorem, N = sum_i u_i M/p_i mod M with u_i = N (M/p_i)^(-1)
+    mod p_i, as the symmetric residue (t_1 < 0 makes N < 0 at odd s).  The
+    sum is one float product of the u_i with the base-2^16 digits of the
+    M/p_i for ``_CRT_BLOCK`` values, exact as each digit sum stays below
+    P * 2^36 < 2^53; four interleaved lanes of these sums make the int.
     """
-    w = integer_weights(counts.family, n_max)
-    t1 = Fraction(toll.t1)
-    denom = t1.denominator
-    power = int(toll.alpha)
-    tau = [0, t1.numerator] + [denom * n**power for n in range(2, n_max + 1)]
-    rows = [counts.scaled[: n_max + 1]] + [[0] * (n_max + 1) for _ in range(s_max)]
-    for s in range(1, s_max + 1):
-        rows[s][1] = tau[1] ** s
-    comb = [[math.comb(s, r) for r in range(s + 1)] for s in range(s_max + 1)]
-    binom = [1]  # B_k for k = 1..n-1, advanced along Pascal's triangle
-    for n in range(2, n_max + 1):
-        if n > 2:
-            binom = [1, *map(add, binom, binom[1:]), 1]
-        fwd = [row[1:n] for row in rows]  # N[j][k], k = 1..n-1
-        rev = [row[n - 1 : 0 : -1] for row in rows]  # N[l][n-k]
-        y = [rows[0][n]]
-        if variant == ONE_SIDED:
-            partner = list(map(mul, map(mul, w[1:n], binom), rev[0]))
-            y += [sum(map(mul, partner, fwd[r])) for r in range(1, s_max + 1)]
-        else:
-            bf = [list(map(mul, binom, fwd[j])) for j in range((s_max + 1) // 2)]
-            for r in range(1, s_max + 1):
-                # j < l = r-j: one dot over every k carries both orders (j, l) and (l, j)
-                acc = sum(comb[r][j] * sum(map(mul, bf[j], rev[r - j])) for j in range((r + 1) // 2))
-                acc *= w[1] + w[n - 1]
-                if r % 2 == 0:
-                    acc += comb[r][r // 2] * folded_sum(w, rows[r // 2], n, binom)
-                y.append(acc)
-        tpow = [1]
-        for _ in range(s_max):
-            tpow.append(tpow[-1] * tau[n])
-        for s in range(1, s_max + 1):
-            rows[s][n] = sum(comb[s][r] * tpow[s - r] * y[r] for r in range(s + 1))
-    counts_row = rows[0]
-    out: List[List] = [[None] + [Fraction(1)] * n_max]
-    for s in range(1, s_max + 1):
-        scale = denom**s
-        out.append([None] + [Fraction(v, c * scale) for v, c in zip(rows[s][1:], counts_row[1:])])
+    if s_max > 43:  # y_r adds 2^r residues in int64
+        raise OutOfRange(f"exact moments need s_max <= 43, got {s_max}")
+    primes = _residue_primes(counts, toll, n_max, s_max)
+    modulus = math.prod(int(p) for p in primes)
+    crt = np.array([pow(modulus // p % p, -1, p) for p in map(int, primes)], dtype=np.int64)  # (M/p)^(-1) mod p
+    residues = np.empty((s_max, n_max, len(primes)), dtype=np.float32)  # u_i < 2^20, exact in float32
+    for chunk in np.array_split(np.arange(len(primes)), -(-len(primes) // _CHUNK)):
+        residues[:, :, chunk] = _residue_rows(counts, toll, variant, n_max, s_max, primes[chunk], crt[chunk])[:, 1:]
+    digits = (modulus.bit_length() + 15) // 16
+    basis = np.empty((len(primes), digits))  # base-2^16 digits of M/p
+    for row, p in zip(basis, map(int, primes)):
+        row[:] = np.frombuffer((modulus // p).to_bytes(2 * digits, "little"), dtype="<u2")
+    flat = residues.reshape(s_max * n_max, len(primes))
+    denom, half = Fraction(toll.t1).denominator, modulus // 2
+    out: List[List] = [[None] + [Fraction(1)] * n_max] + [[None] for _ in range(s_max)]
+    for lo in range(0, len(flat), _CRT_BLOCK):
+        for i, row in enumerate((flat[lo : lo + _CRT_BLOCK].astype(np.float64) @ basis).astype(np.uint64), lo):
+            x = sum(int.from_bytes(row[r::4].tobytes(), "little") << 16 * r for r in range(4)) % modulus
+            s, n = divmod(i, n_max)
+            out[s + 1].append(Fraction(x - modulus if x > half else x, counts.scaled[n + 1] * denom ** (s + 1)))
     return out
 
 

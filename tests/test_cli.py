@@ -10,7 +10,11 @@ Claims covered:
     - JSON outputs parse back; identical argv (and seed) gives
       byte-identical output, also when the worker count changes, for
       both simulation engines
-    - the README simulate example prints the bytes it printed before
+    - the README simulate example prints the bytes it printed before,
+      and so does the README's exact n=600 moments table, recorded with
+      the big-integer kernel before the residue kernel replaced it
+    - past the bound on exact counts, moments in auto mode fall back to
+      floats, and exact mode is a validation error
     - exit codes: 0 ok, 1 validation or usage error, 2 failed criteria;
       a --size-one-cost that is no finite number, a negative --seed, and
       a negative --smax or NaN --alpha for limits are validation errors
@@ -24,6 +28,7 @@ from fractions import Fraction
 
 import pytest
 
+from treecut import cli, counts
 from treecut.cli import main
 
 
@@ -149,6 +154,33 @@ def test_moments_rational_size_one_cost_bytes(capture, variant, alpha, expected)
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
+def test_moments_readme_exact_bytes(capture):
+    # the README's exact n=600 table; its stdout was recorded with the big-integer kernel
+    code, out, _ = capture(
+        "moments", "--kind", "C", "--alpha0", "1", "--alpha1", "1", "--variant", "two", "--alpha", "1",
+        "--nmax", "600", "--smax", "2", "--mode", "exact",
+    )
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "38458fc68db31b39889724c6c8dca2afb01ba9649efbf2d293f59a2cecad5f0c"
+
+
+def test_moments_auto_past_exact_bound(capture, monkeypatch):
+    # past the bound on exact counts, auto mode prints float moments and exact mode is an error
+    monkeypatch.setattr(counts, "MAX_EXACT_CUTOFF", 10)
+    monkeypatch.setattr(cli, "MAX_EXACT_CUTOFF", 10)
+    argv = ("moments", "--kind", "C", "--alpha0", "1", "--alpha1", "1", "--variant", "two", "--alpha", "1")
+    code, out, _ = capture(*argv, "--nmax", "10")
+    assert code == 0 and "10,1,131072/2431" in out.splitlines()
+    code, out, err = capture(*argv, "--nmax", "11")
+    assert code == 0 and err == "" and "/" not in out
+    values = dict(line.rsplit(",", 1) for line in out.splitlines()[1:])
+    assert float(values["10,1"]) == pytest.approx(131072 / 2431, rel=1e-13)
+    code, out, err = capture(*argv, "--nmax", "11", "--mode", "exact")
+    assert code == 1 and out == ""
+    assert "exact_cutoff=11 exceeds the configured bound 10" in err
 
 
 def test_counts_csv(capture):

@@ -7,12 +7,19 @@ Claims covered:
     - the alpha=0 two-sided degeneracy: cost is exactly n-1 under the
       edges-only boundary and exactly 2n-1 under the default; the two
       conventions differ by the deterministic shift n * t1
-    - the scaled-integer kernel, whose two-sided sums are folded over
-      k <-> n-k, equals a plain Fraction transcription of the recurrences
-      that sums every ordered term directly, for kinds A, B and C (a0
-      zero, positive and negative) and a toll with its own denominators,
-      and on Cayley trees at
-      alpha=2 up to n=60; the float table follows it to 1e-12 up to n=150
+    - the residue kernel (the recurrence modulo primes below 2^20, its
+      two-sided sums folded over k <-> n-k, each value rebuilt by the
+      Chinese remainder theorem) equals a plain Fraction transcription of
+      the recurrences that sums every ordered term directly: for kinds A,
+      B and C (a0 zero, positive and negative) and a toll with its own
+      denominators, on Cayley trees at alpha=2 up to n=60, and at its
+      edges (n_max of 1, 2 and 3, s_max = 0, negative values from
+      t_1 = -1/3 at odd s, tau_n = n^4, L = 8, and a size-1 cost of
+      10^12/7); the float table follows it to 1e-12 up to n=150
+    - the primes' product exceeds twice every |N[s][n]| of the real
+      table, rebuilt from its Fractions as E V_n^s * S_n * D^s, and every
+      prime lies between MAX_EXACT_CUTOFF and 2^20; exact tables reach
+      s_max = 43, where the int64 binomial mix still holds, and stop there
     - float tables track rational tables to 1e-12 at n=200 with the
       two-sided k-sum blocked by 1, 3 and the default 128 terms, equal
       them at n <= 3, and track them to 1e-13 (n=300, alpha=1, s<=3,
@@ -38,7 +45,7 @@ import pytest
 
 from treecut import moments
 from treecut.bruteforce import family_moments
-from treecut.counts import compute_counts
+from treecut.counts import MAX_EXACT_CUTOFF, compute_counts
 from treecut.errors import ConfigError, OutOfRange
 from treecut.family import binary, cayley, make_family, ordered
 from treecut.moments import (
@@ -357,3 +364,58 @@ def test_integer_kernel_matches_fraction_reference(spec):
         two = two_sided_moments(counts, toll, n, s_max, mode="rational")
         assert two.rows == _reference_two_sided(counts, toll, n, s_max)
         assert all(isinstance(v, Fraction) for row in two.rows for v in row[1:])
+
+
+RESIDUE_EDGES = [
+    (ordered(), 1, None, 1, 3),
+    (ordered(), 1, None, 2, 3),
+    (cayley(), 2, Fraction(2, 5), 3, 3),
+    (binary(), 1, None, 12, 0),
+    (ordered(), 1, Fraction(-1, 3), 30, 3),  # odd orders of a cost that can be negative
+    (cayley(), 4, None, 30, 3),  # tau_n = n^4
+    (make_family("B", "3/2", d=4), 2, Fraction(-1, 3), 30, 3),  # L = 8
+    (ordered(), 0, Fraction(10**12, 7), 20, 3),  # the size-1 costs dominate the bound
+]
+
+
+@pytest.mark.parametrize(
+    "spec, alpha, size_one, n_max, s_max", RESIDUE_EDGES,
+    ids=["n1", "n2", "n3", "s0", "t1-negative", "alpha4", "B-L8", "t1-large"],
+)
+def test_residue_kernel_edge_cases(spec, alpha, size_one, n_max, s_max):
+    counts = compute_counts(spec, n_max, exact_cutoff=n_max)
+    toll = TollSpec(alpha=alpha, size_one_cost=size_one)
+    one = one_sided_moments(counts, toll, n_max, s_max, mode="rational")
+    assert one.rows == _reference_one_sided(counts, toll, n_max, s_max)
+    two = two_sided_moments(counts, toll, n_max, s_max, mode="rational")
+    assert two.rows == _reference_two_sided(counts, toll, n_max, s_max)
+
+
+@pytest.mark.parametrize(
+    "spec, alpha, size_one, n_max, s_max", RESIDUE_EDGES[4:], ids=["t1-negative", "alpha4", "B-L8", "t1-large"]
+)
+def test_residue_modulus_bound(spec, alpha, size_one, n_max, s_max):
+    # the primes' product exceeds twice every |N[s][n]| = |E V_n^s| * S_n * D^s of the real table
+    counts = compute_counts(spec, n_max, exact_cutoff=n_max)
+    toll = TollSpec(alpha=alpha, size_one_cost=size_one)
+    primes = [int(p) for p in moments._residue_primes(counts, toll, n_max, s_max)]
+    modulus = math.prod(primes)
+    scale = Fraction(toll.t1).denominator
+    for maker in (one_sided_moments, two_sided_moments):
+        table = maker(counts, toll, n_max, s_max, mode="rational")
+        cells = [(n, s) for n in range(1, n_max + 1) for s in range(s_max + 1)]
+        rebuilt = [table.moment(n, s) * counts.scaled[n] * scale**s for n, s in cells]
+        assert all(v.denominator == 1 for v in rebuilt)
+        assert modulus > 2 * max(abs(v) for v in rebuilt)
+    assert min(primes) > MAX_EXACT_CUTOFF and max(primes) < 2**20 and len(set(primes)) == len(primes)
+    assert all(p % d for p in primes for d in range(2, math.isqrt(p) + 1))
+
+
+def test_residue_order_limit():
+    # the binomial mix of y_r adds 2^r residues below 2^20, which int64 holds up to r = 43
+    counts = compute_counts(cayley(), 5, exact_cutoff=5)
+    toll = TollSpec(alpha=3, size_one_cost=Fraction(-7, 2))
+    table = two_sided_moments(counts, toll, 5, 43, mode="rational")
+    assert table.rows == _reference_two_sided(counts, toll, 5, 43)
+    with pytest.raises(OutOfRange):
+        one_sided_moments(counts, toll, 5, 44, mode="rational")
