@@ -28,7 +28,7 @@ SPECS = [
 
 print(f"{'family':<16} {'a0':>6} {'a1':>6} {'tau':>10} {'rho':>10} {'sigma^2':>10} {'c':>10}")
 for name, spec in SPECS:
-    con = solve_constants(spec)  # cross-checks tau against a numeric root
+    con = solve_constants(spec)  # closed forms from tau = 1/a1
     print(
         f"{name:<16} {str(spec.a0):>6} {str(spec.a1):>6} "
         f"{con.tau:>10.6f} {con.rho:>10.6f} {con.sigma2:>10.6f} {con.c:>10.6f}"

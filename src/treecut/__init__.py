@@ -25,7 +25,6 @@ from .errors import (
     NonIntegrable,
     OutOfRange,
     OverflowPolicyError,
-    RootMismatch,
     TreecutError,
 )
 from .family import (

@@ -124,7 +124,6 @@ class DeltaFit:
     delta_half: float
     fixed_coefficient: float  # the imposed n*ln(n) coefficient sigma/sqrt(2 pi)
     free_coefficient: float  # n*ln(n) coefficient when also fitted
-    free_coefficient_half: float
 
     @property
     def stability(self) -> float:
@@ -160,7 +159,7 @@ def estimate_delta(table: MomentTable, constants: FamilyConstants) -> DeltaFit:
     def lower(nn: np.ndarray) -> List[np.ndarray]:
         return [nn, np.sqrt(nn) * np.log(nn), np.sqrt(nn)]
 
-    (free, _, _), free_half = _grid_fit(mean, table.n_max, lambda nn: [nn * np.log(nn)] + lower(nn), cond_limit=1e7)
+    (free, _, _), _ = _grid_fit(mean, table.n_max, lambda nn: [nn * np.log(nn)] + lower(nn), cond_limit=1e7)
     (fixed, residual, _), fixed_half = _grid_fit(mean, table.n_max, lower, lambda nn: lead * nn * np.log(nn), 1e7)
     return DeltaFit(
         delta=float(fixed[0]),
@@ -168,7 +167,6 @@ def estimate_delta(table: MomentTable, constants: FamilyConstants) -> DeltaFit:
         delta_half=float(fixed_half[0]),
         fixed_coefficient=lead,
         free_coefficient=float(free[0]),
-        free_coefficient_half=float(free_half[0]),
     )
 
 

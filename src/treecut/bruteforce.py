@@ -132,20 +132,3 @@ def family_moments(
             sums[s] += w * values[s]
     return [v / total_weight for v in sums]
 
-
-def first_cut_distribution(spec: FamilySpec, n: int) -> List[Fraction]:
-    """Exact law of the root-side size after one uniform cut, k = 1..n-1.
-
-    Averages the per-tree edge counts over the weighted family; this is
-    the ground truth the splitting-probability formula must reproduce.
-    """
-    total_weight = Fraction(0)
-    hist = [Fraction(0)] * n  # hist[k], k = 1..n-1
-    for tree in enumerate_trees(n):
-        w = tree_weight(spec, tree)
-        if w == 0:
-            continue
-        total_weight += w
-        for kept, _ in all_cuts(tree):
-            hist[tree_size(kept)] += w
-    return [h / (total_weight * (n - 1)) for h in hist[1:]]

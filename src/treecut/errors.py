@@ -9,10 +9,6 @@ class ConstraintViolation(TreecutError, ValueError):
     """Family parameters violate a structural constraint (e.g. d < 2)."""
 
 
-class RootMismatch(TreecutError, ArithmeticError):
-    """Closed-form singularity location disagrees with the numeric root."""
-
-
 class OutOfRange(TreecutError, ValueError):
     """An index (tree size, moment order) lies outside the computed table."""
 

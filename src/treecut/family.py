@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
-from .errors import ConstraintViolation, DomainError, RootMismatch
+from .errors import ConstraintViolation, DomainError
 
 RationalLike = Union[int, str, Fraction, float]
 
@@ -167,13 +167,6 @@ def phi_coefficient(spec: FamilySpec, k: int) -> Fraction:
     return rising / math.factorial(k) * spec.beta**k
 
 
-def phi_radius(spec: FamilySpec) -> float:
-    """Radius of convergence of Phi (inf for A and B, 1/beta for C)."""
-    if spec.kind == "C":
-        return float(1 / spec.beta)
-    return math.inf
-
-
 def phi_value(spec: FamilySpec, t: float) -> float:
     a0 = float(spec.alpha0)
     if spec.kind == "A":
@@ -181,16 +174,6 @@ def phi_value(spec: FamilySpec, t: float) -> float:
     if spec.kind == "B":
         return (1.0 + a0 * t / spec.d) ** spec.d
     return (1.0 - float(spec.beta) * t) ** (-float(spec.gamma))
-
-
-def phi_deriv1(spec: FamilySpec, t: float) -> float:
-    a0 = float(spec.alpha0)
-    if spec.kind == "A":
-        return a0 * math.exp(a0 * t)
-    if spec.kind == "B":
-        return a0 * (1.0 + a0 * t / spec.d) ** (spec.d - 1)
-    beta, gamma = float(spec.beta), float(spec.gamma)
-    return gamma * beta * (1.0 - beta * t) ** (-gamma - 1.0)
 
 
 def phi_deriv2(spec: FamilySpec, t: float) -> float:
@@ -208,54 +191,6 @@ def tau_exact(spec: FamilySpec) -> Fraction:
     return Fraction(1) / spec.a1
 
 
-def _numeric_tau(spec: FamilySpec) -> float:
-    """Bisection root of f(t) = t*Phi'(t) - Phi(t), independent of the closed form.
-
-    f(0) = -1 and f' = t*Phi'' > 0, so f has one root and bisection on a
-    sign-change bracket always converges.  The bracket starts at Phi's
-    own scale: 1/alpha0 for kinds A and B (the root lies in [1/alpha0,
-    2/alpha0]) and the radius 1/beta for kind C (the root lies below
-    it).  It doubles or halves by the sign of f until it holds the root
-    within a factor of 2, so it works for every alpha0 whose scale a
-    double can carry.  Where Phi overflows, and at or past kind C's
-    pole, f counts as positive.  Bisection stops at
-    hi - lo <= 1e-15*width + 8.9e-16*hi, with width the bracket's first
-    width, which leaves a relative error of about 2e-15 at any scale.
-    """
-
-    pole_rate = float(spec.beta) if spec.kind == "C" else 0.0
-
-    def negative(t: float) -> bool:
-        if pole_rate * t >= 1.0:
-            return False
-        try:
-            return t * phi_deriv1(spec, t) - phi_value(spec, t) < 0.0
-        except OverflowError:
-            return False
-
-    scale = phi_radius(spec) if spec.kind == "C" else float(1 / spec.alpha0)
-    if negative(scale):
-        lo, hi = scale, 2.0 * scale
-        while negative(hi):
-            lo, hi = hi, 2.0 * hi
-    else:
-        lo, hi = 0.5 * scale, scale
-        while not negative(lo):
-            lo, hi = 0.5 * lo, lo
-    xtol = 1e-15 * (hi - lo)
-    while hi - lo > xtol + 8.9e-16 * hi:
-        mid = 0.5 * (lo + hi)
-        if negative(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-#: Relative agreement the numeric root must reach with tau = 1/a1.
-TAU_PRECISION = 1e-10
-
-
 def _phi_at_tau(spec: FamilySpec, tau: float) -> Tuple[float, float]:
     """Phi(tau) and Phi''(tau).
 
@@ -271,23 +206,16 @@ def _phi_at_tau(spec: FamilySpec, tau: float) -> Tuple[float, float]:
 
 
 def solve_constants(spec: FamilySpec) -> FamilyConstants:
-    """Singularity constants from the closed-form tau, cross-checked numerically.
+    """Singularity constants from the closed form tau = 1/a1.
 
-    The closed form tau = 1/a1 is the source of truth.  The bisection of
-    :func:`_numeric_tau` on t*Phi'(t) - Phi(t) must agree with it to a
-    relative TAU_PRECISION, or RootMismatch is raised.  DomainError is
-    raised when tau or Phi''(tau) leaves double range, where the
-    constants below would divide by zero or overflow.
+    DomainError is raised when tau or Phi''(tau) leaves double range,
+    where the constants below would divide by zero or overflow.  The
+    tests check tau against a bisection root of t*Phi'(t) - Phi(t).
     """
     try:
         tau = float(tau_exact(spec))
-        t_num = _numeric_tau(spec)
     except OverflowError as exc:
         raise DomainError(f"tau = 1/a1 leaves double range for {spec.label()}") from exc
-    if abs(t_num - tau) > TAU_PRECISION * tau:
-        raise RootMismatch(
-            f"numeric root {t_num!r} disagrees with closed form {tau!r} for {spec.label()}"
-        )
 
     phi, phi2 = _phi_at_tau(spec, tau)
     if not 0.0 < tau * phi2 < math.inf:

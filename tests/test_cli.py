@@ -2,6 +2,8 @@
 
 Claims covered:
     - reference outputs for constants / probs / limits / moments
+    - constants print the bytes they printed before, for ordinary
+      parameters of each kind and at scales from 1e11 to 1e13
     - limit moments in all three regimes print the bytes they printed
       before, so a last-digit drift in the log-Gamma evaluation shows
     - full split rows (exact up to n = 700, symmetrized, and a float row
@@ -52,21 +54,28 @@ def test_constants_reference(capture):
     assert payload["a0"] == "-1" and payload["a1"] == "2"
 
 
-@pytest.mark.parametrize(
-    "family",
-    [
-        ("--kind", "A", "--alpha0", "1e11"),
-        ("--kind", "B", "--alpha0", "1e13", "--d", "2"),
-        ("--kind", "C", "--alpha0", "1e13", "--alpha1", "1e13"),
-        ("--kind", "C", "--alpha0", "1", "--alpha1", "1e12"),
-    ],
-    ids=["A-1e11", "B-1e13", "C-1e13", "C-alpha1-1e12"],
-)
-def test_constants_at_extreme_scales(capture, family):
+@pytest.mark.parametrize("family, expected", [
+    (("--kind", "A", "--alpha0", "1"),
+     "806cf4df09f230e452b9d185b9d41822eed95d25a3a858993d940f5ae81d0422"),
+    (("--kind", "B", "--alpha0", "1/2", "--d", "3"),
+     "95ddde43d5d4a9d47ce7e42f9188c9b33ff377f6805b68cc48c84c682c33d6ca"),
+    (("--kind", "C", "--alpha0", "1/3", "--alpha1", "5/6"),
+     "fd0db2abdaa7f574b1bd97de61443680ade3cb28e7288ba7d15dc66f9bdd299c"),
+    (("--kind", "A", "--alpha0", "1e11"),
+     "37370ddcf5de8ef52fd076c0e409d4be6a501eec5e5cebf4708bf651d236f02f"),
+    (("--kind", "B", "--alpha0", "1e13", "--d", "2"),
+     "ce31aebf50b9567d24f9d4f89fc240bf6f6baff5ff073ff9fb72b9f26aca78c1"),
+    (("--kind", "C", "--alpha0", "1e13", "--alpha1", "1e13"),
+     "9eed239f6d0f33b293e97b6e825f83a845bc3112a50e63eb9bcb75033d617613"),
+    (("--kind", "C", "--alpha0", "1", "--alpha1", "1e12"),
+     "4036e2ea7c35168d0d24463c8b712fcfbf390a519e30e231f0ac7e64a0c598f2"),
+], ids=["A-1", "B-1/2-3", "C-1/3-5/6", "A-1e11", "B-1e13", "C-1e13", "C-alpha1-1e12"])
+def test_constants_at_extreme_scales(capture, family, expected):
     code, out, err = capture("constants", *family)
     assert code == 0 and err == ""
     payload = json.loads(out)
     assert payload["tau"] == float(1 / Fraction(payload["a1"]))
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
 def test_probs_reference(capture):

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import pytest
 
-from treecut.bruteforce import first_cut_distribution
+from treecut.bruteforce import all_cuts, enumerate_trees, tree_size, tree_weight
 from treecut.counts import (
     MAX_EXACT_CUTOFF,
     _scaled_counts,
@@ -141,6 +141,24 @@ def test_normalization_and_nonnegativity(spec, tables):
         assert sum(dist.probs) == 1  # exact rationals
         assert all(p >= 0 for p in dist.probs)
         assert dist.prob(1) == dist.probs[0]
+
+
+def first_cut_distribution(spec, n):
+    """Exact law of the root-side size after one uniform cut, k = 1..n-1.
+
+    Averages the per-tree edge counts over the weighted family; this is
+    the ground truth the splitting-probability formula must reproduce.
+    """
+    total_weight = Fraction(0)
+    hist = [Fraction(0)] * n  # hist[k], k = 1..n-1
+    for tree in enumerate_trees(n):
+        w = tree_weight(spec, tree)
+        if w == 0:
+            continue
+        total_weight += w
+        for kept, _ in all_cuts(tree):
+            hist[tree_size(kept)] += w
+    return [h / (total_weight * (n - 1)) for h in hist[1:]]
 
 
 @pytest.mark.parametrize(

@@ -3,12 +3,13 @@
 Claims covered:
     - (a0, a1) derivations for the three kinds, with constraint checks
     - exact degree-weight coefficients, including phi_k = 0 past a B arity
-    - closed-form tau = 1/a1 agrees with an independent bisection root,
-      to 1e-13 relative error, from alpha0 = 1e-12 to 1e100 and next to
-      kind C's pole; constants that leave double range raise DomainError
+    - closed-form tau = 1/a1, the only tau the library computes, agrees
+      with an independent bisection root of t*Phi'(t) - Phi(t) kept here,
+      to 1e-13 relative error, on the parameter grid, from alpha0 = 1e-12
+      to 1e100 and next to kind C's pole; constants that leave double
+      range raise DomainError
     - sigma^2 = 1 + beta/alpha0 for kind C holds next to the pole
-    - importing the package loads no scipy module at all, scipy.optimize
-      included
+    - importing the package loads no scipy module at all
     - derived constants (rho, b, c, sigma) and their exact identities
     - plain-text config block round trip
 """
@@ -22,9 +23,8 @@ from fractions import Fraction
 import pytest
 
 import treecut
-from treecut.errors import ConstraintViolation, DomainError, RootMismatch
+from treecut.errors import ConstraintViolation, DomainError
 from treecut.family import (
-    _numeric_tau,
     binary,
     cayley,
     format_config,
@@ -109,7 +109,7 @@ def test_solve_constants_reference_values():
 
 @pytest.mark.parametrize("spec", PARAM_GRID, ids=lambda s: s.label())
 def test_constants_identities(spec):
-    con = solve_constants(spec)  # internally asserts closed form == numeric root
+    con = solve_constants(spec)
     assert spec.a1 * tau_exact(spec) == 1  # exact, in rationals
     assert float(spec.a1) * con.tau == pytest.approx(1.0, abs=1e-12)
     assert con.rho * phi_value(spec, con.tau) == pytest.approx(con.tau, rel=1e-12)
@@ -137,7 +137,64 @@ def _short_id(spec):
     return f"{spec.kind}-{float(spec.alpha0):.3g}" + ("" if second is None else f"-{float(second):.10g}")
 
 
-@pytest.mark.parametrize("spec", EXTREME_GRID, ids=_short_id)
+def _phi_deriv1(spec, t):
+    a0 = float(spec.alpha0)
+    if spec.kind == "A":
+        return a0 * math.exp(a0 * t)
+    if spec.kind == "B":
+        return a0 * (1.0 + a0 * t / spec.d) ** (spec.d - 1)
+    beta, gamma = float(spec.beta), float(spec.gamma)
+    return gamma * beta * (1.0 - beta * t) ** (-gamma - 1.0)
+
+
+def _numeric_tau(spec):
+    """Bisection root of f(t) = t*Phi'(t) - Phi(t), independent of the closed form.
+
+    f(0) = -1 and f' = t*Phi'' > 0, so f has one root and bisection on a
+    sign-change bracket always converges.  The bracket starts at Phi's
+    own scale: 1/alpha0 for kinds A and B (the root lies in [1/alpha0,
+    2/alpha0]) and the radius 1/beta for kind C (the root lies below
+    it).  It doubles or halves by the sign of f until it holds the root
+    within a factor of 2, so it works for every alpha0 whose scale a
+    double can carry.  Where Phi overflows, and at or past kind C's
+    pole, f counts as positive.  Bisection stops at
+    hi - lo <= 1e-15*width + 8.9e-16*hi, with width the bracket's first
+    width, which leaves a relative error of about 2e-15 at any scale.
+    """
+    pole_rate = float(spec.beta) if spec.kind == "C" else 0.0
+
+    def negative(t):
+        if pole_rate * t >= 1.0:
+            return False
+        try:
+            return t * _phi_deriv1(spec, t) - phi_value(spec, t) < 0.0
+        except OverflowError:
+            return False
+
+    scale = float(1 / spec.beta) if spec.kind == "C" else float(1 / spec.alpha0)
+    if negative(scale):
+        lo, hi = scale, 2.0 * scale
+        while negative(hi):
+            lo, hi = hi, 2.0 * hi
+    else:
+        lo, hi = 0.5 * scale, scale
+        while not negative(lo):
+            lo, hi = 0.5 * lo, lo
+    xtol = 1e-15 * (hi - lo)
+    while hi - lo > xtol + 8.9e-16 * hi:
+        mid = 0.5 * (lo + hi)
+        if negative(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    PARAM_GRID + EXTREME_GRID,
+    ids=[s.label() for s in PARAM_GRID] + [_short_id(s) for s in EXTREME_GRID],
+)
 def test_numeric_tau_matches_closed_form_at_every_scale(spec):
     tau = float(tau_exact(spec))
     assert abs(_numeric_tau(spec) - tau) <= 1e-13 * tau
@@ -157,14 +214,6 @@ def test_constants_outside_double_range_raise(alpha0):
         solve_constants(make_family("A", alpha0))
 
 
-def test_import_loads_no_scipy_optimize():
-    src = os.path.dirname(os.path.dirname(treecut.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, treecut, treecut.cli; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
-
-
 def test_import_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(treecut.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -174,14 +223,6 @@ def test_import_loads_no_scipy():
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
-
-
-def test_root_mismatch_gate(monkeypatch):
-    import treecut.family as family_module
-
-    monkeypatch.setattr(family_module, "_numeric_tau", lambda spec: 0.5 + 1e-6)
-    with pytest.raises(RootMismatch):
-        solve_constants(ordered())
 
 
 @pytest.mark.parametrize("spec", [cayley(), binary(), ordered(), make_family("C", "1/3", alpha1="5/6")])
