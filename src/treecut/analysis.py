@@ -72,7 +72,7 @@ def _scaled_lstsq(design: np.ndarray, y: np.ndarray, cond_limit: float):
     coef = coef / scale
     fitted = design @ coef
     residual = float(np.sqrt(np.mean(((fitted - y) / y) ** 2)))
-    return coef, residual, cond
+    return coef, residual
 
 
 def _fit_mean(table: MomentTable, regimes: Sequence[str], n_min: int, what: str) -> np.ndarray:
@@ -88,9 +88,9 @@ def _fit_mean(table: MomentTable, regimes: Sequence[str], n_min: int, what: str)
 def _grid_fit(mean: np.ndarray, n_max: int, columns, offset=lambda nn: 0.0, cond_limit: float = CONDITION_LIMIT):
     """Fit E V_n - offset(n) on the list ``columns(n)``, over fit_grid(n_max) and its half.
 
-    ``n`` reaches both functions as a float array.  Returns
-    ``(coef, residual, condition)`` on the whole grid and the
-    coefficients refitted on the points n <= n_max/2.
+    ``n`` reaches both functions as a float array.  Returns ``(coef,
+    residual)`` on the whole grid and the coefficients refitted on the
+    points n <= n_max/2.  The conditioning guard is ``_scaled_lstsq``'s.
     """
     grid = fit_grid(n_max)
     fits = []
@@ -107,7 +107,6 @@ class MuFit:
     value: float
     residual: float  # rms relative fit residual
     value_half: float  # same fit restricted to n <= n_max/2
-    condition: float
 
     @property
     def stability(self) -> float:
@@ -139,8 +138,8 @@ def estimate_mu(table: MomentTable) -> MuFit:
     """
     mean = _fit_mean(table, (TWO_SIDED_EDGES, TWO_SIDED_LINEAR), 512, "mu")
     alpha = float(table.toll.alpha)
-    (coef, residual, cond), coef_half = _grid_fit(mean, table.n_max, lambda nn: [nn, nn ** (alpha + 0.5), nn**alpha])
-    return MuFit(value=float(coef[0]), residual=residual, value_half=float(coef_half[0]), condition=float(cond))
+    (coef, residual), coef_half = _grid_fit(mean, table.n_max, lambda nn: [nn, nn ** (alpha + 0.5), nn**alpha])
+    return MuFit(value=float(coef[0]), residual=residual, value_half=float(coef_half[0]))
 
 
 def estimate_delta(table: MomentTable, constants: FamilyConstants) -> DeltaFit:
@@ -159,8 +158,8 @@ def estimate_delta(table: MomentTable, constants: FamilyConstants) -> DeltaFit:
     def lower(nn: np.ndarray) -> List[np.ndarray]:
         return [nn, np.sqrt(nn) * np.log(nn), np.sqrt(nn)]
 
-    (free, _, _), _ = _grid_fit(mean, table.n_max, lambda nn: [nn * np.log(nn)] + lower(nn), cond_limit=1e7)
-    (fixed, residual, _), fixed_half = _grid_fit(mean, table.n_max, lower, lambda nn: lead * nn * np.log(nn), 1e7)
+    (free, _), _ = _grid_fit(mean, table.n_max, lambda nn: [nn * np.log(nn)] + lower(nn), cond_limit=1e7)
+    (fixed, residual), fixed_half = _grid_fit(mean, table.n_max, lower, lambda nn: lead * nn * np.log(nn), 1e7)
     return DeltaFit(
         delta=float(fixed[0]),
         residual=residual,

@@ -32,7 +32,11 @@ where L clears the denominators of a0 and a1, D that of the size-1 cost
 t_1, and S_n = N_n^0 is the integer count of :mod:`treecut.counts`.  The
 recurrence runs on N_n^s / (n-1)! modulo primes just below 2^20, where
 1/(n-1) is a modular inverse and each k-sum a plain convolution, and
-rebuilds each N_n^s once by the Chinese remainder theorem.
+rebuilds each N_n^s once by the Chinese remainder theorem.  Each pass
+over n takes as many primes as fit their int64 rows into
+``_CHUNK_BYTES`` = 8 MiB: all of them for s = 2, alpha <= 1 up to
+n = 500.  One-sided, each finished row k is weighted by W_k once, so the
+k-sum of each n is one product of stored rows.
 
 The float recurrence runs on F_n^s = a_n * E V_n^s, with the rho-scaled
 counts a_n = rho^n * T_n of :mod:`treecut.counts`, which stay inside
@@ -208,8 +212,8 @@ def two_sided_moments(
 # ---------------------------------------------------------------------------
 
 
-#: Primes per chunk of the residue recurrence.
-_CHUNK = 64
+#: Bytes of one chunk's int64 residue rows; it sets the primes per chunk.
+_CHUNK_BYTES = 8 << 20
 
 #: Values per float product of the Chinese remaindering.
 _CRT_BLOCK = 64
@@ -245,10 +249,11 @@ def _residue_rows(counts: WeightedCounts, toll: TollSpec, variant: str, n_max: i
 
     On m[s][n] = N[s][n] / (n-1)! the binomials of the integer sums cancel:
     m[s][n] = sum_r C(s,r) tau_n^(s-r) y_r / (n-1), with the one-sided
-    y_r = sum_k W_k m[r][k] m[0][n-k] and the two-sided y_r = sum_{j+l=r}
-    C(r,j) sum_k W_k m[j][k] m[l][n-k], symmetric in (j, l), so its k-sum
-    folds to k <= n/2 with weight W_1 + W_{n-1} = 2 W_{n/2}.  A k-sum of
-    products below 2^40 is exact in int64, reduced once.  The toll enters
+    y_r = sum_k W_k m[r][k] m[0][n-k], on rows W_k m[r][k] weighted once
+    when row k is done, and the two-sided y_r = sum_{j+l=r} C(r,j) sum_k
+    W_k m[j][k] m[l][n-k], symmetric in (j, l), so its k-sum folds to
+    k <= n/2 with weight W_1 + W_{n-1} = 2 W_{n/2}.  A k-sum of products
+    below 2^40 is exact in int64, reduced once.  The toll enters
     by Pascal's rule F_i(r) = F_{i-1}(r+1) + tau_n F_{i-1}(r), F_0 = y.
     """
     size, c, ps = s_max + 1, len(q), [int(p) for p in q]
@@ -261,7 +266,8 @@ def _residue_rows(counts: WeightedCounts, toll: TollSpec, variant: str, n_max: i
     if variant == TWO_SIDED:  # W_1 + W_{n-1}, or W_{n/2} for even n, whose middle term is doubled below
         fac[:] = fac * ((slope * np.where(n % 2, n, n // 2) + base * np.where(n % 2, 2, 1)) % q) % q
     else:
-        w = ((slope * n + base) % q).astype(np.int32)
+        w = (slope * n + base) % q
+        wrows = np.zeros((size, n_max + 1, c), dtype=np.int64)  # W_k m[s][k], weighted once per k
     t1 = Fraction(toll.t1)
     tau = np.tile([t1.denominator % p for p in ps], (n_max + 1, 1))
     for _ in range(int(toll.alpha)):
@@ -275,7 +281,8 @@ def _residue_rows(counts: WeightedCounts, toll: TollSpec, variant: str, n_max: i
     rows[:, 1] = [[pow(t1.numerator, s, p) for p in ps] for s in range(size)]  # tau_1 = D*t_1
     for m in range(2, n_max + 1):
         if variant == ONE_SIDED:
-            y = np.einsum("jkc,kc->jc", rows[:, 1:m], w[1:m] * rows[0, m - 1 : 0 : -1] % q)
+            wrows[:, m - 1] = rows[:, m - 1] * w[m - 1] % q
+            y = np.einsum("jkc,kc->jc", wrows[:, 1:m], rows[0, m - 1 : 0 : -1])
         else:
             lower, upper = rows[:, 1 : (m + 1) // 2], rows[:, m - 1 : m // 2 : -1]  # k and n-k, k < n/2
             for j in range(size):
@@ -299,15 +306,18 @@ def _residue_rows(counts: WeightedCounts, toll: TollSpec, variant: str, n_max: i
 def _rational_rows(counts: WeightedCounts, toll: TollSpec, variant: str, n_max: int, s_max: int) -> List[List]:
     """Exact rows[s][n] = E V_n^s = N[s][n] / (S_n * D^s) as reduced Fractions.
 
-    The recurrence runs modulo P primes, ``_CHUNK`` at a time.  A cost is
-    at most n-1 tolls t_m <= t_n plus n size-1 costs, so |N[s][n]| <=
-    S_n * ((n-1) tau_n + n |tau_1|)^s, and P is the fewest primes whose
-    product M exceeds twice that.  Each N is rebuilt once by the Chinese
-    remainder theorem, N = sum_i u_i M/p_i mod M with u_i = N (M/p_i)^(-1)
-    mod p_i, as the symmetric residue (t_1 < 0 makes N < 0 at odd s).  The
-    sum is one float product of the u_i with the base-2^16 digits of the
-    M/p_i for ``_CRT_BLOCK`` values, exact as each digit sum stays below
-    P * 2^36 < 2^53; four interleaved lanes of these sums make the int.
+    The recurrence runs modulo P primes, in chunks whose int64 rows fit
+    ``_CHUNK_BYTES`` (one-sided twice over, with the weighted copy).  Each
+    chunk is one pass over n, and each pass pays the per-n numpy calls
+    again.  A cost is at most n-1 tolls t_m <= t_n plus n size-1 costs, so
+    |N[s][n]| <= S_n * ((n-1) tau_n + n |tau_1|)^s, and P is the fewest
+    primes whose product M exceeds twice that.  Each N is rebuilt once by
+    the Chinese remainder theorem, N = sum_i u_i M/p_i mod M with u_i =
+    N (M/p_i)^(-1) mod p_i, as the symmetric residue (t_1 < 0 makes N < 0
+    at odd s).  The sum is one float product of the u_i with the base-2^16
+    digits of the M/p_i for ``_CRT_BLOCK`` values, exact as each digit sum
+    stays below P * 2^36 < 2^53; four interleaved lanes of these sums make
+    the int.
     """
     if s_max > 43:  # y_r adds 2^r residues in int64
         raise OutOfRange(f"exact moments need s_max <= 43, got {s_max}")
@@ -315,7 +325,8 @@ def _rational_rows(counts: WeightedCounts, toll: TollSpec, variant: str, n_max: 
     modulus = math.prod(int(p) for p in primes)
     crt = np.array([pow(modulus // p % p, -1, p) for p in map(int, primes)], dtype=np.int64)  # (M/p)^(-1) mod p
     residues = np.empty((s_max, n_max, len(primes)), dtype=np.float32)  # u_i < 2^20, exact in float32
-    for chunk in np.array_split(np.arange(len(primes)), -(-len(primes) // _CHUNK)):
+    per_chunk = max(1, _CHUNK_BYTES // ((s_max + 1) * (n_max + 1) * 8 * (2 if variant == ONE_SIDED else 1)))
+    for chunk in np.array_split(np.arange(len(primes)), -(-len(primes) // per_chunk)):
         residues[:, :, chunk] = _residue_rows(counts, toll, variant, n_max, s_max, primes[chunk], crt[chunk])[:, 1:]
     digits = (modulus.bit_length() + 15) // 16
     basis = np.empty((len(primes), digits))  # base-2^16 digits of M/p

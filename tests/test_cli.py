@@ -14,7 +14,8 @@ Claims covered:
       both simulation engines
     - the README simulate example prints the bytes it printed before,
       and so does the README's exact n=600 moments table, recorded with
-      the big-integer kernel before the residue kernel replaced it
+      the big-integer kernel before the residue kernel replaced it, and
+      its exact one-sided n=400 table, recorded with 64-prime chunks
     - past the bound on exact counts, moments in auto mode fall back to
       floats, and exact mode is a validation error
     - exit codes: 0 ok, 1 validation or usage error, 2 failed criteria;
@@ -174,6 +175,17 @@ def test_moments_readme_exact_bytes(capture):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == "38458fc68db31b39889724c6c8dca2afb01ba9649efbf2d293f59a2cecad5f0c"
+
+
+def test_moments_readme_one_sided_exact_bytes(capture):
+    # the README's exact one-sided n=400 table; its stdout was recorded with three 64-prime chunks
+    code, out, _ = capture(
+        "moments", "--kind", "C", "--alpha0", "1", "--alpha1", "1", "--variant", "one", "--alpha", "1",
+        "--nmax", "400", "--smax", "2", "--mode", "exact",
+    )
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "60f3ac117ca5b055843f91aabadfd5a796c684e8ba0b70df9fbbedc6c77b4ddd"
 
 
 def test_moments_auto_past_exact_bound(capture, monkeypatch):

@@ -16,6 +16,10 @@ Claims covered:
       edges (n_max of 1, 2 and 3, s_max = 0, negative values from
       t_1 = -1/3 at odd s, tau_n = n^4, L = 8, and a size-1 cost of
       10^12/7); the float table follows it to 1e-12 up to n=150
+    - the residue kernel's tables do not depend on how the primes are
+      chunked: with a byte budget of one or two primes per chunk they
+      equal the default one-chunk tables (both variants, three families,
+      n=80, s=3, t_1 = 2/5), and no chunk's int64 rows exceed the budget
     - the primes' product exceeds twice every |N[s][n]| of the real
       table, rebuilt from its Fractions as E V_n^s * S_n * D^s, and every
       prime lies between MAX_EXACT_CUTOFF and 2^20; exact tables reach
@@ -419,3 +423,30 @@ def test_residue_order_limit():
     assert table.rows == _reference_two_sided(counts, toll, 5, 43)
     with pytest.raises(OutOfRange):
         one_sided_moments(counts, toll, 5, 44, mode="rational")
+
+
+@pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: s.label())
+def test_residue_chunks_leave_tables_unchanged(spec, monkeypatch):
+    # a budget of one one-sided prime's rows: one prime per one-sided chunk, two per two-sided chunk
+    n_max, s_max = 80, 3
+    counts = compute_counts(spec, n_max, exact_cutoff=n_max)
+    toll = TollSpec(alpha=1, size_one_cost=Fraction(2, 5))
+    makers = {ONE_SIDED: one_sided_moments, TWO_SIDED: two_sided_moments}
+    kernel, chunks = moments._residue_rows, []
+
+    def spy(counts, toll, variant, n_max, s_max, q, crt):
+        chunks.append((variant, len(q)))
+        copies = 2 if variant == ONE_SIDED else 1  # the one-sided kernel also holds the weighted rows
+        assert copies * (s_max + 1) * (n_max + 1) * len(q) * 8 <= moments._CHUNK_BYTES  # int64 rows
+        return kernel(counts, toll, variant, n_max, s_max, q, crt)
+
+    monkeypatch.setattr(moments, "_residue_rows", spy)
+    whole = {v: make(counts, toll, n_max, s_max, mode="rational").rows for v, make in makers.items()}
+    primes = len(moments._residue_primes(counts, toll, n_max, s_max))
+    assert chunks == [(ONE_SIDED, primes), (TWO_SIDED, primes)]
+    chunks.clear()
+    monkeypatch.setattr(moments, "_CHUNK_BYTES", (s_max + 1) * (n_max + 1) * 8 * 2)
+    for variant, make in makers.items():
+        assert make(counts, toll, n_max, s_max, mode="rational").rows == whole[variant]
+        sizes = [size for v, size in chunks if v == variant]
+        assert sum(sizes) == primes and max(sizes) == (1 if variant == ONE_SIDED else 2)
