@@ -121,7 +121,6 @@ class DeltaFit:
     delta: float
     residual: float
     delta_half: float
-    fixed_coefficient: float  # the imposed n*ln(n) coefficient sigma/sqrt(2 pi)
     free_coefficient: float  # n*ln(n) coefficient when also fitted
 
     @property
@@ -164,7 +163,6 @@ def estimate_delta(table: MomentTable, constants: FamilyConstants) -> DeltaFit:
         delta=float(fixed[0]),
         residual=residual,
         delta_half=float(fixed_half[0]),
-        fixed_coefficient=lead,
         free_coefficient=float(free[0]),
     )
 
@@ -180,7 +178,6 @@ class ReportRow:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    family: str
     variant: str
     alpha: float
     rows: List[ReportRow]
@@ -245,7 +242,7 @@ def normalize_moments(
             value = float(moment) / (scale**s * float(n) ** (s * power))
             err = abs(value - limit[s]) / abs(limit[s]) if limit[s] != 0 else abs(value)
             rows.append(ReportRow(n=n, s=s, normalized=value, limit=limit[s], rel_error=err))
-    return ConvergenceReport(table.family.label(), table.variant, alpha, rows, fitted)
+    return ConvergenceReport(table.variant, alpha, rows, fitted)
 
 
 @dataclass(frozen=True)
@@ -258,11 +255,6 @@ class IndependenceRow:
 class IndependenceTable:
     s: int
     rows: List[IndependenceRow]
-
-    @property
-    def decreasing(self) -> bool:
-        """Final difference strictly below the first."""
-        return self.rows[-1].difference < self.rows[0].difference
 
     @property
     def strictly_decreasing(self) -> bool:

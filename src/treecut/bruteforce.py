@@ -25,20 +25,11 @@ from .moments import ONE_SIDED, TWO_SIDED, TollSpec
 Tree = Tuple  # nested tuples of subtrees
 
 
-@lru_cache(maxsize=None)
 def enumerate_trees(n: int) -> Tuple[Tree, ...]:
-    """All ordered trees with n vertices (Catalan(n-1) of them)."""
+    """All ordered trees with n vertices (Catalan(n-1) of them): a root over each forest of n - 1."""
     if n < 1:
         raise ValueError("tree size must be >= 1")
-    if n == 1:
-        return ((),)
-    out: List[Tree] = []
-    # First subtree takes i vertices, the rest of the root's forest n-1-i.
-    for i in range(1, n):
-        for first in enumerate_trees(i):
-            for rest in _forests(n - 1 - i):
-                out.append((first,) + rest)
-    return tuple(out)
+    return _forests(n - 1)
 
 
 @lru_cache(maxsize=None)

@@ -149,12 +149,11 @@ def _cmd_probs(args) -> int:
 
 def _cmd_moments(args) -> int:
     spec = _family_from_args(args)
-    mode = {"exact": "rational", "float": "float", "auto": "auto"}[args.mode]
     toll = _toll_from_args(args)
-    wants_exact = mode == "rational" or (mode == "auto" and toll.is_rational and args.nmax <= MAX_EXACT_CUTOFF)
-    counts = compute_counts(spec, args.nmax, exact_cutoff=args.nmax if wants_exact else 1)
+    exact = args.mode == "exact" or (args.mode == "auto" and toll.is_rational and args.nmax <= MAX_EXACT_CUTOFF)
+    counts = compute_counts(spec, args.nmax, exact_cutoff=args.nmax if exact else 1)
     maker = one_sided_moments if _variant(args.variant) == ONE_SIDED else two_sided_moments
-    table = maker(counts, toll, args.nmax, args.smax, mode=mode)
+    table = maker(counts, toll, args.nmax, args.smax, mode="rational" if exact else "float")
     lines = ["n,s,mu"]
     for n in range(1, args.nmax + 1):
         for s in range(args.smax + 1):

@@ -20,9 +20,10 @@ denominators of a0 and a1, so that W_k = L*(a1*k + a0) is an integer,
 
     S_n = (n-1)! * L^(n-1) * T_n = W_1 * prod_{i=2}^{n-1} L*(a1*n + a0*i),
 
-a product over an arithmetic progression (a power when a0 = 0).  This
-is the scale the exact moment DP of :mod:`treecut.moments` runs on; the
-exact T_n are handed out as reduced Fractions S_n / ((n-1)! * L^(n-1)).
+a product over an arithmetic progression (a power when a0 = 0).  These
+integers are the one store of the exact counts and the scale the exact
+moment DP of :mod:`treecut.moments` runs on; T_n = S_n / ((n-1)! * L^(n-1))
+is reduced to a Fraction only when first read.
 Its oracles are the recurrence itself, transcribed in Fractions in the
 tests, and :func:`lagrange_counts`, by series arithmetic.
 
@@ -39,6 +40,7 @@ w_k = a1*k + a0, the float recurrence folds to a plain convolution:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -60,17 +62,15 @@ _PROD_CHUNK = 64
 class WeightedCounts:
     """Counts T_1..T_n_max for one family.
 
-    ``exact[n]`` is the exact Fraction T_n for 1 <= n <= exact_limit
-    (index 0 is a placeholder).  ``log_values[n]`` is ln T_n for every
-    1 <= n <= n_max.  ``rho_scaled[n]`` is a_n = rho**n * T_n for
-    1 <= n <= n_max, with ``rho`` = tau/Phi(tau) in double precision.
-    ``scaled[n]`` is the integer S_n = (n-1)! * L^(n-1) * T_n the exact
-    values come from (index 0 = 0).
+    ``scaled[n]`` is the integer S_n = (n-1)! * L^(n-1) * T_n for
+    1 <= n <= exact_limit (index 0 = 0), the one store of the exact
+    counts.  ``log_values[n]`` is ln T_n for every 1 <= n <= n_max.
+    ``rho_scaled[n]`` is a_n = rho**n * T_n for 1 <= n <= n_max, with
+    ``rho`` = tau/Phi(tau) in double precision.
     """
 
     family: FamilySpec
     n_max: int
-    exact: List[Fraction]
     log_values: np.ndarray
     rho: float
     rho_scaled: np.ndarray = field(repr=False)
@@ -78,7 +78,18 @@ class WeightedCounts:
 
     @property
     def exact_limit(self) -> int:
-        return len(self.exact) - 1
+        return len(self.scaled) - 1
+
+    @functools.cached_property
+    def exact(self) -> List[Fraction]:
+        """The exact Fractions T_n for 1 <= n <= exact_limit (index 0 = 0), reduced on first use."""
+        scale = _weight_scale(self.family)
+        out = [Fraction(0)]
+        c_n = 1
+        for n in range(1, self.exact_limit + 1):
+            out.append(Fraction(self.scaled[n], c_n))
+            c_n *= scale * n
+        return out
 
     def exact_t(self, n: int) -> Fraction:
         if not 1 <= n <= self.exact_limit:
@@ -129,14 +140,14 @@ def _scaled_counts(spec: FamilySpec, n_exact: int) -> List[int]:
         first = la1 * n + 2 * la0  # the factor at i = 2
         prod = first ** (n - 2) if la0 == 0 else _balanced_prod(range(first, la1 * n + n * la0, la0))
         s.append((la1 + la0) * prod)
-    return s
+    return s[: n_exact + 1]
 
 
 def compute_counts(spec: FamilySpec, n_max: int, exact_cutoff: int = 400) -> WeightedCounts:
     """Exact counts from the closed form, rho-scaled floats from the recurrence.
 
-    Exact Fractions are kept for n <= min(n_max, exact_cutoff); the
-    rho-scaled values (and hence ln T_n) cover all n <= n_max.
+    The exact integers S_n are kept for n <= min(n_max, exact_cutoff);
+    the rho-scaled values (and hence ln T_n) cover all n <= n_max.
     """
     if n_max < 1:
         raise OutOfRange(f"n_max must be >= 1, got {n_max}")
@@ -144,15 +155,6 @@ def compute_counts(spec: FamilySpec, n_max: int, exact_cutoff: int = 400) -> Wei
         raise OutOfRange(f"exact_cutoff must be >= 0, got {exact_cutoff}")
     if exact_cutoff > MAX_EXACT_CUTOFF:
         raise OverflowPolicyError(f"exact_cutoff={exact_cutoff} exceeds the configured bound {MAX_EXACT_CUTOFF}")
-    n_exact = min(n_max, exact_cutoff)
-
-    scaled = _scaled_counts(spec, n_exact)
-    scale = _weight_scale(spec)
-    exact: List[Fraction] = [Fraction(0)]
-    c_n = 1
-    for n in range(1, n_exact + 1):
-        exact.append(Fraction(scaled[n], c_n))
-        c_n *= scale * n
 
     tau = float(tau_exact(spec))
     rho = tau / phi_value(spec, tau)
@@ -172,11 +174,10 @@ def compute_counts(spec: FamilySpec, n_max: int, exact_cutoff: int = 400) -> Wei
     return WeightedCounts(
         family=spec,
         n_max=n_max,
-        exact=exact,
         log_values=logs,
         rho=rho,
         rho_scaled=a,
-        scaled=scaled,
+        scaled=_scaled_counts(spec, min(n_max, exact_cutoff)),
     )
 
 
@@ -208,8 +209,6 @@ class SplitDistribution:
 
     n: int
     probs: Sequence[Union[Fraction, float]]
-    symmetrized: bool
-    exact: bool
 
     def prob(self, k: int) -> Union[Fraction, float]:
         if not 1 <= k <= self.n - 1:
@@ -231,11 +230,10 @@ def split_distribution(
     """
     if not 2 <= n <= counts.n_max:
         raise OutOfRange(f"n must be in [2, {counts.n_max}], got {n}")
-    exact = n <= counts.exact_limit
-    probs = _split_row(counts, n, exact)
+    probs = _split_row(counts, n, n <= counts.exact_limit)
     if symmetrized:
         probs = (probs + probs[::-1]) / 2
-    return SplitDistribution(n=n, probs=list(probs), symmetrized=symmetrized, exact=exact)
+    return SplitDistribution(n=n, probs=list(probs))
 
 
 def _split_row(counts: WeightedCounts, n: int, exact: bool) -> np.ndarray:

@@ -21,9 +21,9 @@ alpha = 0 exactly the number of edges, n - 1 (with the default it is
 exactly 2n - 1).  The two conventions differ by a deterministic shift:
 one-sided by t_1, two-sided by n * t_1.
 
-Tables are exact whenever every toll value is rational (integer alpha
-and a rational size-1 cost), else double precision; an 80-bit
-extended mode is available via ``dtype=numpy.longdouble``.  Exact
+Every caller names the mode: ``"rational"`` tables are exact and need
+integer alpha and a rational size-1 cost, ``"float"`` tables are double
+precision, or 80-bit extended with ``dtype=numpy.longdouble``.  Exact
 values are the reduced Fractions N_n^s / (S_n * D^s) of the integers
 
     N_n^s = (n-1)! * L^(n-1) * T_n * D^s * E V_n^s,
@@ -147,23 +147,6 @@ class MomentTable:
         return out
 
 
-def _resolve_mode(counts: WeightedCounts, toll: TollSpec, n_max: int, mode: str) -> str:
-    if mode == "auto":
-        return "rational" if toll.is_rational and n_max <= counts.exact_limit else "float"
-    if mode == "rational":
-        if not toll.is_rational:
-            raise ConfigError("rational mode needs integer alpha and a rational size-1 cost")
-        if n_max > counts.exact_limit:
-            raise ConfigError(
-                f"rational mode needs exact counts up to n_max={n_max}; "
-                f"have {counts.exact_limit}"
-            )
-        return mode
-    if mode == "float":
-        return mode
-    raise ConfigError(f"unknown mode {mode!r}")
-
-
 def _moment_table(
     counts: WeightedCounts, toll: TollSpec, variant: str, n_max: Optional[int], s_max: int, mode: str, dtype
 ) -> MomentTable:
@@ -172,12 +155,20 @@ def _moment_table(
         raise OutOfRange(f"n_max must be in [1, {counts.n_max}], got {n_max}")
     if s_max < 0:
         raise OutOfRange(f"s_max must be >= 0, got {s_max}")
-    resolved = _resolve_mode(counts, toll, n_max, mode)
-    if resolved == "rational":
+    if mode == "rational":
+        if not toll.is_rational:
+            raise ConfigError("rational mode needs integer alpha and a rational size-1 cost")
+        if n_max > counts.exact_limit:
+            raise ConfigError(
+                f"rational mode needs exact counts up to n_max={n_max}; "
+                f"have {counts.exact_limit}"
+            )
         rows = _rational_rows(counts, toll, variant, n_max, s_max)
-    else:
+    elif mode == "float":
         rows = _float_rows(counts, toll, variant, n_max, s_max, dtype)
-    return MomentTable(variant, counts.family, toll, n_max, s_max, resolved, rows)
+    else:
+        raise ConfigError(f"unknown mode {mode!r}")
+    return MomentTable(variant, counts.family, toll, n_max, s_max, mode, rows)
 
 
 def one_sided_moments(
@@ -185,7 +176,8 @@ def one_sided_moments(
     toll: TollSpec,
     n_max: Optional[int] = None,
     s_max: int = 2,
-    mode: str = "auto",
+    *,
+    mode: str,
     dtype=np.float64,
 ) -> MomentTable:
     """Moment table of the one-sided (root-retaining) destruction cost."""
@@ -197,7 +189,8 @@ def two_sided_moments(
     toll: TollSpec,
     n_max: Optional[int] = None,
     s_max: int = 2,
-    mode: str = "auto",
+    *,
+    mode: str,
     dtype=np.float64,
 ) -> MomentTable:
     """Moment table of the two-sided (recurse-everywhere) destruction cost.
@@ -205,6 +198,15 @@ def two_sided_moments(
     The inner sums are folded using the k <-> n-k symmetry of the summand.
     """
     return _moment_table(counts, toll, TWO_SIDED, n_max, s_max, mode, dtype)
+
+
+def _mix(size: int, dtype) -> np.ndarray:
+    """The two-sided binomial mix y_r = sum_{j+l=r} C(r,j) G[j, l], as y = mix @ G.reshape(-1)."""
+    mix = np.zeros((size, size * size), dtype=dtype)  # in floats: C(r, j) outgrows int64 from r = 67
+    for j in range(size):
+        for l in range(size - j):
+            mix[j + l, j * size + l] = math.comb(j + l, j)
+    return mix
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +275,7 @@ def _residue_rows(counts: WeightedCounts, toll: TollSpec, variant: str, n_max: i
     for _ in range(int(toll.alpha)):
         tau = tau * n % q
     tau = tau.astype(np.int32)
-    mix = np.zeros((size, size * size), dtype=np.int64)  # y_r = sum_{j+l=r} C(r,j) G[j, l]
-    for j in range(size):
-        mix[j:, j * size : j * size + size - j] = np.diag([math.comb(j + l, j) for l in range(size - j)])
+    mix = _mix(size, np.int64)
     pairs = np.zeros((size, size, c), dtype=np.int64)
     rows = np.zeros((size, n_max + 1, c), dtype=np.int64)
     rows[:, 1] = [[pow(t1.numerator, s, p) for p in ps] for s in range(size)]  # tau_1 = D*t_1
@@ -419,10 +419,7 @@ def _float_rows(counts: WeightedCounts, toll: TollSpec, variant: str, n_max: int
 
     b, cells = _BLOCK, size * size
     most = -(-((n_max - 1) // 2) // b)  # blocks in the largest half-sum
-    mix = np.zeros((size, cells), dtype=dtype)  # y_r = sum_{j,l} mix[r, j*size + l] G[j, l]
-    for j in range(size):
-        for l in range(size - j):
-            mix[j + l, j * size + l] = math.comb(j + l, j)
+    mix = _mix(size, dtype)
     # parts[0] holds the middle term of an even n, weighted by mix / 2, and parts[1:] the block partials
     weights = np.hstack([mix / 2] + [mix] * most)
     parts = np.zeros((most + 1, size, size), dtype=dtype)

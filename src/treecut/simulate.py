@@ -66,7 +66,7 @@ class SampleStats:
 
     count: int
     moment_estimates: List[float]
-    standard_errors: List[float]
+    standard_errors: List[Optional[float]]  # None from one sample, which has no spread
     seed: int
 
 
@@ -359,7 +359,7 @@ def _power_sums(costs: np.ndarray, powers: int) -> np.ndarray:
     return np.array([np.sum(costs**j) for j in range(1, powers + 1)])
 
 
-def _means_and_errors(partials: List[np.ndarray], count: int, s_max: int) -> Tuple[List[float], List[float]]:
+def _means_and_errors(partials: List[np.ndarray], count: int, s_max: int) -> Tuple[List[float], List[Optional[float]]]:
     """Means of the powers 1..s_max of the cost and their standard errors.
 
     ``partials`` are per-shard sums of the powers 1..2*s_max, added in
@@ -372,7 +372,7 @@ def _means_and_errors(partials: List[np.ndarray], count: int, s_max: int) -> Tup
     errors = []
     for j in range(1, s_max + 1):
         if count < 2:
-            errors.append(float("nan"))
+            errors.append(None)
             continue
         var = max(0.0, (totals[2 * j - 1] - count * means[j - 1] ** 2) / (count - 1))
         errors.append(math.sqrt(var / count))
@@ -416,12 +416,10 @@ def run_experiment(config: ExperimentConfig) -> SampleStats:
 class CutSurvey:
     """First-cut histogram plus cost statistics from explicit destruction."""
 
-    n: int
-    variant: str
     count: int
     histogram: np.ndarray = field(repr=False)  # histogram[k] = #{first cut left root side of size k}
     cost_mean: float
-    cost_se: float
+    cost_se: Optional[float]
 
 
 def explicit_cut_survey(
@@ -447,4 +445,4 @@ def explicit_cut_survey(
 
     sums, hists = zip(*_map_shards(survey_shard, seed, samples))
     (mean,), (se,) = _means_and_errors(sums, samples, 1)
-    return CutSurvey(n=n, variant=variant, count=samples, histogram=sum(hists), cost_mean=mean, cost_se=se)
+    return CutSurvey(count=samples, histogram=sum(hists), cost_mean=mean, cost_se=se)

@@ -3,8 +3,9 @@
 Each criterion function is self-contained, returns a CriterionResult,
 and never raises on a value failure (it reports it); checks 1-3 are
 exact, 4 and 11 are statistical with fixed seeds, and 5-10 compare
-dynamic programming against limit formulas at finite n.  One decorator
-times every criterion, fails it when it overruns its wall-clock budget
+dynamic programming against limit formulas at finite n; 6 also holds
+the alpha = 1 limit recurrence to the Airy law.  One decorator times
+every criterion, fails it when it overruns its wall-clock budget
 (noting the overrun in its details), and registers it by number in
 ALL_CRITERIA.
 
@@ -202,37 +203,39 @@ def criterion_05_one_sided_rayleigh():
     return ok, details
 
 
-def _limit_moment_oracle(alpha: float, s_max: int) -> List[float]:
-    """Independent transcription of the two-sided limit recurrence."""
-    from math import comb, gamma, sqrt, pi
+def _limit_moment_oracle(s_max: int) -> List[float]:
+    """Two-sided alpha = 1 limit moments m_s = 2^s E B_ex^s, by the Airy law.
 
-    ap = alpha + 0.5
-    m = [1.0, gamma(alpha - 0.5) / (sqrt(2.0) * gamma(alpha))]
+    The limit is twice the Brownian excursion area B_ex, whose moments
+    are E B_ex^s = 4 sqrt(pi) 2^(-s/2) s! / Gamma((3s-1)/2) K_s, with
+    K_1 = 1/8 and K_s = (3s-4)/4 K_(s-1) + sum_(j=1)^(s-1) K_j K_(s-j)
+    (Janson, Probab. Surveys 4, 2007), kept exact in Fractions.
+    """
+    k = [Fraction(0), Fraction(1, 8)]
     for s in range(2, s_max + 1):
-        tot = 0.0
-        for k in range(1, s):
-            tot += comb(s, k) * gamma(k * ap - 0.5) * gamma((s - k) * ap - 0.5) / gamma(s * ap - 0.5) * m[k] * m[s - k]
-        m.append(tot / (4 * sqrt(pi)) + s * gamma(s * ap - 1.0) / (sqrt(2.0) * gamma(s * ap - 0.5)) * m[s - 1])
-    return m
+        k.append(Fraction(3 * s - 4, 4) * k[s - 1] + sum(k[j] * k[s - j] for j in range(1, s)))
+    scale = 4.0 * math.sqrt(math.pi)
+    return [1.0] + [scale * 2 ** (s / 2) * float(math.factorial(s) * k[s]) / math.gamma((3 * s - 1) / 2)
+                    for s in range(1, s_max + 1)]
 
 
 @_criterion(6, "two-sided alpha=1 limit (ordered, n=2000)", budget=300.0)
 def criterion_06_two_sided_alpha1():
-    """Two-sided alpha = 1 normalized moments vs the limit, s <= 3, 3%."""
+    """Two-sided alpha = 1 normalized moments vs the Airy limit, s <= 3, 3%."""
     n = 2000
     spec = ordered()
     constants = solve_constants(spec)
     counts = compute_counts(spec, n, exact_cutoff=1)
     table = two_sided_moments(counts, TollSpec(alpha=1), n, 3, mode="float")
     package = limits.limit_moments_two_sided(1.0, 3).m
-    oracle = _limit_moment_oracle(1.0, 3)
+    oracle = _limit_moment_oracle(3)
     report = analysis.normalize_moments(table, constants, grid=[250, 500, 1000, 2000])
     errors = [abs(row.normalized / oracle[row.s] - 1) for row in report.rows if row.n == n]
     oracle_gap = max(abs(a - b) for a, b in zip(package, oracle))
     ok = max(errors) <= 0.03 and oracle_gap < 1e-10
     details = (
         f"rel errors s=1..3: {', '.join(f'{e * 100:.2f}%' for e in errors)} (need <= 3%); "
-        f"recurrence vs inline oracle gap {oracle_gap:.1e}"
+        f"recurrence vs Airy law (Janson's K_s) gap {oracle_gap:.1e}"
     )
     return ok, details, _report_rows(6, "ordered", report)
 

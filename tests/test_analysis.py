@@ -10,16 +10,22 @@ Claims covered:
       matrix degenerates detectably near alpha = 1/2
     - delta fitting at alpha = 1/2 recovers the pinned n ln n
       coefficient in a free fit
-    - family-independence gaps shrink along the grid
-    - MissingShift fires when a shifted regime cannot be fitted
+    - family-independence gaps shrink along the grid; reports sharing
+      fewer than two grid points are rejected
+    - MissingShift fires when a shifted regime (alpha < 1/2 or alpha = 1/2)
+      cannot be fitted; a two-sided alpha below 1e-3 is rejected before
+      any fit
     - the fit grid equals the np.unique of its geometric points
     - alpha = 1/2 +- 1e-9 normalizes as alpha = 1/2; mu is fitted on
       two-sided tables only
 """
 
+import math
+
 import numpy as np
 import pytest
 
+from treecut import analysis
 from treecut.analysis import (
     GRID_POINTS,
     estimate_delta,
@@ -29,7 +35,7 @@ from treecut.analysis import (
     normalize_moments,
 )
 from treecut.counts import compute_counts
-from treecut.errors import ConfigError, IllConditioned, MissingShift
+from treecut.errors import ConfigError, DomainError, IllConditioned, MissingShift
 from treecut.family import binary, cayley, ordered, solve_constants
 from treecut.limits import limit_moments_two_sided
 from treecut.moments import TollSpec, one_sided_moments, two_sided_moments
@@ -98,12 +104,14 @@ def test_estimate_mu_guards(ordered_counts):
 
 
 def test_missing_shift(ordered_counts, ordered_constants):
-    short = two_sided_moments(ordered_counts, TollSpec(alpha=0.25), 400, 2, mode="float")
-    with pytest.raises(MissingShift):
-        normalize_moments(short, ordered_constants, grid=[100, 200, 400])
-    # but an explicitly provided coefficient unblocks the report
-    report = normalize_moments(short, ordered_constants, grid=[100, 200, 400], mu=3.147)
-    assert report.fitted["mu"] == pytest.approx(3.147)
+    # mu needs n_max >= 512 and delta n_max >= 1000
+    for alpha, coefficient in ((0.25, "mu"), (0.5, "delta")):
+        short = two_sided_moments(ordered_counts, TollSpec(alpha=alpha), 400, 2, mode="float")
+        with pytest.raises(MissingShift):
+            normalize_moments(short, ordered_constants, grid=[100, 200, 400])
+        # but an explicitly provided coefficient unblocks the report
+        report = normalize_moments(short, ordered_constants, grid=[100, 200, 400], **{coefficient: 3.147})
+        assert report.fitted[coefficient] == pytest.approx(3.147)
 
 
 def test_below_half_centering_converges(ordered_counts, ordered_constants):
@@ -121,7 +129,8 @@ def test_half_regime_report(ordered_constants):
     counts = compute_counts(ordered(), 4000, exact_cutoff=1)
     table = two_sided_moments(counts, TollSpec(alpha=0.5), 4000, 2, mode="float")
     fit = estimate_delta(table, ordered_constants)
-    assert fit.free_coefficient == pytest.approx(fit.fixed_coefficient, rel=0.03)
+    fixed = ordered_constants.sigma / math.sqrt(2 * math.pi)  # the pinned n ln n coefficient
+    assert fit.free_coefficient == pytest.approx(fixed, rel=0.03)
     assert fit.stability < 0.05
     report = normalize_moments(table, ordered_constants, grid=[1000, 2000, 4000])
     twos = report.series(2)
@@ -142,6 +151,20 @@ def test_half_window_is_one_regime(ordered_counts, ordered_constants):
     ]
     assert deltas[0] == pytest.approx(deltas[1], abs=1e-6)
     assert deltas[2] == pytest.approx(deltas[1], abs=1e-6)
+
+
+@pytest.mark.parametrize("alpha", [1e-4, 5e-4])
+def test_below_floor_rejected_before_fitting(ordered_counts, ordered_constants, monkeypatch, alpha):
+    # two-sided 0 < alpha < 1e-3 has no limit moments, so no mu is fitted for it
+    def no_fit(*args):
+        raise AssertionError("fitted mu for a table with no limit")
+
+    monkeypatch.setattr(analysis, "estimate_mu", no_fit)
+    table = two_sided_moments(ordered_counts, TollSpec(alpha=alpha), 2000, 2, mode="float")
+    with pytest.raises(DomainError):
+        normalize_moments(table, ordered_constants)
+    at_floor = two_sided_moments(ordered_counts, TollSpec(alpha=1e-3), 600, 2, mode="float")
+    assert normalize_moments(at_floor, ordered_constants, grid=[300, 600], mu=1.0).fitted == {"mu": 1.0}
 
 
 def test_estimate_delta_guards(ordered_counts, ordered_constants):
@@ -183,13 +206,15 @@ def test_family_independence(ordered_counts, cayley_counts, ordered_constants):
     rep_o = normalize_moments(
         two_sided_moments(ordered_counts, toll, 2000, 2, mode="float"), ordered_constants, grid=grid
     )
-    rep_a = normalize_moments(
-        two_sided_moments(cayley_counts, toll, 2000, 2, mode="float"), solve_constants(cayley()), grid=grid
-    )
+    cayley_table = two_sided_moments(cayley_counts, toll, 2000, 2, mode="float")
+    rep_a = normalize_moments(cayley_table, solve_constants(cayley()), grid=grid)
     table = family_independence_check(rep_o, rep_a, 1)
-    assert table.decreasing and table.strictly_decreasing
+    assert table.strictly_decreasing
     same = family_independence_check(rep_o, rep_o, 2)
     assert all(row.difference == 0 for row in same.rows)
+    one_point = normalize_moments(cayley_table, solve_constants(cayley()), grid=[300, 2000])  # shares only 2000
+    with pytest.raises(ConfigError):
+        family_independence_check(rep_o, one_point, 1)
 
 
 def test_binary_vs_cayley_alpha2(cayley_counts):

@@ -20,7 +20,9 @@ Claims covered:
       floats, and exact mode is a validation error
     - exit codes: 0 ok, 1 validation or usage error, 2 failed criteria;
       a --size-one-cost that is no finite number, a negative --seed, and
-      a negative --smax or NaN --alpha for limits are validation errors
+      a negative --smax, a NaN --alpha or a two-sided --alpha below 1e-3
+      for limits are validation errors
+    - simulate with one sample prints strict JSON, null standard errors
     - a rational --size-one-cost is echoed as a p/q string
 """
 
@@ -308,6 +310,20 @@ def test_validation_errors_exit_1(capture):
     assert code == 1 and "rational" in err
 
 
+def test_simulate_one_sample_is_strict_json(capture):
+    # one sample has no spread: its standard errors print as null, not as NaN, which strict JSON rejects
+    code, out, _ = capture(
+        "simulate", "--kind", "A", "--alpha0", "1", "--variant", "two", "--alpha", "1", "--n", "20",
+        "--samples", "1", "--seed", "1",
+    )
+    assert code == 0
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    assert json.loads(out, parse_constant=reject)["standard_errors"] == [None, None]
+
+
 def test_simulate_rational_size_one_cost(capture):
     code, out, _ = capture(
         "simulate", "--kind", "A", "--alpha0", "1", "--variant", "two", "--alpha", "0", "--n", "5",
@@ -354,8 +370,9 @@ def test_negative_seed_exits_1(capture):
         ("--regime", "two", "--alpha", "nan"),
         ("--regime", "one", "--alpha", "inf"),
         ("--regime", "two", "--alpha", "inf"),
+        ("--regime", "two", "--alpha", "1e-16", "--smax", "3"),
     ],
-    ids=["one-smax", "two-smax", "one-nan", "two-nan", "one-inf", "two-inf"],
+    ids=["one-smax", "two-smax", "one-nan", "two-nan", "one-inf", "two-inf", "two-tiny"],
 )
 def test_bad_limits_input_exits_1(capture, args):
     code, out, err = capture("limits", *args)

@@ -2,8 +2,10 @@
 
 Claims covered:
     - two-sided recurrence values at alpha = 1 and 2 against hand algebra
-    - the Gamma pole at alpha = 1/2, and an alpha too small to survive
-      alpha + 1/2, raise instead of returning garbage or NaN
+    - the Gamma pole at alpha = 1/2, and an alpha below 1e-3, where the
+      two-sided recurrence cancels, raise instead of returning garbage or NaN
+    - the two-sided alpha = 1 limit is the Airy law: its moments equal
+      Janson's exact K_s form for s <= 20
     - the log-Gamma port equals scipy.special.gammaln / gammasgn bit for
       bit at every argument the limit formulas form, at its branch
       borders and at the ends of the float range
@@ -17,7 +19,8 @@ Claims covered:
     - one-sided closed product vs Rayleigh moments at alpha = 0
     - Carleman-style growth sanity and positivity across regimes
     - one map from (variant, alpha) to the regime; alpha within 1e-6 of
-      1/2 is the alpha = 1/2 regime
+      1/2 is the alpha = 1/2 regime; a two-sided alpha below 1e-3, negative
+      or not finite is in none, and predicted_mean rejects it too
 """
 
 import math
@@ -41,11 +44,11 @@ from treecut.limits import (
     limit_moments_two_sided,
     limit_moments_two_sided_half,
     predicted_mean,
-    rayleigh_density,
     rayleigh_moment,
     regime,
 )
 from treecut.moments import ONE_SIDED, TWO_SIDED
+from treecut.verify import _limit_moment_oracle
 
 
 def test_two_sided_reference_values():
@@ -67,8 +70,15 @@ def test_two_sided_below_half_matches_direct_gamma():
     assert lm.m[2] > 0
 
 
+def test_two_sided_alpha1_is_the_airy_law():
+    # twice the Brownian excursion area; the oracle is criterion 6's, in Fractions and math.gamma only
+    airy = _limit_moment_oracle(20)
+    package = limit_moments_two_sided(1.0, 20).m
+    assert max(abs(a / b - 1) for a, b in zip(package, airy)) <= 1e-13
+
+
 @pytest.mark.parametrize(
-    "alpha", [0.5, 0.5 + 5e-7, 0.5 - 5e-7, 0.0, -1.0, math.nan, math.inf, 1e-17, 1e-300]
+    "alpha", [0.5, 0.5 + 5e-7, 0.5 - 5e-7, 0.0, -1.0, math.nan, math.inf, 1e-17, 1e-300, 1e-16, 1e-9, 5e-4]
 )
 def test_two_sided_pole_window(alpha):
     with pytest.raises(DomainError):
@@ -202,6 +212,13 @@ def test_one_sided_alpha0_is_rayleigh():
         assert lm.m[s] == pytest.approx(rayleigh_moment(s), rel=1e-12)
 
 
+def rayleigh_density(y: float) -> float:
+    """Density y*exp(-y^2/2) of the standard Rayleigh law (y >= 0)."""
+    if y < 0:
+        raise DomainError("the Rayleigh density lives on y >= 0")
+    return y * math.exp(-(y * y) / 2.0)
+
+
 def test_rayleigh_density_and_moments():
     total, _ = quad(rayleigh_density, 0, np.inf)
     assert total == pytest.approx(1.0, abs=1e-10)
@@ -264,6 +281,12 @@ def test_regime_map():
     assert {a: regime(TWO_SIDED, a) for a in cases} == cases
     with pytest.raises(DomainError):
         regime("sideways", 1.0)
+    assert regime(TWO_SIDED, 1e-3) == TWO_SIDED_LINEAR and regime(ONE_SIDED, 1e-4) == ONE_SIDED
+    for alpha in (1e-4, 5e-4, -1.0, math.nan, math.inf):  # no two-sided regime: the limit recurrence cancels or fails
+        with pytest.raises(DomainError):
+            regime(TWO_SIDED, alpha)
+        with pytest.raises(DomainError):
+            predicted_mean(solve_constants(ordered()), alpha, TWO_SIDED)
 
 
 def test_tanh_sinh_raises_when_levels_run_out(monkeypatch):

@@ -33,6 +33,8 @@ Claims covered:
       the mean's powers at n=10^4
     - two-sided float64 rows match the long-double rows to 5e-15 at
       n=2000 (s<=4, alpha in {0, 1/2, 1}, three families)
+    - two-sided float tables go past s = 67, where the binomial mix
+      leaves int64, and match brute force to 1e-12 up to s = 70
     - Jensen, toll monotonicity, one-sided <= two-sided means
     - re-rooting: on Cayley trees the exact two-sided alpha=1 mean is n
       times the one-sided alpha=0 mean for n <= 60, for three size-1
@@ -276,9 +278,8 @@ def test_rational_mode_requires_rational_toll(tables):
     short = compute_counts(ordered(), 50, exact_cutoff=20)
     with pytest.raises(ConfigError):
         one_sided_moments(short, TollSpec(alpha=1), 50, 1, mode="rational")
-    # auto quietly picks float in both cases
-    assert one_sided_moments(tables["C"], TollSpec(alpha=0.5), 10, 1).mode == "float"
-    assert one_sided_moments(short, TollSpec(alpha=1), 50, 1).mode == "float"
+    with pytest.raises(ConfigError):  # choosing the mode is the caller's: "auto" is the CLI's, not the library's
+        one_sided_moments(short, TollSpec(alpha=1), 20, 1, mode="auto")
 
 
 def test_extended_precision_mode(tables):
@@ -296,6 +297,16 @@ def test_extended_precision_mode(tables):
             base = two_sided_moments(counts, toll, n, 4, mode="float").rows[:, 1:]
             wide = two_sided_moments(counts, toll, n, 4, mode="float", dtype=np.longdouble).rows[:, 1:]
             assert np.max(np.abs(base / wide - 1)) <= 5e-15, (spec.label(), alpha)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_two_sided_float_orders_past_int64_binomials(tables, dtype):
+    # the binomial mix needs C(67, 33) > 2^63 at s = 67 and C(68, 34) > 2^64 at s = 68
+    toll, s_max = TollSpec(alpha=1), 70
+    table = two_sided_moments(tables[ordered().kind], toll, 5, s_max, mode="float", dtype=dtype)
+    oracle = family_moments(ordered(), 5, toll, s_max, TWO_SIDED)
+    for s in range(s_max + 1):
+        assert float(table.moment(5, s)) == pytest.approx(float(oracle[s]), rel=1e-12), s
 
 
 # ---------------------------------------------------------------------------

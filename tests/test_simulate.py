@@ -24,6 +24,7 @@ Claims covered:
       same seed
     - size-process and explicit engines agree with each other and with
       the exact DP within standard-error bounds
+    - a single vertex costs exactly t_1 in both engines and variants
     - experiments are deterministic for a fixed seed regardless of
       worker count, the thread pool never outgrows the shards, and
       configs are validated
@@ -52,6 +53,7 @@ from treecut.moments import ONE_SIDED, TWO_SIDED, TollSpec, one_sided_moments, t
 from treecut.simulate import (
     EXPLICIT,
     SHARD_SIZE,
+    SIZE_PROCESS,
     ExperimentConfig,
     SampleStats,
     _cumulative_rows,
@@ -597,6 +599,19 @@ def test_size_process_single_samples():
     assert seen == {2.0, 3.0}  # cut to 1 directly, or via 2
     one = simulate_size_process(counts, toll, 1, TWO_SIDED, rng)
     assert one.total_cost == 1.0 and one.first_cut_root_size == 0
+
+
+@pytest.mark.parametrize("engine", [SIZE_PROCESS, EXPLICIT])
+@pytest.mark.parametrize("variant", [ONE_SIDED, TWO_SIDED])
+def test_single_vertex_costs_t1(engine, variant):
+    # a lone vertex is never cut, so every sample costs exactly t_1
+    for size_one_cost, t1 in ((None, 1.0), (0, 0.0), (2.5, 2.5)):
+        config = ExperimentConfig(
+            family=ordered(), variant=variant, alpha=1.0, n=1, samples=10, seed=SEED, engine=engine,
+            size_one_cost=size_one_cost,
+        )
+        stats = run_experiment(config)
+        assert stats.moment_estimates == [t1, t1 * t1] and stats.standard_errors == [0.0, 0.0]
 
 
 class _TopUniform:
