@@ -12,7 +12,8 @@ Claims covered:
     - JSON outputs parse back; identical argv (and seed) gives
       byte-identical output, also when the worker count changes, for
       both simulation engines
-    - the README simulate example prints the bytes it printed before,
+    - the README simulate examples print the bytes they printed before
+      (one-sided, and two-sided through the size process),
       and so does the README's exact n=600 moments table, recorded with
       the big-integer kernel before the residue kernel replaced it, and
       its exact one-sided n=400 table, recorded with 64-prime chunks
@@ -23,6 +24,8 @@ Claims covered:
       a negative --smax, a NaN --alpha or a two-sided --alpha below 1e-3
       for limits are validation errors
     - simulate with one sample prints strict JSON, null standard errors
+    - simulate with an s_max whose power sums overflow float64 exits 1
+      and prints nothing
     - a rational --size-one-cost is echoed as a p/q string
 """
 
@@ -263,6 +266,28 @@ def test_simulate_readme_example_bytes(capture):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == "bef85b080a4e6984093dc6415df5887332425a81af0e102402de5417fc356702"
+
+
+def test_simulate_readme_two_sided_bytes(capture):
+    # the README's two-sided size-process example; its stdout was recorded before the level step
+    # skipped the size-2 components
+    code, out, _ = capture(
+        "simulate", "--kind", "C", "--alpha0", "1", "--alpha1", "1", "--variant", "two", "--alpha", "0.5",
+        "--n", "1000", "--samples", "8192", "--seed", "1", "--workers", "2",
+    )
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "bee14155b92d731f499406647a245aed3ac33476cd6b2c6ddcf80824169ff11f"
+
+
+def test_simulate_overflowing_smax_exits_1(capture):
+    # cost^64 passes the float64 range: an error before any output, not standard errors of 0
+    code, out, err = capture(
+        "simulate", "--kind", "C", "--alpha0", "1", "--alpha1", "1", "--variant", "two", "--alpha", "1",
+        "--n", "2000", "--samples", "10", "--smax", "32", "--seed", "1",
+    )
+    assert code == 1
+    assert out == "" and err.startswith("treecut: error: s_max = 32")
 
 
 def test_out_file(capture, tmp_path):

@@ -30,8 +30,12 @@ Claims covered:
       configs are validated
     - the largest uniform below 1 still splits off a nonempty side
     - the guide-table draw equals a binary search of the cumulative row
-      on every row entry and its float neighbours
-    - fixed-seed results stay the values recorded for each engine
+      on every row entry, every bucket edge and their float neighbours,
+      and no guide start lies past the answer
+    - fixed-seed results stay the values recorded for each engine, also
+      two-sided with fractional tolls, where the order of additions shows
+    - power sums that overflow float64 raise ConfigError instead of
+      reporting a standard error of 0
 """
 
 import dataclasses
@@ -642,7 +646,7 @@ def test_top_uniform_splits_in_range(spec):
 
 @pytest.mark.parametrize("spec", [ordered(), binary(), cayley()], ids=lambda s: s.label())
 def test_draw_splits_equals_row_search(spec):
-    # the guide start may land on either side of the answer; the walk must fix both
+    # the walk from the guide start only moves up, so no start may lie past the answer
     n = 200
     counts = compute_counts(spec, n, exact_cutoff=1)
     table = _cumulative_rows(counts, n)
@@ -653,6 +657,15 @@ def test_draw_splits_equals_row_search(spec):
         u = u[u < 1.0]
         expected = np.searchsorted(cdf, u, side="right") + 1
         np.testing.assert_array_equal(_draw_splits(table, np.full(u.size, m), u), expected)
+
+        # the bucket edges b/(m-1) and their float neighbours, where u * (m - 1) may round up to b
+        edges = np.arange(m - 1) / (m - 1)
+        u = np.concatenate([edges, np.nextafter(edges, -1.0), np.nextafter(edges, 1.0)])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        answer = np.searchsorted(cdf, u, side="right")
+        np.testing.assert_array_equal(_draw_splits(table, np.full(u.size, m), u), answer + 1)
+        bucket = np.minimum((u * (m - 1)).astype(np.int64), m - 2)
+        assert np.all(table.guide[table.offsets[m] + bucket] <= answer), "a guide start passes the answer"
 
     n, draws = 2000, 100_000
     counts = compute_counts(spec, n, exact_cutoff=1)
@@ -680,6 +693,32 @@ def test_fixed_seed_golden_stats():
         standard_errors=[27.864826567507894, 552626.4715168548, 8715554404.46094],
         seed=7,
     )
+    # two-sided with fractional tolls, recorded before the level step set size 2 apart: every partial
+    # sum rounds, so these also fix the order in which a level adds its tolls and size-1 charges
+    binary_two = run_experiment(
+        ExperimentConfig(
+            family=binary(), variant=TWO_SIDED, alpha=0.37, n=300, samples=5000, seed=7, s_max=3,
+            size_one_cost=0.3,
+        )
+    )
+    assert binary_two == SampleStats(
+        count=5000,
+        moment_estimates=[754.0051871128992, 569124.771542313, 430037186.8931373],
+        standard_errors=[0.3467187803011434, 527.5609009481198, 603001.008154926],
+        seed=7,
+    )
+    ordered_two = run_experiment(
+        ExperimentConfig(
+            family=ordered(), variant=TWO_SIDED, alpha=0.5, n=300, samples=5000, seed=7, s_max=3,
+            size_one_cost=0,
+        )
+    )
+    assert ordered_two == SampleStats(
+        count=5000,
+        moment_estimates=[1176.344123693743, 1394677.364913374, 1666884989.821305],
+        standard_errors=[1.4760790205032006, 3566.1653127630625, 6537771.747103579],
+        seed=7,
+    )
     one = run_experiment(
         ExperimentConfig(
             family=cayley(), variant=ONE_SIDED, alpha=0.5, n=57, samples=5000, seed=7, size_one_cost=0
@@ -702,6 +741,19 @@ def test_fixed_seed_golden_stats():
         standard_errors=[0.5104280930509563, 279.8011249194849],
         seed=7,
     )
+
+
+def test_overflowing_power_sums_raise():
+    # cost^64 passes the float64 range at n = 2000; a NaN variance would report a standard error of 0
+    for engine in (SIZE_PROCESS, EXPLICIT):
+        config = ExperimentConfig(
+            family=ordered(), variant=TWO_SIDED, alpha=1.0, n=2000, samples=10, seed=1, engine=engine, s_max=32
+        )
+        with pytest.raises(ConfigError, match="s_max = 32"):
+            run_experiment(config)
+        assert all(se > 0 for se in run_experiment(dataclasses.replace(config, s_max=28)).standard_errors)
+    with pytest.raises(ConfigError, match="s_max = 1"):  # toll^2 overflows at alpha = 60
+        explicit_cut_survey(ordered(), TollSpec(alpha=60), 2000, TWO_SIDED, 10, seed=1)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0])
