@@ -11,16 +11,19 @@
 
 Exit codes: 0 success, 1 validation/usage error, 2 acceptance failure
 (verify only).  Exact rationals are serialized as "p/q" strings; output
-is byte-deterministic for a fixed argument vector (and seed).
+is byte-deterministic for a fixed argument vector (and seed).  Every
+byte of output leaves through ``_emit``, to stdout or the file an
+``--out`` option names, and every CSV table is built by ``_csv``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
-from typing import List, Optional
+from typing import Iterable, List, Optional, Sequence
 
 from .counts import MAX_EXACT_CUTOFF, compute_counts, split_distribution
 from .errors import ConfigError, TreecutError
@@ -32,7 +35,7 @@ from .limits import (
 )
 from .moments import ONE_SIDED, TWO_SIDED, TollSpec, one_sided_moments, two_sided_moments
 from .simulate import EXPLICIT, SIZE_PROCESS, ExperimentConfig, run_experiment
-from .verify import run_battery
+from .verify import ROW_FIELDS, run_battery
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,18 +82,30 @@ def _variant(name: str) -> str:
     return ONE_SIDED if name == "one" else TWO_SIDED
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(text: str, out: Optional[str] = None) -> None:
+    """Write ``text`` to the file ``out``, or to stdout (flushed) without one."""
     if out:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
+        sys.stdout.flush()
+
+
+def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """A header line and one line per row, each cell written by ``str``."""
+    return "".join(",".join(map(str, line)) + "\n" for line in (header, *rows))
 
 
 def _fmt(value) -> str:
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
     return repr(float(value))
+
+
+def _plain(value):
+    """A Fraction as its "p/q" string, any other value as it is, for JSON."""
+    return _fmt(value) if isinstance(value, Fraction) else value
 
 
 def _json(obj) -> str:
@@ -104,19 +119,8 @@ def _json(obj) -> str:
 
 def _cmd_constants(args) -> int:
     spec = _family_from_args(args)
-    con = solve_constants(spec)
-    payload = {
-        "kind": spec.kind,
-        "alpha0": _fmt(spec.alpha0),
-        "a0": _fmt(spec.a0),
-        "a1": _fmt(spec.a1),
-        "tau": con.tau,
-        "rho": con.rho,
-        "b": con.b,
-        "c": con.c,
-        "sigma2": con.sigma2,
-        "sigma": con.sigma,
-    }
+    payload = {"kind": spec.kind, "alpha0": _fmt(spec.alpha0), "a0": _fmt(spec.a0), "a1": _fmt(spec.a1)}
+    payload.update(dataclasses.asdict(solve_constants(spec)))
     if spec.kind == "B":
         payload["d"] = spec.d
     if spec.kind == "C":
@@ -128,11 +132,9 @@ def _cmd_constants(args) -> int:
 def _cmd_counts(args) -> int:
     spec = _family_from_args(args)
     counts = compute_counts(spec, args.nmax, exact_cutoff=args.exact_cutoff)
-    lines = ["n,t_exact,ln_t"]
-    for n in range(1, args.nmax + 1):
-        exact = _fmt(counts.exact_t(n)) if n <= counts.exact_limit else ""
-        lines.append(f"{n},{exact},{repr(counts.log_t(n))}")
-    _emit("\n".join(lines) + "\n", args.out)
+    rows = ((n, _fmt(counts.exact_t(n)) if n <= counts.exact_limit else "", counts.log_t(n))
+            for n in range(1, args.nmax + 1))
+    _emit(_csv(("n", "t_exact", "ln_t"), rows), args.out)
     return 0
 
 
@@ -140,10 +142,7 @@ def _cmd_probs(args) -> int:
     spec = _family_from_args(args)
     counts = compute_counts(spec, args.n, exact_cutoff=min(args.n, 2000))
     dist = split_distribution(counts, args.n, symmetrized=args.symmetrized)
-    lines = ["k,p"]
-    for k in range(1, args.n):
-        lines.append(f"{k},{_fmt(dist.prob(k))}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(_csv(("k", "p"), ((k, _fmt(dist.prob(k))) for k in range(1, args.n))), args.out)
     return 0
 
 
@@ -154,11 +153,8 @@ def _cmd_moments(args) -> int:
     counts = compute_counts(spec, args.nmax, exact_cutoff=args.nmax if exact else 1)
     maker = one_sided_moments if _variant(args.variant) == ONE_SIDED else two_sided_moments
     table = maker(counts, toll, args.nmax, args.smax, mode="rational" if exact else "float")
-    lines = ["n,s,mu"]
-    for n in range(1, args.nmax + 1):
-        for s in range(args.smax + 1):
-            lines.append(f"{n},{s},{_fmt(table.moment(n, s))}")
-    _emit("\n".join(lines) + "\n", args.out)
+    rows = ((n, s, _fmt(table.moment(n, s))) for n in range(1, args.nmax + 1) for s in range(args.smax + 1))
+    _emit(_csv(("n", "s", "mu"), rows), args.out)
     return 0
 
 
@@ -175,7 +171,6 @@ def _cmd_limits(args) -> int:
 
 def _cmd_simulate(args) -> int:
     spec = _family_from_args(args)
-    engine = SIZE_PROCESS if args.engine == "size" else EXPLICIT
     toll = _toll_from_args(args)
     config = ExperimentConfig(
         family=spec,
@@ -184,32 +179,15 @@ def _cmd_simulate(args) -> int:
         n=args.n,
         samples=args.samples,
         seed=args.seed,
-        engine=engine,
+        engine=SIZE_PROCESS if args.engine == "size" else EXPLICIT,
         workers=args.workers,
         s_max=args.smax,
         size_one_cost=toll.size_one_cost,
     )
     stats = run_experiment(config)
-    size_one = _fmt(toll.size_one_cost) if isinstance(toll.size_one_cost, Fraction) else toll.size_one_cost
-    payload = {
-        "config": {
-            "kind": spec.kind,
-            "alpha0": _fmt(spec.alpha0),
-            "d": spec.d,
-            "alpha1": _fmt(spec.alpha1) if spec.alpha1 is not None else None,
-            "variant": config.variant,
-            "alpha": config.alpha,
-            "n": config.n,
-            "samples": config.samples,
-            "seed": config.seed,
-            "engine": config.engine,
-            "workers": config.workers,
-            "s_max": config.s_max,
-            "size_one_cost": size_one,
-        },
-        "moment_estimates": stats.moment_estimates,
-        "standard_errors": stats.standard_errors,
-    }
+    echo = {"kind": spec.kind, "alpha0": _fmt(spec.alpha0), "d": spec.d, "alpha1": _plain(spec.alpha1)}
+    echo.update((f.name, _plain(getattr(config, f.name))) for f in dataclasses.fields(config) if f.name != "family")
+    payload = {"config": echo, "moment_estimates": stats.moment_estimates, "standard_errors": stats.standard_errors}
     _emit(_json(payload), args.out)
     return 0
 
@@ -221,47 +199,19 @@ def _cmd_verify(args) -> int:
             numbers = [int(part) for part in args.only.split(",") if part.strip()]
         except ValueError:
             raise ConfigError(f"--only takes comma-separated criterion numbers, got {args.only!r}") from None
-    results = run_battery(numbers, report=lambda r: print(r.line(), flush=True))
-    payload = [
-        {
-            "criterion": r.number,
-            "name": r.name,
-            "passed": r.passed,
-            "elapsed_s": round(r.elapsed, 3),
-            "details": r.details,
-        }
-        for r in results
-    ]
+    results = run_battery(numbers, report=lambda r: _emit(r.line() + "\n"))
     if args.out_json:
-        with open(args.out_json, "w", encoding="utf-8") as handle:
-            handle.write(_json(payload))
-    if args.out_csv:
-        rows = [row for r in results for row in r.rows]
-        header = "criterion,family,variant,alpha,n,s,normalized,limit,rel_error"
-        lines = [header] + [
-            ",".join(
-                [
-                    str(row["criterion"]),
-                    row["family"],
-                    row["variant"],
-                    repr(float(row["alpha"])),
-                    str(row["n"]),
-                    str(row["s"]),
-                    repr(row["normalized"]),
-                    repr(row["limit"]),
-                    repr(row["rel_error"]),
-                ]
-            )
-            for row in rows
+        payload = [
+            {"criterion": r.number, "name": r.name, "passed": r.passed, "elapsed_s": round(r.elapsed, 3),
+             "details": r.details}
+            for r in results
         ]
-        with open(args.out_csv, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
+        _emit(_json(payload), args.out_json)
+    if args.out_csv:
+        _emit(_csv(ROW_FIELDS, ([row[f] for f in ROW_FIELDS] for r in results for row in r.rows)), args.out_csv)
     failed = [r.number for r in results if not r.passed]
-    if failed:
-        print(f"FAILED criteria: {failed}", flush=True)
-        return 2
-    print("all selected criteria passed", flush=True)
-    return 0
+    _emit(f"FAILED criteria: {failed}\n" if failed else "all selected criteria passed\n")
+    return 2 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,10 +282,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TreecutError as exc:
-        sys.stderr.write(f"treecut: error: {exc}\n")
-        return 1
-    except OSError as exc:
+    except (TreecutError, OSError) as exc:
         sys.stderr.write(f"treecut: error: {exc}\n")
         return 1
 

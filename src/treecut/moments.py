@@ -49,7 +49,8 @@ The blocks bound the rounding of a k-sum by (b + n/b) u instead of
 (n-1) u, with u the unit roundoff; the fold taken as one product per n
 measured 2-8x more cancellation error at n = 10^4.  Order 0 is the
 counts recurrence itself, and each order is divided by it, so the float
-split law has mass 1 up to one rounding.
+split law has mass 1 up to one rounding.  A toll or a table entry past
+the range of the float type raises ConfigError naming the first n.
 
 Both kernels fold the two-sided sums over k <-> n-k; the direct sum over
 every ordered term lives in the tests, as their Fraction oracle.
@@ -64,7 +65,7 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .counts import WeightedCounts, integer_weights
 from .errors import ConfigError, OutOfRange, OverflowPolicyError
@@ -109,11 +110,18 @@ class TollSpec:
         return Fraction(n) ** int(self.alpha)
 
     def float_values(self, n_max: int, dtype=np.float64) -> np.ndarray:
-        """Array t[0..n_max] with t[0] unused and t[1] the size-1 cost."""
+        """Array t[0..n_max] with t[0] unused and t[1] the size-1 cost.
+
+        Raises ConfigError when a toll passes the range of ``dtype``.
+        """
         values = np.zeros(n_max + 1, dtype=dtype)
         n = np.arange(n_max + 1, dtype=dtype)
-        values[1:] = n[1:] ** dtype(self.alpha)
+        with np.errstate(over="ignore"):
+            values[1:] = n[1:] ** dtype(self.alpha)
         values[1] = float(self.t1)
+        if not np.isfinite(values[-1]):  # t_n grows with n
+            first = int(np.argmin(np.isfinite(values)))
+            raise ConfigError(f"the toll n^{self.alpha} passes the {np.dtype(dtype).name} range from n = {first}")
         return values
 
 
@@ -165,7 +173,15 @@ def _moment_table(
             )
         rows = _rational_rows(counts, toll, variant, n_max, s_max)
     elif mode == "float":
-        rows = _float_rows(counts, toll, variant, n_max, s_max, dtype)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported once, below
+            rows = _float_rows(counts, toll, variant, n_max, s_max, dtype)
+        bad = ~np.isfinite(rows[:, 1:])
+        if bad.any():
+            n = int(bad.any(axis=0).argmax())
+            raise ConfigError(
+                f"E V_n^s passes the {np.dtype(dtype).name} range from n = {n + 1}, s = {int(bad[:, n].argmax())}; "
+                "long double or a smaller s_max reaches further"
+            )
     else:
         raise ConfigError(f"unknown mode {mode!r}")
     return MomentTable(variant, counts.family, toll, n_max, s_max, mode, rows)
@@ -378,9 +394,9 @@ def _float_rows(counts: WeightedCounts, toll: TollSpec, variant: str, n_max: int
     columns below k = 1, next to its mirror, which holds F_k at column
     b + n_max - k, so both operands of the k-sum are contiguous in k.  The
     half-sum is taken as partial products of b terms, one batched matmul
-    on strided views of the two arrays with the zero columns padding the
-    first block, and the partials are added at the end, in the product
-    with the mix.  That bounds the rounding of the k-sum by (b + n/b) u
+    on sliding-window views of the two arrays, with the zero columns
+    padding the first block, and the partials are added at the end, in
+    the product with the mix.  That bounds the rounding of the k-sum by (b + n/b) u
     in place of (n-1) u (Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., SIAM 2002, sec. 4.2).  The fold alone, one
     product per n over k <= h, left 2-8x the blocked cancellation error
@@ -427,9 +443,8 @@ def _float_rows(counts: WeightedCounts, toll: TollSpec, variant: str, n_max: int
     fwd = np.zeros((size, b + n_max + 1), dtype=dtype)  # fwd[:, b + k] = F_k
     rev = np.zeros_like(fwd)  # rev[:, b + n_max - k] = F_k
     fwd[:, b + 1] = rev[:, b + n_max - 1] = first
-    lanes, unit, stride = fwd.shape[1] - b + 1, fwd.strides[1], fwd.strides[0]
-    left = as_strided(fwd, (lanes, size, b), (unit, stride, unit), writeable=False)  # fwd[:, c : c + b]
-    right = as_strided(rev, (lanes, b, size), (unit, unit, stride), writeable=False)  # rev[:, c : c + b].T
+    left = sliding_window_view(fwd, b, axis=1).transpose(1, 0, 2)  # left[c] = fwd[:, c : c + b]
+    right = sliding_window_view(rev, b, axis=1).transpose(1, 2, 0)  # right[c] = rev[:, c : c + b].T
     for n in range(2, n_max + 1):
         half = (n - 1) // 2
         blocks = -(-half // b)

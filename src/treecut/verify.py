@@ -84,19 +84,14 @@ def _reference_families():
     return [("cayley", cayley()), ("binary", binary()), ("ordered", ordered())]
 
 
+#: The columns of a convergence row, in the order ``treecut verify --out-csv`` writes them.
+ROW_FIELDS = ("criterion", "family", "variant", "alpha", "n", "s", "normalized", "limit", "rel_error")
+
+
 def _report_rows(number: int, family: str, report) -> List[Dict]:
     return [
-        {
-            "criterion": number,
-            "family": family,
-            "variant": report.variant,
-            "alpha": report.alpha,
-            "n": row.n,
-            "s": row.s,
-            "normalized": row.normalized,
-            "limit": row.limit,
-            "rel_error": row.rel_error,
-        }
+        dict(zip(ROW_FIELDS, (number, family, report.variant, report.alpha, row.n, row.s, row.normalized,
+                              row.limit, row.rel_error)))
         for row in report.rows
     ]
 
@@ -257,9 +252,7 @@ def criterion_07_family_independence():
         if not check.strictly_decreasing:
             failures.append(f"s={s} not strictly decreasing")
         rows.extend(
-            {"criterion": 7, "family": "cayley-ordered", "variant": TWO_SIDED,
-             "alpha": 1.0, "n": row.n, "s": s, "normalized": row.difference,
-             "limit": 0.0, "rel_error": row.difference}
+            dict(zip(ROW_FIELDS, (7, "cayley-ordered", TWO_SIDED, 1.0, row.n, s, row.difference, 0.0, row.difference)))
             for row in check.rows
         )
     if failures:

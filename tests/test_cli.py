@@ -27,6 +27,13 @@ Claims covered:
     - simulate with an s_max whose power sums overflow float64 exits 1
       and prints nothing
     - a rational --size-one-cost is echoed as a p/q string
+    - a toll or a float moment table past the float64 range exits 1 with
+      a message naming the toll, or the first n and s, and prints nothing
+    - an --out file that cannot be opened, and a family without --kind,
+      exit 1 with "treecut: error:" and print nothing
+    - counts leave the exact cell empty past --exact-cutoff and print
+      each ln T_n as its repr; verify's CSV rows for criteria 7 and 9
+      are each column formatted as before
 """
 
 import hashlib
@@ -36,8 +43,9 @@ from fractions import Fraction
 
 import pytest
 
-from treecut import cli, counts
+from treecut import cli, counts, verify
 from treecut.cli import main
+from treecut.family import make_family
 
 
 @pytest.fixture()
@@ -210,11 +218,16 @@ def test_moments_auto_past_exact_bound(capture, monkeypatch):
 
 
 def test_counts_csv(capture):
-    code, out, _ = capture("counts", "--kind", "C", "--alpha0", "1", "--alpha1", "1", "--nmax", "5")
+    code, out, _ = capture(
+        "counts", "--kind", "C", "--alpha0", "1", "--alpha1", "1", "--nmax", "8", "--exact-cutoff", "5",
+    )
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "n,t_exact,ln_t"
-    assert [line.split(",")[1] for line in lines[1:]] == ["1", "1", "2", "5", "14"]
+    cells = [line.split(",") for line in lines[1:]]
+    assert [cell[1] for cell in cells] == ["1", "1", "2", "5", "14", "", "", ""]  # past --exact-cutoff: empty
+    table = counts.compute_counts(make_family("C", 1, alpha1=1), 8, exact_cutoff=5)
+    assert [cell[2] for cell in cells] == [repr(table.log_t(n)) for n in range(1, 9)]
 
 
 def test_family_config_file(capture, tmp_path):
@@ -316,11 +329,18 @@ def test_verify_failing_criterion_exits_2(capture):
 
 def test_verify_csv_rows(capture, tmp_path):
     rows = tmp_path / "rows.csv"
-    code, out, _ = capture("verify", "--only", "9", "--out-csv", str(rows))
+    code, out, _ = capture("verify", "--only", "7,9", "--out-csv", str(rows))
     assert code == 0
     lines = rows.read_text().splitlines()
     assert lines[0] == "criterion,family,variant,alpha,n,s,normalized,limit,rel_error"
-    assert len(lines) > 4
+    # each column as the CSV has always formatted it; the criteria are deterministic, so a rerun gives the same rows
+    expected = [
+        ",".join([str(row["criterion"]), row["family"], row["variant"], repr(float(row["alpha"])), str(row["n"]),
+                  str(row["s"]), repr(row["normalized"]), repr(row["limit"]), repr(row["rel_error"])])
+        for number in (7, 9) for row in verify.ALL_CRITERIA[number]().rows
+    ]
+    assert len(expected) == 4 * 3 + 4 * 2
+    assert lines[1:] == expected
 
 
 def test_validation_errors_exit_1(capture):
@@ -396,8 +416,9 @@ def test_negative_seed_exits_1(capture):
         ("--regime", "one", "--alpha", "inf"),
         ("--regime", "two", "--alpha", "inf"),
         ("--regime", "two", "--alpha", "1e-16", "--smax", "3"),
+        ("--regime", "one", "--alpha", "1e300", "--smax", "3"),
     ],
-    ids=["one-smax", "two-smax", "one-nan", "two-nan", "one-inf", "two-inf", "two-tiny"],
+    ids=["one-smax", "two-smax", "one-nan", "two-nan", "one-inf", "two-inf", "two-tiny", "one-huge"],
 )
 def test_bad_limits_input_exits_1(capture, args):
     code, out, err = capture("limits", *args)
@@ -407,23 +428,41 @@ def test_bad_limits_input_exits_1(capture, args):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ("moments", "--kind", "A", "--alpha0", "1", "--variant", "two", "--alpha", "inf", "--nmax", "5"),
+        (("moments", "--kind", "A", "--alpha0", "1", "--variant", "two", "--alpha", "inf", "--nmax", "5"),
+         "alpha must be finite"),
         (
-            "simulate", "--kind", "A", "--alpha0", "1", "--variant", "two", "--alpha", "inf", "--n", "5",
-            "--samples", "10", "--seed", "1",
+            ("simulate", "--kind", "A", "--alpha0", "1", "--variant", "two", "--alpha", "inf", "--n", "5",
+             "--samples", "10", "--seed", "1"),
+            "alpha must be finite",
         ),
-        ("counts", "--kind", "A", "--alpha0", "1", "--nmax", "5", "--exact-cutoff", "-5"),
-        ("constants", "--kind", "A", "--alpha0", "1e-300"),
+        (("counts", "--kind", "A", "--alpha0", "1", "--nmax", "5", "--exact-cutoff", "-5"), "exact_cutoff"),
+        (("constants", "--kind", "A", "--alpha0", "1e-300"), "leaves double range"),
+        (("counts", "--alpha0", "1", "--nmax", "5"), "specify --kind"),
+        # a toll or a moment past float64 is an error, not NaN rows or a blame on s_max
+        (("moments", "--kind", "A", "--alpha0", "1", "--variant", "two", "--alpha", "400", "--nmax", "8",
+          "--mode", "float"), "the toll n^400.0 passes the float64 range from n = 6"),
+        (("simulate", "--kind", "A", "--alpha0", "1", "--variant", "two", "--alpha", "400", "--n", "8",
+          "--samples", "10", "--seed", "1"), "the toll n^400.0 passes the float64 range from n = 6"),
+        (("moments", "--kind", "A", "--alpha0", "1", "--variant", "one", "--alpha", "100", "--nmax", "8",
+          "--smax", "4", "--mode", "float"), "from n = 6, s = 4; long double or a smaller s_max reaches further"),
     ],
-    ids=["moments-inf", "simulate-inf", "counts-cutoff", "constants-underflow"],
+    ids=["moments-inf", "simulate-inf", "counts-cutoff", "constants-underflow", "counts-no-kind",
+         "moments-toll", "simulate-toll", "moments-table"],
 )
-def test_bad_command_input_exits_1(capture, argv):
+def test_bad_command_input_exits_1(capture, argv, message):
     code, out, err = capture(*argv)
     assert code == 1
-    assert out == "" and err.startswith("treecut: error: ")
+    assert out == "" and err.startswith("treecut: error: ") and message in err
     assert "Traceback" not in err
+
+
+def test_unwritable_out_exits_1(capture, tmp_path):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = capture("counts", "--kind", "A", "--alpha0", "1", "--nmax", "5", "--out", str(target))
+    assert code == 1
+    assert out == "" and err.startswith("treecut: error: ") and str(target) in err
 
 
 def test_usage_error_exit_1():

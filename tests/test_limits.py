@@ -21,6 +21,8 @@ Claims covered:
     - one map from (variant, alpha) to the regime; alpha within 1e-6 of
       1/2 is the alpha = 1/2 regime; a two-sided alpha below 1e-3, negative
       or not finite is in none, and predicted_mean rejects it too
+    - above alpha = 1e3 both limit-moment formulas, and so predicted_mean,
+      raise instead of returning moments whose digits have cancelled
 """
 
 import math
@@ -34,6 +36,7 @@ from treecut.errors import DomainError, NonIntegrable
 from treecut.family import ordered, cayley, solve_constants
 from treecut import quadrature
 from treecut.limits import (
+    ALPHA_CEILING,
     TWO_SIDED_EDGES,
     TWO_SIDED_HALF,
     TWO_SIDED_LINEAR,
@@ -78,7 +81,7 @@ def test_two_sided_alpha1_is_the_airy_law():
 
 
 @pytest.mark.parametrize(
-    "alpha", [0.5, 0.5 + 5e-7, 0.5 - 5e-7, 0.0, -1.0, math.nan, math.inf, 1e-17, 1e-300, 1e-16, 1e-9, 5e-4]
+    "alpha", [0.5, 0.5 + 5e-7, 0.5 - 5e-7, 0.0, -1.0, math.nan, math.inf, 1e-17, 1e-300, 1e-16, 1e-9, 5e-4, 1e4]
 )
 def test_two_sided_pole_window(alpha):
     with pytest.raises(DomainError):
@@ -195,6 +198,8 @@ def test_one_sided_closed_product():
         limit_moments_one_sided(math.nan, 2)
     with pytest.raises(DomainError):
         limit_moments_one_sided(math.inf, 2)
+    with pytest.raises(DomainError):  # past ALPHA_CEILING the Gamma ratios lose their digits
+        limit_moments_one_sided(1e300, 2)
 
 
 @pytest.mark.parametrize("fn", [limit_moments_one_sided, limit_moments_two_sided], ids=["one", "two"])
@@ -287,6 +292,10 @@ def test_regime_map():
             regime(TWO_SIDED, alpha)
         with pytest.raises(DomainError):
             predicted_mean(solve_constants(ordered()), alpha, TWO_SIDED)
+    for variant in (ONE_SIDED, TWO_SIDED):  # in a regime, but past ALPHA_CEILING, where the limit moments raise
+        with pytest.raises(DomainError):
+            predicted_mean(solve_constants(ordered()), 1e4, variant)
+        assert predicted_mean(solve_constants(ordered()), ALPHA_CEILING, variant).coefficient > 0
 
 
 def test_tanh_sinh_raises_when_levels_run_out(monkeypatch):

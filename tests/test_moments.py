@@ -41,6 +41,9 @@ Claims covered:
       costs; on ordered trees it is not
     - shifted moments by binomial expansion, exact in rational mode
     - TollSpec rejects a non-finite size-1 cost and keeps negative ones
+    - a toll or a float table that passes the float64 range raises
+      ConfigError naming the first n (and s), with no numpy warning;
+      long double or a smaller s_max reaches those entries
 """
 
 import math
@@ -263,6 +266,26 @@ def test_toll_spec_validation():
     assert TollSpec(alpha=2.0).is_rational
     values = TollSpec(alpha=2).float_values(4)
     assert list(values[1:]) == [1.0, 4.0, 9.0, 16.0]
+    # 6^400 passes float64: an infinite toll would turn a whole table, or the sampler's sums, into NaN
+    with pytest.raises(ConfigError, match=r"toll n\^400.0 passes the float64 range from n = 6"):
+        TollSpec(alpha=400.0).float_values(8)
+    assert np.isfinite(TollSpec(alpha=400.0).float_values(8, dtype=np.longdouble)).all()
+
+
+def test_overflowing_float_table_raises():
+    counts = compute_counts(ordered(), 8, exact_cutoff=1)
+    for maker in (one_sided_moments, two_sided_moments):
+        with pytest.raises(ConfigError, match=r"toll n\^400.0"):
+            maker(counts, TollSpec(alpha=400.0), 8, 2, mode="float")
+    # at alpha = 100, t_6^4 = 6^400 passes float64 while the orders below 4 stay finite
+    toll = TollSpec(alpha=100)
+    with pytest.raises(ConfigError, match="from n = 6, s = 4; long double or a smaller s_max reaches further"):
+        one_sided_moments(counts, toll, 8, 4, mode="float")
+    with pytest.raises(ConfigError, match="passes the float64 range"):
+        two_sided_moments(counts, toll, 8, 4, mode="float")
+    for maker in (one_sided_moments, two_sided_moments):
+        assert np.isfinite(maker(counts, toll, 8, 4, mode="float", dtype=np.longdouble).rows).all()
+    assert np.isfinite(one_sided_moments(counts, toll, 8, 3, mode="float").rows).all()
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

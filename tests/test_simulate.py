@@ -35,7 +35,8 @@ Claims covered:
     - fixed-seed results stay the values recorded for each engine, also
       two-sided with fractional tolls, where the order of additions shows
     - power sums that overflow float64 raise ConfigError instead of
-      reporting a standard error of 0
+      reporting a standard error of 0, and a toll that overflows float64
+      raises ConfigError naming the toll before any sampling
 """
 
 import dataclasses
@@ -754,6 +755,14 @@ def test_overflowing_power_sums_raise():
         assert all(se > 0 for se in run_experiment(dataclasses.replace(config, s_max=28)).standard_errors)
     with pytest.raises(ConfigError, match="s_max = 1"):  # toll^2 overflows at alpha = 60
         explicit_cut_survey(ordered(), TollSpec(alpha=60), 2000, TWO_SIDED, 10, seed=1)
+
+
+def test_overflowing_toll_raises():
+    # 6^400 passes float64: the error names the toll, not the power sums that it would poison
+    for engine in (SIZE_PROCESS, EXPLICIT):
+        config = ExperimentConfig(family=ordered(), variant=TWO_SIDED, alpha=400.0, n=8, samples=10, seed=1, engine=engine)
+        with pytest.raises(ConfigError, match=r"toll n\^400.0 passes the float64 range from n = 6"):
+            run_experiment(config)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0])
