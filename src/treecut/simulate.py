@@ -6,14 +6,16 @@ Two engines with very different trust models:
   p_{n,k}.  Because cutting a random tree of the family leaves both
   components random trees of the same family, this is exact in law and
   it is the fast path (no trees are ever built).  The cumulative split
-  rows of every size 2..n sit back to back in one float64 array, next
-  to a guide index (Chen & Asau 1974) whose starts never pass the
-  answer, so a level's draws walk up the few steps left and equal a
-  binary search of the row, draw for draw.  Sizes stay in the narrowest
-  unsigned type, which sorts by radix; ``take`` and ``compress`` select
-  from the level arrays two to four times faster than fancy and boolean
-  indexing.  The table costs 8 B + 2 B per (m, k) entry: about 20 MB at
-  n = 2000 and 0.5 GB at n = 10^4.
+  rows of every size 2..n sit back to back in one uint32 array, each
+  entry rounded down to a multiple of 2^-31, next to a guide index (Chen
+  & Asau 1974) whose starts never pass the answer, so a level's draws
+  walk up the few steps left.  Only a uniform in the same 2^-31 cell as
+  the entry it last passed is searched again, on the float64 row, so
+  the draws equal a binary search of that row, draw for draw.  Sizes
+  stay in the narrowest unsigned type, which sorts by radix; ``take``
+  and ``compress`` select from the level arrays two to four times
+  faster than fancy and boolean indexing.  The table costs 4 B + 2 B
+  per (m, k) entry: about 12 MB at n = 2000 and 0.3 GB at n = 10^4.
 * ``explicit`` builds actual trees and literally cuts them, a shard at
   a time; it exists to *test* the size-process assumption, for every
   family, at any n.  Each tree starts as an offspring vector c with sum
@@ -108,15 +110,20 @@ def _split_cdf(counts: WeightedCounts, m: int) -> np.ndarray:
 class _SplitTable(NamedTuple):
     """Cumulative splitting laws of every size 2..n, back to back.
 
-    Row m (its m - 1 entries) starts at ``offsets[m]`` of ``flat``.
-    ``guide[offsets[m] + b]``, for b = 0..m-2, counts the row-m entries
-    <= fl(b/(m-1)) * (1 - 2^-50): a start for the search of any u in
-    bucket b, a little below b/(m-1) so that no rounding puts it past the answer.
+    Row m (its m - 1 entries) starts at ``offsets[m]``.  ``cdf`` holds
+    each entry c of the float64 row ``_split_cdf(counts, m)`` as
+    floor(c * 2^31), so c lies in [cdf, cdf + 1) * 2^-31; the last
+    entry, exactly 1, is 2^31.  ``guide[offsets[m] + b]``, for
+    b = 0..m-2, counts the float64 row-m entries <= fl(b/(m-1)) *
+    (1 - 2^-50): a start for the search of any u in bucket b, a little
+    below b/(m-1) so that no rounding puts it past the answer.
+    ``counts`` rebuilds a float64 row where 31 bits cannot decide.
     """
 
-    flat: np.ndarray
+    cdf: np.ndarray
     offsets: np.ndarray
     guide: np.ndarray
+    counts: WeightedCounts
 
 
 def _cumulative_rows(counts: WeightedCounts, n: int) -> _SplitTable:
@@ -124,31 +131,48 @@ def _cumulative_rows(counts: WeightedCounts, n: int) -> _SplitTable:
     sizes = np.arange(n + 1, dtype=np.int64)
     offsets = (sizes - 1) * (sizes - 2) // 2  # rows 2..m-1 hold 1 + ... + (m-2) entries
     total = offsets[n] + n - 1
-    flat = np.empty(total)
+    cdf = np.empty(total, dtype=np.uint32)
     guide = np.empty(total, dtype=np.uint16 if n <= 1 << 16 else np.uint32)  # row positions are < n
     for m in range(2, n + 1):
-        flat[offsets[m] : offsets[m] + m - 1] = row = _split_cdf(counts, m)
+        row = _split_cdf(counts, m)
+        cdf[offsets[m] : offsets[m] + m - 1] = row * 2.0**31  # exact products, truncated to their floor
         starts = np.arange(m - 1) / (m - 1) * (1.0 - 2.0**-50)
         guide[offsets[m] : offsets[m] + m - 1] = np.searchsorted(row, starts, side="right")
-    return _SplitTable(flat, offsets, guide)
+    return _SplitTable(cdf, offsets, guide, counts)
 
 
 def _draw_splits(table: _SplitTable, sizes: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Root-side sizes K for each (size, uniform) pair; ``sizes`` in any order.
 
     Equal to ``np.searchsorted(row_m, u, side="right") + 1`` for every u
-    in [0, 1), in the dtype of ``sizes``.  The bucket floor(fl(u * (m-1)))
-    reaches b only if u >= b/(m-1) * (1 - 2^-53), so the guide start
-    never passes the answer and a walk up the row ends the search.  The
-    last entry of a row is 1, so no walk leaves its row.
+    in [0, 1), in the dtype of ``sizes``, where row_m is the float64 row
+    ``_split_cdf(counts, m)``.  With uq = floor(u * 2^31), the bucket
+    floor(uq * (m-1) / 2^31) <= m - 2 reaches b only if u >= b/(m-1), so
+    the guide start never passes the answer, and a walk up the row ends
+    the search.  The walk moves on while cdf <= uq.  A stop is always
+    sure: cdf > uq gives c >= (uq + 1) * 2^-31 > u.  A pass with
+    cdf < uq is sure too, since c < (cdf + 1) * 2^-31 <= u.  Only an
+    entry in u's own cell, cdf == uq, may be passed although c > u, and
+    rows never decrease, so only a draw that walked and whose last
+    passed entry lies in that cell is searched again, on its float64 row
+    rebuilt once per size.  The last entry of a row is 2^31 > uq, so no
+    walk leaves its row.
     """
-    flat, offsets, guide = table
+    cdf, offsets, guide, counts = table
     off = offsets.take(sizes)
-    pos = off + guide[off + np.minimum((u * (sizes - 1)).astype(np.int64), sizes - 2)]
-    moving = np.flatnonzero(flat[pos] <= u)
+    uq = (u * 2.0**31).astype(np.int64)  # exact products, truncated to their floor
+    pos = off + guide.take(off + ((uq * (sizes - 1)) >> 31))
+    uq = uq.astype(np.uint32)  # compared with the table in its own type
+    walked = moving = np.flatnonzero(cdf[pos] <= uq)
     while moving.size:
         pos[moving] += 1
-        moving = moving.compress(flat[pos[moving]] <= u[moving])
+        moving = moving.compress(cdf[pos[moving]] <= uq[moving])
+    tie = walked.compress(cdf.take(pos.take(walked) - 1) == uq.take(walked))
+    if tie.size:
+        tie_sizes = sizes.take(tie)
+        for m in np.unique(tie_sizes):
+            at = tie.compress(tie_sizes == m)
+            pos[at] = off[at] + np.searchsorted(_split_cdf(counts, int(m)), u[at], side="right")
     return (pos - off + 1).astype(sizes.dtype)
 
 
@@ -360,12 +384,21 @@ def _means_and_errors(partials: List[np.ndarray], count: int, s_max: int) -> Tup
     """Means of the powers 1..s_max of the cost and their standard errors.
 
     ``partials`` are per-shard sums of the powers 1..2*s_max, added in
-    shard order.  Raises ConfigError if a sum is not finite.
+    shard order.  Raises ConfigError if a sum is not finite, naming the
+    first power that overflows and the largest s_max that needs none of
+    them, if there is one.
     """
     with np.errstate(over="ignore"):
         totals = sum(partials, np.zeros(2 * s_max))
     if not np.isfinite(totals).all():
-        raise ConfigError(f"s_max = {s_max} is too large: sums of the cost's powers up to {2 * s_max} overflow float64")
+        power = int(np.flatnonzero(~np.isfinite(totals))[0]) + 1
+        overflow = f"the sum of the cost to the power {power} over the samples overflows float64"
+        if power <= 2:
+            raise ConfigError(
+                f"s_max = {s_max} is not the cause: {overflow}, and every s_max needs powers 1 and 2; "
+                "use a smaller toll or n"
+            )
+        raise ConfigError(f"s_max = {s_max} is too large: {overflow}; s_max <= {(power - 1) // 2} avoids it")
     means = totals / count
     errors = []
     for j in range(1, s_max + 1):

@@ -25,7 +25,9 @@ Claims covered:
       for limits are validation errors
     - simulate with one sample prints strict JSON, null standard errors
     - simulate with an s_max whose power sums overflow float64 exits 1
-      and prints nothing
+      and prints nothing; the error names the first power that overflows
+      and the largest s_max that avoids it, or, where the costs
+      themselves overflow, asks for a smaller toll or n
     - a rational --size-one-cost is echoed as a p/q string
     - a toll or a float moment table past the float64 range exits 1 with
       a message naming the toll, or the first n and s, and prints nothing
@@ -301,6 +303,21 @@ def test_simulate_overflowing_smax_exits_1(capture):
     )
     assert code == 1
     assert out == "" and err.startswith("treecut: error: s_max = 32")
+
+
+@pytest.mark.parametrize("argv, message", [
+    # the costs themselves pass float64: no s_max can help
+    (("--kind", "A", "--alpha0", "1", "--alpha", "308", "--n", "10", "--smax", "1"),
+     "s_max = 1 is not the cause: the sum of the cost to the power 1 over the samples overflows float64, "
+     "and every s_max needs powers 1 and 2; use a smaller toll or n"),
+    (("--kind", "C", "--alpha0", "1", "--alpha1", "1", "--alpha", "1", "--n", "2000", "--smax", "32"),
+     "s_max = 32 is too large: the sum of the cost to the power 57 over the samples overflows float64; "
+     "s_max <= 28 avoids it"),
+])
+def test_simulate_overflow_names_first_power(capture, argv, message):
+    code, out, err = capture("simulate", "--variant", "two", "--samples", "10", "--seed", "1", *argv)
+    assert code == 1 and out == ""
+    assert err == f"treecut: error: {message}\n"
 
 
 def test_out_file(capture, tmp_path):

@@ -32,6 +32,10 @@ Claims covered:
     - the guide-table draw equals a binary search of the cumulative row
       on every row entry, every bucket edge and their float neighbours,
       and no guide start lies past the answer
+    - the split table takes 6 bytes per entry; a uniform in the same
+      2^-31 cell as an entry it passes is searched again on the float64
+      row, rebuilt once per size, and the top uniform stops in a row of
+      size 2
     - fixed-seed results stay the values recorded for each engine, also
       two-sided with fractional tolls, where the order of additions shows
     - power sums that overflow float64 raise ConfigError instead of
@@ -678,6 +682,34 @@ def test_draw_splits_equals_row_search(spec):
         at = sizes == m
         expected[at] = np.searchsorted(_split_cdf(counts, m), u[at], side="right") + 1
     np.testing.assert_array_equal(_draw_splits(_cumulative_rows(counts, n), sizes, u), expected)
+
+
+def test_split_table_takes_six_bytes_per_entry():
+    # a 31-bit fixed-point entry and a 16-bit guide start: 12 MB at n = 2000
+    table = _cumulative_rows(compute_counts(ordered(), 2000, exact_cutoff=1), 2000)
+    assert table.cdf.itemsize + table.guide.itemsize == 6
+    assert table.cdf.nbytes + table.guide.nbytes + table.offsets.nbytes <= 12.1e6
+
+
+def test_draw_splits_tie_searches_float_row(monkeypatch):
+    # u just below an entry, in the same 2^-31 cell: the walk passes that entry, and only the float64
+    # row, rebuilt once for the size, puts the draw back on it
+    n, m = 200, 150
+    counts = compute_counts(ordered(), n, exact_cutoff=1)
+    table = _cumulative_rows(counts, n)
+    cdf = _split_cdf(counts, m)
+    inner = cdf[:-1][np.floor(cdf[:-1] * 2.0**31) != cdf[:-1] * 2.0**31]  # entries off a cell edge
+    u = np.nextafter(inner, 0.0)
+    assert np.array_equal(np.floor(u * 2.0**31), np.floor(inner * 2.0**31)), "u left the entry's cell"
+    rebuilt = []
+    monkeypatch.setattr(simulate, "_split_cdf", lambda c, size: rebuilt.append(size) or _split_cdf(c, size))
+    drawn = _draw_splits(table, np.full(u.size, m), u)
+    np.testing.assert_array_equal(drawn, np.searchsorted(cdf, u, side="right") + 1)
+    assert rebuilt == [m]
+
+    # the top uniform stops inside the shortest row, 2^31 > floor((1 - 2^-53) * 2^31), with no rebuild
+    assert _draw_splits(table, np.array([2], dtype=np.uint8), np.array([np.nextafter(1.0, 0.0)])).tolist() == [1]
+    assert rebuilt == [m]
 
 
 def test_fixed_seed_golden_stats():
