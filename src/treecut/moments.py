@@ -48,9 +48,13 @@ products of b = ``_BLOCK`` = 128 terms in one batched product per n.
 The blocks bound the rounding of a k-sum by (b + n/b) u instead of
 (n-1) u, with u the unit roundoff; the fold taken as one product per n
 measured 2-8x more cancellation error at n = 10^4.  Order 0 is the
-counts recurrence itself, and each order is divided by it, so the float
-split law has mass 1 up to one rounding.  A toll or a table entry past
-the range of the float type raises ConfigError naming the first n.
+counts recurrence itself, and each order is divided by it in place, so
+the float split law has mass 1 up to one rounding.  The kernel holds
+O(n s): its order-major arrays and one block of the toll mix
+C(s,r) t_n^(s-r), built for ``_TOLL_BYTES`` = 32 KiB of consecutive n at
+a time, plus, two-sided, (s+1)^3 n / 2b mix weights for the partials.
+A toll or a table entry past the range of the float type raises
+ConfigError naming the first n.
 
 Both kernels fold the two-sided sums over k <-> n-k; the direct sum over
 every ordered term lives in the tests, as their Fraction oracle.
@@ -177,9 +181,15 @@ def _moment_table(
             rows = _float_rows(counts, toll, variant, n_max, s_max, dtype)
         bad = ~np.isfinite(rows[:, 1:])
         if bad.any():
-            n = int(bad.any(axis=0).argmax())
+            n, name = int(bad.any(axis=0).argmax()), np.dtype(dtype).name
+            if variant == TWO_SIDED:  # every order of n sums all pairs, so one overflow poisons them all
+                raise ConfigError(
+                    f"E V_n^s passes the {name} range from n = {n + 1}: a product of two orders j, l with "
+                    f"j + l up to 2 * s_max = {2 * s_max} passed it there and poisoned every order of that n; "
+                    "use long double, or a smaller alpha, n_max or s_max"
+                )
             raise ConfigError(
-                f"E V_n^s passes the {np.dtype(dtype).name} range from n = {n + 1}, s = {int(bad[:, n].argmax())}; "
+                f"E V_n^s passes the {name} range from n = {n + 1}, s = {int(bad[:, n].argmax())}; "
                 "long double or a smaller s_max reaches further"
             )
     else:
@@ -367,6 +377,27 @@ def _rational_rows(counts: WeightedCounts, toll: TollSpec, variant: str, n_max: 
 #: Terms per partial product of the two-sided float k-sum.
 _BLOCK = 128
 
+#: Bytes of one block of the float toll mix; it sets the sizes n per block.
+_TOLL_BYTES = 32 << 10
+
+
+def _toll_mix(tolls: np.ndarray, scale: np.ndarray, size: int):
+    """Yield (n, M_n) for n >= 2, with M_n[s, r] = C(s,r) * t_n^(s-r) * scale_n.
+
+    The matrices are built for one block of consecutive n at a time, a
+    C-contiguous array of at most ``_TOLL_BYTES``, so the toll mix never
+    holds all n at once.
+    """
+    orders = np.arange(size)
+    comb = np.array([[math.comb(s, r) for r in range(size)] for s in range(size)], dtype=tolls.dtype)
+    gaps = np.maximum(orders[:, None] - orders, 0)  # s - r; the cells r > s take t^0 = 1 times C(s,r) = 0
+    step = max(1, _TOLL_BYTES // (size * size * tolls.itemsize))
+    for lo in range(2, len(tolls), step):
+        powers = tolls[lo : lo + step, None] ** orders
+        block = np.multiply(comb, powers.take(gaps, axis=1), order="C")  # the layout sets the BLAS path of each M_n @ y
+        block *= scale[lo : lo + step, None, None]
+        yield from enumerate(block, lo)
+
 
 def _float_rows(counts: WeightedCounts, toll: TollSpec, variant: str, n_max: int, s_max: int, dtype) -> np.ndarray:
     """Float rows[s][n] = E V_n^s from the rho-scaled recurrence, in ``dtype``.
@@ -405,20 +436,20 @@ def _float_rows(counts: WeightedCounts, toll: TollSpec, variant: str, n_max: int
 
     Order 0 is the counts recurrence itself, y_0 = a_n with a_1 = rho, and
     every order is divided by it, so the implied split law has mass 1 up
-    to one rounding.
+    to one rounding.  The division runs in place on F, which is returned
+    as the table (one-sided transposed, two-sided from column b on), and
+    the toll mix comes from :func:`_toll_mix` one block of n at a time.
+    So the kernel holds O(n s): F, its mirror or weighted copy, and one
+    toll block, plus, two-sided, the mix weights, (s+1)^3 n / 2b entries,
+    9.8 MB in float64 at s = 30, n = 10^4.
     """
     size = s_max + 1
     k = np.arange(n_max + 1, dtype=dtype)
     w = dtype(float(counts.family.a1)) * k + dtype(float(counts.family.a0))
     scale = np.zeros(n_max + 1, dtype=dtype)
     scale[2:] = (w[1] + w[1:n_max] if variant == TWO_SIDED else dtype(1)) / (k[2:] - 1)
-    powers = toll.float_values(n_max, dtype=dtype)[:, None] ** np.arange(size)
-    tollmix = np.zeros((n_max + 1, size, size), dtype=dtype)  # [n, s, r] = C(s,r) t_n^(s-r) scale_n
-    for s in range(size):
-        for r in range(s + 1):
-            tollmix[:, s, r] = math.comb(s, r) * powers[:, s - r] * scale
-    first = dtype(counts.rho) * powers[1]
-    rows = np.zeros((size, n_max + 1), dtype=dtype)
+    tolls = toll.float_values(n_max, dtype=dtype)
+    first = dtype(counts.rho) * tolls[1] ** np.arange(size)
 
     if variant == ONE_SIDED:
         f = np.zeros((n_max + 1, size), dtype=dtype)
@@ -426,12 +457,12 @@ def _float_rows(counts: WeightedCounts, toll: TollSpec, variant: str, n_max: int
         left = w[:, None] * f  # w_k F[k]
         right = np.zeros(n_max + 1, dtype=dtype)  # right[n_max - k] = a_k
         right[n_max - 1] = first[0]
-        for n in range(2, n_max + 1):
-            f[n] = tollmix[n] @ (left[1:n].T @ right[n_max - n + 1 : n_max])
+        for n, toll_n in _toll_mix(tolls, scale, size):
+            f[n] = toll_n @ (left[1:n].T @ right[n_max - n + 1 : n_max])
             right[n_max - n] = f[n, 0]
             left[n] = w[n] * f[n]
-        rows[:, 1:] = (f[1:] / f[1:, :1]).T
-        return rows
+        f[1:] /= f[1:, :1].copy()
+        return f.T
 
     b, cells = _BLOCK, size * size
     most = -(-((n_max - 1) // 2) // b)  # blocks in the largest half-sum
@@ -445,7 +476,7 @@ def _float_rows(counts: WeightedCounts, toll: TollSpec, variant: str, n_max: int
     fwd[:, b + 1] = rev[:, b + n_max - 1] = first
     left = sliding_window_view(fwd, b, axis=1).transpose(1, 0, 2)  # left[c] = fwd[:, c : c + b]
     right = sliding_window_view(rev, b, axis=1).transpose(1, 2, 0)  # right[c] = rev[:, c : c + b].T
-    for n in range(2, n_max + 1):
+    for n, toll_n in _toll_mix(tolls, scale, size):
         half = (n - 1) // 2
         blocks = -(-half // b)
         lo = b + half + 1 - blocks * b  # fwd column of the first k, padded to whole blocks
@@ -455,9 +486,9 @@ def _float_rows(counts: WeightedCounts, toll: TollSpec, variant: str, n_max: int
         if n % 2 == 0:
             mid = fwd[:, b + n // 2]
             np.multiply.outer(mid, mid, out=parts[0])
-        fwd[:, b + n] = rev[:, b + n_max - n] = tollmix[n] @ (weights[:, used] @ flat[used])
-    rows[:, 1:] = fwd[:, b + 1 :] / fwd[0, b + 1 :]
-    return rows
+        fwd[:, b + n] = rev[:, b + n_max - n] = toll_n @ (weights[:, used] @ flat[used])
+    fwd[:, b + 1 :] /= fwd[0, b + 1 :].copy()
+    return fwd[:, b:]
 
 
 # ---------------------------------------------------------------------------

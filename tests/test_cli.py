@@ -30,7 +30,10 @@ Claims covered:
       themselves overflow, asks for a smaller toll or n
     - a rational --size-one-cost is echoed as a p/q string
     - a toll or a float moment table past the float64 range exits 1 with
-      a message naming the toll, or the first n and s, and prints nothing
+      a message naming the toll, or the first n and s, and prints nothing;
+      two-sided, it names n and the product of two orders that poisoned it
+    - float moment tables of 3000 sizes, one- and two-sided, print the
+      bytes they printed before the toll mix was built block by block
     - an --out file that cannot be opened, and a family without --kind,
       exit 1 with "treecut: error:" and print nothing
     - counts leave the exact cell empty past --exact-cutoff and print
@@ -201,6 +204,20 @@ def test_moments_readme_one_sided_exact_bytes(capture):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == "60f3ac117ca5b055843f91aabadfd5a796c684e8ba0b70df9fbbedc6c77b4ddd"
+
+
+@pytest.mark.parametrize("variant, alpha, expected", [
+    ("two", "0.5", "71c0eb10e4c19b1fcc2466a46c76f78dcc62275d0dc9c2347a0707eae225a1e7"),
+    ("one", "1", "e5b7bba750eb9a798e7790ab1c8fafa4b07a3998132d5e218f0250d33884cf55"),
+])
+def test_moments_float_bytes(capture, variant, alpha, expected):
+    # float tables over many blocks of the toll mix; recorded when the whole mix was held at once
+    code, out, _ = capture(
+        "moments", "--kind", "C", "--alpha0", "1", "--alpha1", "1", "--variant", variant, "--alpha", alpha,
+        "--nmax", "3000", "--smax", "4", "--mode", "float",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
 def test_moments_auto_past_exact_bound(capture, monkeypatch):
@@ -464,9 +481,13 @@ def test_bad_limits_input_exits_1(capture, args):
           "--samples", "10", "--seed", "1"), "the toll n^400.0 passes the float64 range from n = 6"),
         (("moments", "--kind", "A", "--alpha0", "1", "--variant", "one", "--alpha", "100", "--nmax", "8",
           "--smax", "4", "--mode", "float"), "from n = 6, s = 4; long double or a smaller s_max reaches further"),
+        # two-sided, a product of two orders poisons every order of its n, the counts row s = 0 included
+        (("moments", "--kind", "A", "--alpha0", "1", "--variant", "two", "--alpha", "308", "--nmax", "10",
+          "--smax", "1", "--mode", "float"),
+         "from n = 7: a product of two orders j, l with j + l up to 2 * s_max = 2 passed it there"),
     ],
     ids=["moments-inf", "simulate-inf", "counts-cutoff", "constants-underflow", "counts-no-kind",
-         "moments-toll", "simulate-toll", "moments-table"],
+         "moments-toll", "simulate-toll", "moments-table", "moments-table-two-sided"],
 )
 def test_bad_command_input_exits_1(capture, argv, message):
     code, out, err = capture(*argv)

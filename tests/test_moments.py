@@ -33,6 +33,10 @@ Claims covered:
       the mean's powers at n=10^4
     - two-sided float64 rows match the long-double rows to 5e-15 at
       n=2000 (s<=4, alpha in {0, 1/2, 1}, three families)
+    - the float kernel holds O(n s): under tracemalloc a table at s = 20
+      (n = 2000 in float64, n = 600 in long double, both variants) peaks
+      below the size of the whole toll mix alone; building that mix one n
+      per block changes no bit, shape, dtype or zero column 0 of a table
     - two-sided float tables go past s = 67, where the binomial mix
       leaves int64, and match brute force to 1e-12 up to s = 70
     - Jensen, toll monotonicity, one-sided <= two-sided means
@@ -47,6 +51,7 @@ Claims covered:
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -320,6 +325,35 @@ def test_extended_precision_mode(tables):
             base = two_sided_moments(counts, toll, n, 4, mode="float").rows[:, 1:]
             wide = two_sided_moments(counts, toll, n, 4, mode="float", dtype=np.longdouble).rows[:, 1:]
             assert np.max(np.abs(base / wide - 1)) <= 5e-15, (spec.label(), alpha)
+
+
+@pytest.mark.parametrize("maker", [one_sided_moments, two_sided_moments])
+@pytest.mark.parametrize("n_max, dtype", [(2000, np.float64), (600, np.longdouble)])
+def test_float_table_memory_below_toll_mix(maker, n_max, dtype):
+    # the kernel holds its order-major arrays and one block of the toll mix, so its traced peak stays
+    # below the (n+1) x (s+1) x (s+1) toll mix that a kernel holding every n at once would need
+    s_max = 20
+    counts = compute_counts(ordered(), n_max, exact_cutoff=1)
+    tracemalloc.start()
+    try:
+        maker(counts, TollSpec(alpha=1), n_max, s_max, mode="float", dtype=dtype)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (n_max + 1) * (s_max + 1) ** 2 * np.dtype(dtype).itemsize
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_toll_blocks_leave_float_tables_unchanged(tables, dtype, monkeypatch):
+    # each toll matrix is the same elementwise product in any block, so one n per block changes no bit
+    toll, n_max, s_max = TollSpec(alpha=0.37, size_one_cost=0.5), 200, 4
+    makers = (one_sided_moments, two_sided_moments)
+    whole = [make(tables["C"], toll, n_max, s_max, mode="float", dtype=dtype) for make in makers]
+    assert all(table.rows.shape == (s_max + 1, n_max + 1) and table.rows.dtype == dtype for table in whole)
+    assert all(np.all(table.rows[:, 0] == 0) for table in whole)
+    monkeypatch.setattr(moments, "_TOLL_BYTES", 1)
+    for make, table in zip(makers, whole):
+        assert np.array_equal(make(tables["C"], toll, n_max, s_max, mode="float", dtype=dtype).rows, table.rows)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
