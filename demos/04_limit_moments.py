@@ -19,7 +19,6 @@ from treecut import (
     limit_moments_two_sided_half,
     ordered,
     predicted_mean,
-    rayleigh_moment,
     solve_constants,
 )
 
@@ -49,7 +48,7 @@ print()
 print("one-sided closed product; at alpha = 0 it is the Rayleigh law:")
 m0 = limit_moments_one_sided(0.0, 4).m
 print("  alpha=0 :", "  ".join(f"m{s}={m0[s]:.6f}" for s in range(1, 5)))
-print("  Rayleigh:", "  ".join(f"m{s}={rayleigh_moment(s):.6f}" for s in range(1, 5)))
+print("  Rayleigh:", "  ".join(f"m{s}={2.0 ** (s / 2.0) * math.gamma(1.0 + s / 2.0):.6f}" for s in range(1, 5)))
 m1 = limit_moments_one_sided(1.0, 2).m
 print(f"  alpha=1 : m1 = {m1[1]:.6f} (= sqrt(pi/8)), m2 = {m1[2]:.6f} (= 8/15)")
 

@@ -48,7 +48,6 @@ from .limits import (
     limit_moments_two_sided,
     limit_moments_two_sided_half,
     predicted_mean,
-    rayleigh_moment,
 )
 from .moments import (
     ONE_SIDED,

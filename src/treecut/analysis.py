@@ -31,12 +31,14 @@ from .errors import ConfigError, IllConditioned, MissingShift
 from .family import FamilyConstants
 from .limits import (
     ONE_SIDED,
+    TWO_SIDED,
     TWO_SIDED_EDGES,
     TWO_SIDED_HALF,
     TWO_SIDED_LINEAR,
     limit_moments_one_sided,
     limit_moments_two_sided,
     limit_moments_two_sided_half,
+    predicted_mean,
     regime,
 )
 from .moments import MomentTable, shifted_moments
@@ -119,7 +121,6 @@ class DeltaFit:
     """Estimated linear term at alpha = 1/2, plus a free-fit cross-check."""
 
     delta: float
-    residual: float
     delta_half: float
     free_coefficient: float  # n*ln(n) coefficient when also fitted
 
@@ -152,19 +153,14 @@ def estimate_delta(table: MomentTable, constants: FamilyConstants) -> DeltaFit:
     double-precision rank loss, so both fits accept conditions up to 1e7.
     """
     mean = _fit_mean(table, (TWO_SIDED_HALF,), 1000, "delta")
-    lead = constants.sigma / math.sqrt(2.0 * math.pi)
+    lead = predicted_mean(constants, 0.5, TWO_SIDED).coefficient
 
     def lower(nn: np.ndarray) -> List[np.ndarray]:
         return [nn, np.sqrt(nn) * np.log(nn), np.sqrt(nn)]
 
     (free, _), _ = _grid_fit(mean, table.n_max, lambda nn: [nn * np.log(nn)] + lower(nn), cond_limit=1e7)
-    (fixed, residual), fixed_half = _grid_fit(mean, table.n_max, lower, lambda nn: lead * nn * np.log(nn), 1e7)
-    return DeltaFit(
-        delta=float(fixed[0]),
-        residual=residual,
-        delta_half=float(fixed_half[0]),
-        free_coefficient=float(free[0]),
-    )
+    (fixed, _), fixed_half = _grid_fit(mean, table.n_max, lower, lambda nn: lead * nn * np.log(nn), 1e7)
+    return DeltaFit(delta=float(fixed[0]), delta_half=float(fixed_half[0]), free_coefficient=float(free[0]))
 
 
 @dataclass(frozen=True)
@@ -218,7 +214,7 @@ def normalize_moments(
                 delta = estimate_delta(table, constants).delta
             except ConfigError as exc:
                 raise MissingShift(f"alpha = 1/2 normalization needs delta: {exc}") from exc
-        lead = constants.sigma / math.sqrt(2.0 * math.pi)
+        lead = predicted_mean(constants, 0.5, TWO_SIDED).coefficient
         shift, power, fitted = (lambda n: lead * n * math.log(n) + delta * n), 1.0, {"delta": float(delta)}
         limit = limit_moments_two_sided_half(s_max).m
     elif kind == TWO_SIDED_LINEAR:

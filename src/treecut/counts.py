@@ -49,7 +49,7 @@ from typing import List, Sequence, Union
 import numpy as np
 
 from .errors import OutOfRange, OverflowPolicyError
-from .family import FamilySpec, phi_coefficient, phi_value, tau_exact
+from .family import FamilySpec, _float_tau, phi_coefficient, phi_value
 
 #: Hard ceiling on how many exact rationals a WeightedCounts may store.
 MAX_EXACT_CUTOFF = 20_000
@@ -156,7 +156,7 @@ def compute_counts(spec: FamilySpec, n_max: int, exact_cutoff: int = 400) -> Wei
     if exact_cutoff > MAX_EXACT_CUTOFF:
         raise OverflowPolicyError(f"exact_cutoff={exact_cutoff} exceeds the configured bound {MAX_EXACT_CUTOFF}")
 
-    tau = float(tau_exact(spec))
+    tau = _float_tau(spec)
     rho = tau / phi_value(spec, tau)
     a = np.zeros(n_max + 1)
     mirror = np.zeros(n_max + 1)  # mirror[n_max - k] = a[k], so a_{n-k} runs forward

@@ -191,6 +191,25 @@ def tau_exact(spec: FamilySpec) -> Fraction:
     return Fraction(1) / spec.a1
 
 
+def _float_tau(spec: FamilySpec) -> float:
+    """tau as a double, for a family inside the range of the float constants and counts.
+
+    rho lies in [tau/4, tau) (Phi(tau) is in (1, 4]), the rho-scaled counts
+    are proportional to rho and the recurrences multiply two of them, so
+    tau within 2^-400..2^400 keeps those products normal doubles.  Kind C's
+    gamma within 2^-50..2^50 keeps 1 - beta*tau = gamma/(1+gamma) and
+    beta*tau above 2^-51.  Outside, DomainError names the family.
+    """
+    tau = tau_exact(spec)
+    bounds = [(tau, 400)] + ([(spec.gamma, 50)] if spec.kind == "C" else [])
+    if any(not Fraction(1, 2**bits) <= value <= 2**bits for value, bits in bounds):
+        raise DomainError(
+            f"{spec.label()} leaves double range: the float constants and counts need tau = 1/a1 "
+            "within 2^-400..2^400 and, kind C, gamma within 2^-50..2^50"
+        )
+    return float(tau)
+
+
 def _phi_at_tau(spec: FamilySpec, tau: float) -> Tuple[float, float]:
     """Phi(tau) and Phi''(tau).
 
@@ -208,15 +227,12 @@ def _phi_at_tau(spec: FamilySpec, tau: float) -> Tuple[float, float]:
 def solve_constants(spec: FamilySpec) -> FamilyConstants:
     """Singularity constants from the closed form tau = 1/a1.
 
-    DomainError is raised when tau or Phi''(tau) leaves double range,
-    where the constants below would divide by zero or overflow.  The
-    tests check tau against a bisection root of t*Phi'(t) - Phi(t).
+    DomainError is raised for a family outside the range of
+    :func:`_float_tau`, or when Phi''(tau) leaves double range, where the
+    constants below would divide by zero or overflow.  The tests check
+    tau against a bisection root of t*Phi'(t) - Phi(t).
     """
-    try:
-        tau = float(tau_exact(spec))
-    except OverflowError as exc:
-        raise DomainError(f"tau = 1/a1 leaves double range for {spec.label()}") from exc
-
+    tau = _float_tau(spec)
     phi, phi2 = _phi_at_tau(spec, tau)
     if not 0.0 < tau * phi2 < math.inf:
         raise DomainError(f"Phi''(tau) = {phi2!r} leaves double range for {spec.label()}")

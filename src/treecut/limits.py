@@ -194,14 +194,23 @@ def limit_moments_two_sided(alpha: float, s_max: int) -> LimitMoments:
     return LimitMoments(m=m[: s_max + 1])
 
 
-def _check_j_indices(s1: int, s2: int, s3: int) -> int:
-    s = s1 + s2 + s3
-    if min(s1, s2, s3) < 0 or s < 2 or s2 >= s or s3 >= s:
+def _j_indices(s: int):
+    """The admissible J(s1, s2, s3) with s1+s2+s3 = s >= 2 and s2, s3 < s; s1 ascending, then s2."""
+    if s < 2:
+        return
+    for s1 in range(s + 1):
+        for s2 in range(s - s1 + 1):
+            s3 = s - s1 - s2
+            if s2 < s and s3 < s:
+                yield s1, s2, s3
+
+
+def _check_j_indices(s1: int, s2: int, s3: int) -> None:
+    if (s1, s2, s3) not in _j_indices(s1 + s2 + s3):
         raise NonIntegrable(
             f"J({s1},{s2},{s3}) lies outside the admissible index set "
             "(need s1+s2+s3 >= 2 with s2, s3 < s)"
         )
-    return s
 
 
 def _entropy_ratio_pow(x: np.ndarray, xm: np.ndarray, s1: int) -> np.ndarray:
@@ -281,14 +290,9 @@ def limit_moments_two_sided_half(s_max: int) -> LimitMoments:
     inv_sqrt_2pi = 1.0 / math.sqrt(2.0 * math.pi)
     for s in range(2, s_max + 1):
         total = 0.0
-        for s1 in range(s + 1):
-            for s2 in range(s - s1 + 1):
-                s3 = s - s1 - s2
-                if s2 >= s or s3 >= s:
-                    continue
+        for s1, s2, s3 in _j_indices(s):
+            if m[s2] != 0.0 and m[s3] != 0.0:
                 coeff = math.comb(s, s1) * math.comb(s - s1, s2)
-                if m[s2] == 0.0 or m[s3] == 0.0:
-                    continue
                 total += coeff * inv_sqrt_2pi**s1 * m[s2] * m[s3] * _j_cached(s1, s2, s3)
         front = _gamma_ratio(s - 1.0, s - 0.5) / (2.0 * math.sqrt(math.pi))
         m.append(front * total)
@@ -313,29 +317,13 @@ def limit_moments_one_sided(alpha: float, s_max: int) -> LimitMoments:
     return LimitMoments(m=m)
 
 
-def rayleigh_moment(s: int) -> float:
-    """s-th raw moment of the standard Rayleigh law: 2^(s/2) Gamma(1 + s/2)."""
-    if s < 0:
-        raise DomainError("moment order must be >= 0")
-    return 2.0 ** (s / 2.0) * math.gamma(1.0 + s / 2.0)
-
-
 @dataclass(frozen=True)
 class LeadingTerm:
-    """Leading term of E[cost]: coefficient * n^n_power * (ln n)^log_power."""
+    """Leading term of E[cost]: coefficient * n^n_power * (ln n)^log_power; None where it is fitted."""
 
     coefficient: Optional[float]
     n_power: float
     log_power: int
-
-    @property
-    def estimate_required(self) -> bool:
-        return self.coefficient is None
-
-    def value(self, n: float) -> float:
-        if self.coefficient is None:
-            raise DomainError("coefficient must be estimated from data for this regime")
-        return self.coefficient * n**self.n_power * math.log(n) ** self.log_power
 
 
 def predicted_mean(constants: FamilyConstants, alpha: float, variant: str) -> LeadingTerm:
@@ -343,14 +331,17 @@ def predicted_mean(constants: FamilyConstants, alpha: float, variant: str) -> Le
 
     One-sided and two-sided alpha > 1/2: sigma*m_1 n^(alpha+1/2), with m_1
     the first limit moment of that variant.  Two-sided alpha = 1/2 gives
-    (sigma/sqrt(2 pi)) n ln n; 0 < alpha < 1/2 grows like mu*n with mu
-    not expressible here (fit it from data, see
-    :func:`treecut.analysis.estimate_mu`); alpha = 0 is the edge count n - 1.
+    (sigma/sqrt(2 pi)) n ln n, the one place that lead is formed; 0 <
+    alpha < 1/2 grows like mu*n with mu not expressible here (fit it from
+    data, see :func:`treecut.analysis.estimate_mu`).  Two-sided alpha = 0
+    gives coefficient 1, the edge count n - 1 under the ``size_one_cost =
+    0`` convention; under the default t_1 = 1 the mean is 2n - 1, and the
+    limit of X_n/n that :func:`treecut.analysis.normalize_moments` reports
+    is 1 + t_1.
     """
     sigma = constants.sigma
     kind = regime(variant, alpha)
     if kind == TWO_SIDED_EDGES:
-        # cost is exactly the number of edges under the edges-only convention
         return LeadingTerm(coefficient=1.0, n_power=1.0, log_power=0)
     if kind == TWO_SIDED_HALF:
         return LeadingTerm(coefficient=sigma / math.sqrt(2.0 * math.pi), n_power=1.0, log_power=1)

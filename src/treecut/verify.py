@@ -84,6 +84,27 @@ def _reference_families():
     return [("cayley", cayley()), ("binary", binary()), ("ordered", ordered())]
 
 
+#: The grid of n on which criteria 6, 7 and 9 normalize; its last point is the n they judge.
+_GRID = (250, 500, 1000, 2000)
+
+
+def _float_table(spec, variant: str, alpha, n: int, s_max: int):
+    counts = compute_counts(spec, n, exact_cutoff=1)
+    maker = one_sided_moments if variant == ONE_SIDED else two_sided_moments
+    return maker(counts, TollSpec(alpha=alpha), n, s_max, mode="float")
+
+
+def _normalized(spec, variant: str, s_max: int):
+    """The alpha = 1 float table of ``spec`` up to _GRID[-1], normalized on _GRID."""
+    table = _float_table(spec, variant, 1, _GRID[-1], s_max)
+    return analysis.normalize_moments(table, solve_constants(spec), grid=_GRID)
+
+
+def _errors_at_end(report, oracle) -> List[float]:
+    """|normalized / oracle[s] - 1| at _GRID[-1], for each s of ``report``."""
+    return [abs(row.normalized / oracle[row.s] - 1) for row in report.rows if row.n == _GRID[-1]]
+
+
 #: The columns of a convergence row, in the order ``treecut verify --out-csv`` writes them.
 ROW_FIELDS = ("criterion", "family", "variant", "alpha", "n", "s", "normalized", "limit", "rel_error")
 
@@ -184,9 +205,7 @@ def criterion_05_one_sided_rayleigh():
     i.e. ~3.9% at n = 10^4.  Kept as specified.
     """
     n = 10_000
-    spec = cayley()
-    counts = compute_counts(spec, n, exact_cutoff=1)
-    table = one_sided_moments(counts, TollSpec(alpha=0), n, 2, mode="float")
+    table = _float_table(cayley(), ONE_SIDED, 0, n, 2)
     r1 = table.moment(n, 1) / math.sqrt(n) / math.sqrt(math.pi / 2.0)
     r2 = table.moment(n, 2) / n / 2.0
     ok = abs(r1 - 1) <= 0.02 and abs(r2 - 1) <= 0.02
@@ -217,15 +236,10 @@ def _limit_moment_oracle(s_max: int) -> List[float]:
 @_criterion(6, "two-sided alpha=1 limit (ordered, n=2000)", budget=300.0)
 def criterion_06_two_sided_alpha1():
     """Two-sided alpha = 1 normalized moments vs the Airy limit, s <= 3, 3%."""
-    n = 2000
-    spec = ordered()
-    constants = solve_constants(spec)
-    counts = compute_counts(spec, n, exact_cutoff=1)
-    table = two_sided_moments(counts, TollSpec(alpha=1), n, 3, mode="float")
     package = limits.limit_moments_two_sided(1.0, 3).m
     oracle = _limit_moment_oracle(3)
-    report = analysis.normalize_moments(table, constants, grid=[250, 500, 1000, 2000])
-    errors = [abs(row.normalized / oracle[row.s] - 1) for row in report.rows if row.n == n]
+    report = _normalized(ordered(), TWO_SIDED, 3)
+    errors = _errors_at_end(report, oracle)
     oracle_gap = max(abs(a - b) for a, b in zip(package, oracle))
     ok = max(errors) <= 0.03 and oracle_gap < 1e-10
     details = (
@@ -238,13 +252,7 @@ def criterion_06_two_sided_alpha1():
 @_criterion(7, "family independence (alpha=1)")
 def criterion_07_family_independence():
     """Normalized-moment gap between families shrinks along the grid."""
-    grid = [250, 500, 1000, 2000]
-    toll = TollSpec(alpha=1)
-    reports = {}
-    for name, spec in (("cayley", cayley()), ("ordered", ordered())):
-        counts = compute_counts(spec, 2000, exact_cutoff=1)
-        table = two_sided_moments(counts, toll, 2000, 3, mode="float")
-        reports[name] = analysis.normalize_moments(table, solve_constants(spec), grid=grid)
+    reports = {name: _normalized(spec, TWO_SIDED, 3) for name, spec in (("cayley", cayley()), ("ordered", ordered()))}
     failures = []
     rows: List[Dict] = []
     for s in (1, 2, 3):
@@ -255,9 +263,8 @@ def criterion_07_family_independence():
             dict(zip(ROW_FIELDS, (7, "cayley-ordered", TWO_SIDED, 1.0, row.n, s, row.difference, 0.0, row.difference)))
             for row in check.rows
         )
-    if failures:
-        return False, "; ".join(failures), rows
-    return True, "normalized gap strictly decreasing over n in {250,500,1000,2000}, s <= 3", rows
+    passed = f"normalized gap strictly decreasing over n in {{{','.join(map(str, _GRID))}}}, s <= 3"
+    return not failures, "; ".join(failures) or passed, rows
 
 
 @_criterion(8, "alpha=1/2 mean growth (n in [500,4000])")
@@ -267,10 +274,8 @@ def criterion_08_half_mean_growth():
     summaries = []
     for name, spec in (("ordered", ordered()), ("cayley", cayley())):
         constants = solve_constants(spec)
-        counts = compute_counts(spec, 4000, exact_cutoff=1)
-        table = two_sided_moments(counts, TollSpec(alpha=0.5), 4000, 1, mode="float")
-        fit = analysis.estimate_delta(table, constants)
-        target = constants.sigma / math.sqrt(2.0 * math.pi)
+        fit = analysis.estimate_delta(_float_table(spec, TWO_SIDED, 0.5, 4000, 1), constants)
+        target = limits.predicted_mean(constants, 0.5, TWO_SIDED).coefficient
         off = abs(fit.free_coefficient / target - 1)
         if off > 0.03:
             failures.append(f"{name}: free-fit coefficient off by {off * 100:.2f}%")
@@ -286,16 +291,11 @@ def criterion_08_half_mean_growth():
 @_criterion(9, "one-sided alpha=1 limit (ordered, n=2000)")
 def criterion_09_one_sided_alpha1():
     """One-sided alpha = 1 normalized moments vs the closed product, 3%."""
-    n = 2000
-    spec = ordered()
-    constants = solve_constants(spec)
-    counts = compute_counts(spec, n, exact_cutoff=1)
-    table = one_sided_moments(counts, TollSpec(alpha=1), n, 2, mode="float")
     lm = limits.limit_moments_one_sided(1.0, 2)
-    report = analysis.normalize_moments(table, constants, grid=[250, 500, 1000, 2000])
     targets = {1: math.sqrt(math.pi / 8.0), 2: 8.0 / 15.0}
     formula_ok = all(abs(lm.m[s] - target) <= 1e-12 for s, target in targets.items())
-    errors = [abs(row.normalized / targets[row.s] - 1) for row in report.rows if row.n == n]
+    report = _normalized(ordered(), ONE_SIDED, 2)
+    errors = _errors_at_end(report, targets)
     ok = formula_ok and max(errors) <= 0.03
     details = f"rel errors s=1,2: {', '.join(f'{e * 100:.2f}%' for e in errors)} (need <= 3%)"
     return ok, details, _report_rows(9, "ordered", report)
@@ -309,22 +309,12 @@ def criterion_10_j_integrals():
         failures.append("J(0,1,1) != pi/2")
     if abs(limits.j_integral(0, 2, 1) - 3.0 * math.pi / 8.0) > 1e-8:
         failures.append("J(0,2,1) != 3pi/8")
-    worst = 0.0
-    cases = 0
-    for s in range(2, 5):
-        for s1 in range(s + 1):
-            for s2 in range(s - s1 + 1):
-                s3 = s - s1 - s2
-                if s2 >= s or s3 >= s:
-                    continue
-                gap = abs(limits.j_integral(s1, s2, s3) - limits.j_integral_adaptive(s1, s2, s3))
-                worst = max(worst, gap)
-                cases += 1
+    indices = [index for s in range(2, 5) for index in limits._j_indices(s)]
+    worst = max(abs(limits.j_integral(*index) - limits.j_integral_adaptive(*index)) for index in indices)
     if worst > 1e-8:
         failures.append(f"scheme disagreement {worst:.2e}")
-    if failures:
-        return False, "; ".join(failures)
-    return True, f"Beta cases exact to 1e-8; {cases} index triples, max scheme gap {worst:.1e}"
+    passed = f"Beta cases exact to 1e-8; {len(indices)} index triples, max scheme gap {worst:.1e}"
+    return not failures, "; ".join(failures) or passed
 
 
 @_criterion(11, "Monte Carlo consistency (n=200, 1e5 samples)")
@@ -332,8 +322,6 @@ def criterion_11_monte_carlo():
     """Size-process sampler vs DP at n=200, and worker-count determinism."""
     spec = ordered()
     n, samples = 200, 100_000
-    counts = compute_counts(spec, n, exact_cutoff=1)
-    toll = TollSpec(alpha=1)
     failures = []
     notes = []
     for variant in (ONE_SIDED, TWO_SIDED):
@@ -345,8 +333,7 @@ def criterion_11_monte_carlo():
         replay = simulate.run_experiment(dataclasses.replace(config, workers=4))
         if stats != replay:
             failures.append(f"{variant}: workers=1 vs workers=4 not identical")
-        maker = one_sided_moments if variant == ONE_SIDED else two_sided_moments
-        dp = float(maker(counts, toll, n, 1, mode="float").moment(n, 1))
+        dp = float(_float_table(spec, variant, 1, n, 1).moment(n, 1))
         z = abs(stats.moment_estimates[0] - dp) / stats.standard_errors[0]
         if z > 4.0:
             failures.append(f"{variant}: mean off by {z:.2f} SE")

@@ -67,7 +67,8 @@ def test_criterion_09_one_sided_alpha1():
 
 
 def test_criterion_10_j_integrals():
-    assert _run(verify.criterion_10_j_integrals).passed
+    result = _run(verify.criterion_10_j_integrals)
+    assert result.passed and "; 25 index triples," in result.details  # every admissible J with 2 <= s <= 4
 
 
 def test_criterion_11_monte_carlo():

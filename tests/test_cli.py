@@ -36,6 +36,10 @@ Claims covered:
       bytes they printed before the toll mix was built block by block
     - an --out file that cannot be opened, and a family without --kind,
       exit 1 with "treecut: error:" and print nothing
+    - a family whose float counts or constants would leave double range
+      (kind A at alpha0 = 1e160 or 1e300, kind C at alpha1 = 1e300 or
+      1e400) exits 1 naming the family, for counts, moments, simulate and
+      constants alike
     - counts leave the exact cell empty past --exact-cutoff and print
       each ln T_n as its repr; verify's CSV rows for criteria 7 and 9
       are each column formatted as before
@@ -485,9 +489,21 @@ def test_bad_limits_input_exits_1(capture, args):
         (("moments", "--kind", "A", "--alpha0", "1", "--variant", "two", "--alpha", "308", "--nmax", "10",
           "--smax", "1", "--mode", "float"),
          "from n = 7: a product of two orders j, l with j + l up to 2 * s_max = 2 passed it there"),
+        # rho^2, the size of the products of two rho-scaled counts, would leave the normal double range
+        (("counts", "--kind", "A", "--alpha0", "1e300", "--nmax", "5"),
+         f"{make_family('A', '1e300').label()} leaves double range"),
+        (("moments", "--kind", "A", "--alpha0", "1e160", "--variant", "two", "--alpha", "1", "--nmax", "5",
+          "--smax", "1", "--mode", "float"), f"{make_family('A', '1e160').label()} leaves double range"),
+        (("simulate", "--kind", "A", "--alpha0", "1e300", "--variant", "two", "--alpha", "1", "--n", "5",
+          "--samples", "4000", "--seed", "1"), f"{make_family('A', '1e300').label()} leaves double range"),
+        (("counts", "--kind", "C", "--alpha0", "1", "--alpha1", "1e300", "--nmax", "5"),
+         f"{make_family('C', 1, alpha1='1e300').label()} leaves double range"),
+        (("constants", "--kind", "C", "--alpha0", "1", "--alpha1", "1e400"),
+         f"{make_family('C', 1, alpha1='1e400').label()} leaves double range"),
     ],
     ids=["moments-inf", "simulate-inf", "counts-cutoff", "constants-underflow", "counts-no-kind",
-         "moments-toll", "simulate-toll", "moments-table", "moments-table-two-sided"],
+         "moments-toll", "simulate-toll", "moments-table", "moments-table-two-sided",
+         "counts-A-1e300", "moments-A-1e160", "simulate-A-1e300", "counts-C-1e300", "constants-C-1e400"],
 )
 def test_bad_command_input_exits_1(capture, argv, message):
     code, out, err = capture(*argv)

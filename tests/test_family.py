@@ -8,6 +8,11 @@ Claims covered:
       to 1e-13 relative error, on the parameter grid, from alpha0 = 1e-12
       to 1e100 and next to kind C's pole; constants that leave double
       range raise DomainError
+    - the float layer takes tau within 2^-400..2^400 and kind C's gamma
+      within 2^-50..2^50: outside, constants and counts raise DomainError
+      naming the family, and inside, kind A's float moments and sampled
+      costs are the same at alpha0 = 1 and 1e100 (its split law has no
+      alpha0 in it)
     - sigma^2 = 1 + beta/alpha0 for kind C holds next to the pole
     - importing the package loads no scipy module at all
     - derived constants (rho, b, c, sigma) and their exact identities
@@ -16,13 +21,17 @@ Claims covered:
 
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import numpy as np
+
 import treecut
+from treecut.counts import compute_counts
 from treecut.errors import ConstraintViolation, DomainError
 from treecut.family import (
     binary,
@@ -37,6 +46,8 @@ from treecut.family import (
     solve_constants,
     tau_exact,
 )
+from treecut.moments import ONE_SIDED, TWO_SIDED, TollSpec, one_sided_moments, two_sided_moments
+from treecut.simulate import SIZE_PROCESS, ExperimentConfig, run_experiment
 
 PARAM_GRID = (
     [make_family("A", a0) for a0 in (Fraction(1, 2), 1, 2)]
@@ -212,6 +223,40 @@ def test_kind_c_constants_next_to_the_pole(alpha1):
 def test_constants_outside_double_range_raise(alpha0):
     with pytest.raises(DomainError):
         solve_constants(make_family("A", alpha0))
+
+
+@pytest.mark.parametrize("spec", [
+    make_family("A", 2**401), make_family("A", Fraction(1, 2**401)), make_family("B", "1e160", d=3),
+    make_family("C", 1, alpha1="1e300"), make_family("C", 1, alpha1=2**51), make_family("C", 1, alpha1="1e400"),
+    make_family("C", 1, alpha1=Fraction(1, 2) + Fraction(1, 2**52)),
+], ids=["A-2^401", "A-2^-401", "B-1e160", "C-1e300", "C-2^51", "C-1e400", "C-1/2+2^-52"])
+def test_float_layer_rejects_families_outside_its_range(spec):
+    for build in (solve_constants, lambda s: compute_counts(s, 5)):
+        with pytest.raises(DomainError, match=re.escape(spec.label())):
+            build(spec)
+
+
+@pytest.mark.parametrize("spec", [
+    make_family("A", 2**399), make_family("A", Fraction(1, 2**399)), make_family("C", 1, alpha1=2**48),
+    make_family("C", 1, alpha1=Fraction(1, 2) + Fraction(1, 2**48)),
+], ids=["A-2^399", "A-2^-399", "C-2^48", "C-1/2+2^-48"])
+def test_float_layer_takes_families_inside_its_range(spec):
+    counts = compute_counts(spec, 50, exact_cutoff=50)
+    assert np.isfinite(counts.log_values[1:]).all() and solve_constants(spec).sigma > 0
+
+
+def test_kind_a_float_layer_is_scale_free():
+    # p_(n,k) has no alpha0 in it for kind A, so neither have the float moments or the sampled costs
+    specs = [cayley(), make_family("A", 10**100)]
+    for alpha in (0, 0.5, 1):
+        for variant, maker in ((ONE_SIDED, one_sided_moments), (TWO_SIDED, two_sided_moments)):
+            base, scaled = (maker(compute_counts(spec, 300, exact_cutoff=1), TollSpec(alpha=alpha), 300, 3,
+                                  mode="float").rows[:, 1:] for spec in specs)
+            assert np.max(np.abs(scaled / base - 1)) <= 1e-12, (alpha, variant)
+    for variant in (ONE_SIDED, TWO_SIDED):
+        base, scaled = (run_experiment(ExperimentConfig(family=spec, variant=variant, alpha=1.0, n=200, samples=4000,
+                                                        seed=3, engine=SIZE_PROCESS)) for spec in specs)
+        assert scaled == base, variant
 
 
 def test_import_loads_no_scipy():

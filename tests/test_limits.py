@@ -13,10 +13,12 @@ Claims covered:
       a truncated list or NaN moments
     - the s = 1 coefficient-space constant ties back to m_1 through the
       family constants (for any family)
-    - J integrals: Beta closed forms, sign structure, admissible-index
-      policing, and two mutually independent quadrature routes
+    - J integrals: Beta closed forms, sign structure, the admissible index
+      set (generator order and its policing on every triple of a box), and
+      two mutually independent quadrature routes
     - the alpha = 1/2 recurrence assembled independently for s = 2
-    - one-sided closed product vs Rayleigh moments at alpha = 0
+    - one-sided closed product vs Rayleigh moments at alpha = 0; the
+      Rayleigh oracle lives here, checked against its density by quadrature
     - Carleman-style growth sanity and positivity across regimes
     - one map from (variant, alpha) to the regime; alpha within 1e-6 of
       1/2 is the alpha = 1/2 regime; a two-sided alpha below 1e-3, negative
@@ -25,6 +27,7 @@ Claims covered:
       raise instead of returning moments whose digits have cancelled
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -40,6 +43,8 @@ from treecut.limits import (
     TWO_SIDED_EDGES,
     TWO_SIDED_HALF,
     TWO_SIDED_LINEAR,
+    _check_j_indices,
+    _j_indices,
     _lgamma,
     j_integral,
     j_integral_adaptive,
@@ -47,7 +52,6 @@ from treecut.limits import (
     limit_moments_two_sided,
     limit_moments_two_sided_half,
     predicted_mean,
-    rayleigh_moment,
     regime,
 )
 from treecut.moments import ONE_SIDED, TWO_SIDED
@@ -156,17 +160,31 @@ def test_j_rejects_inadmissible_indices(bad):
         j_integral(*bad)
 
 
-def _admissible(s_max):
-    for s in range(2, s_max + 1):
-        for s1 in range(s + 1):
-            for s2 in range(s - s1 + 1):
-                s3 = s - s1 - s2
-                if s2 < s and s3 < s:
-                    yield s1, s2, s3
+def test_j_index_generator_is_the_admissible_set_in_order():
+    # s1 ascending, then s2: the order in which the alpha = 1/2 moments add their terms
+    for s in range(-1, 9):
+        # itertools.product runs (s1, s2, s3) in lexicographic order
+        brute = [t for t in itertools.product(range(9), repeat=3) if sum(t) == s >= 2 and t[1] < s and t[2] < s]
+        assert list(_j_indices(s)) == brute, s
+    assert len(list(_j_indices(2))) == 4 and sum(len(list(_j_indices(s))) for s in (2, 3, 4)) == 25
+
+
+def test_j_index_check_rejects_exactly_the_complement():
+    box = range(-2, 9)
+    for s1 in box:
+        for s2 in box:
+            for s3 in box:
+                s = s1 + s2 + s3
+                outside = min(s1, s2, s3) < 0 or s < 2 or s2 == s or s3 == s
+                if outside:
+                    with pytest.raises(NonIntegrable):
+                        _check_j_indices(s1, s2, s3)
+                else:
+                    _check_j_indices(s1, s2, s3)
 
 
 def test_j_quadrature_schemes_agree():
-    for s1, s2, s3 in _admissible(4):
+    for s1, s2, s3 in (index for s in range(2, 5) for index in _j_indices(s)):
         a = j_integral(s1, s2, s3)
         b = j_integral_adaptive(s1, s2, s3)
         assert a == pytest.approx(b, abs=1e-9), (s1, s2, s3)
@@ -207,6 +225,11 @@ def test_negative_order_rejected(fn):
     assert fn(1.0, 0).m == [1.0]
     with pytest.raises(DomainError):
         fn(1.0, -1)
+
+
+def rayleigh_moment(s: int) -> float:
+    """s-th raw moment of the standard Rayleigh law: 2^(s/2) Gamma(1 + s/2)."""
+    return 2.0 ** (s / 2.0) * math.gamma(1.0 + s / 2.0)
 
 
 def test_one_sided_alpha0_is_rayleigh():
@@ -259,20 +282,17 @@ def test_predicted_mean_regimes():
         0.5,
         0,
     )
-    assert not one.estimate_required
+    assert one.coefficient is not None
     with pytest.raises(DomainError):
         predicted_mean(cay, -0.5, ONE_SIDED)
     half = predicted_mean(ord_, 0.5, TWO_SIDED)
     assert half.coefficient == pytest.approx(1 / math.sqrt(math.pi), rel=1e-13)
     assert (half.n_power, half.log_power) == (1.0, 1)
-    assert half.value(100.0) == pytest.approx(100 * math.log(100) / math.sqrt(math.pi), rel=1e-13)
     atone = predicted_mean(ord_, 1.0, TWO_SIDED)
     assert atone.coefficient == pytest.approx(math.sqrt(math.pi), rel=1e-13)
     assert atone.n_power == 1.5
     low = predicted_mean(ord_, 0.25, TWO_SIDED)
-    assert low.estimate_required and low.coefficient is None
-    with pytest.raises(DomainError):
-        low.value(10.0)
+    assert low.coefficient is None and (low.n_power, low.log_power) == (1.0, 0)
     edges = predicted_mean(ord_, 0.0, TWO_SIDED)
     assert (edges.coefficient, edges.n_power) == (1.0, 1.0)
     with pytest.raises(DomainError):

@@ -356,12 +356,17 @@ def test_toll_blocks_leave_float_tables_unchanged(tables, dtype, monkeypatch):
         assert np.array_equal(make(tables["C"], toll, n_max, s_max, mode="float", dtype=dtype).rows, table.rows)
 
 
+@pytest.fixture(scope="module")
+def brute_force_s70():
+    """Brute-force two-sided moments of ordered trees at n = 5, alpha = 1, s <= 70 (4-6 s, so built once)."""
+    return family_moments(ordered(), 5, TollSpec(alpha=1), 70, TWO_SIDED)
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
-def test_two_sided_float_orders_past_int64_binomials(tables, dtype):
+def test_two_sided_float_orders_past_int64_binomials(tables, brute_force_s70, dtype):
     # the binomial mix needs C(67, 33) > 2^63 at s = 67 and C(68, 34) > 2^64 at s = 68
-    toll, s_max = TollSpec(alpha=1), 70
+    toll, s_max, oracle = TollSpec(alpha=1), 70, brute_force_s70
     table = two_sided_moments(tables[ordered().kind], toll, 5, s_max, mode="float", dtype=dtype)
-    oracle = family_moments(ordered(), 5, toll, s_max, TWO_SIDED)
     for s in range(s_max + 1):
         assert float(table.moment(5, s)) == pytest.approx(float(oracle[s]), rel=1e-12), s
 
