@@ -36,6 +36,9 @@ unchanged with a in place of T.  Since w_k + w_{n-k} = a1*n + 2*a0 for
 w_k = a1*k + a0, the float recurrence folds to a plain convolution:
 
     a_n = (a1*n + 2*a0) / (2*(n-1)) * sum_k a_k * a_{n-k},   a_1 = rho.
+
+In floats the weights are written from w_1 = a1 + a0 = alpha0, which
+holds for every kind (see :func:`_weight_terms`).
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Sequence, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -111,6 +114,20 @@ def _weight_scale(spec: FamilySpec) -> int:
     return math.lcm(spec.a0.denominator, spec.a1.denominator)
 
 
+def _weight_terms(spec: FamilySpec, dtype=np.float64) -> Tuple[float, float]:
+    """(a1, alpha0) in ``dtype``, for the float weights and their fold.
+
+    Floats form w_k = a1*(k-1) + alpha0 and w_1 + w_{n-1} =
+    a1*(n-2) + 2*alpha0, exact rewrites of a1*k + a0 and a1*n + 2*a0
+    since w_1 = a1 + a0 = alpha0.  Those forms cancel when alpha0 << a1
+    and the parameters are not exact doubles: kind C at alpha0 = 1/3,
+    alpha1 = 10^12/3 gets w_1 wrong in the fourth digit.  Where a0 and
+    a1 are small integers, as for ordered, Cayley and binary trees, both
+    forms give the same doubles.
+    """
+    return dtype(float(spec.a1)), dtype(float(spec.alpha0))
+
+
 def integer_weights(spec: FamilySpec, n_max: int) -> List[int]:
     """[W_0, ..., W_n_max] with W_k = L*(a1*k + a0)."""
     scale = _weight_scale(spec)
@@ -161,10 +178,10 @@ def compute_counts(spec: FamilySpec, n_max: int, exact_cutoff: int = 400) -> Wei
     a = np.zeros(n_max + 1)
     mirror = np.zeros(n_max + 1)  # mirror[n_max - k] = a[k], so a_{n-k} runs forward
     a[1] = mirror[n_max - 1] = rho
-    a1f, a0f = float(spec.a1), float(spec.a0)
+    a1, alpha0 = _weight_terms(spec, float)
     for n in range(2, n_max + 1):
         conv = np.dot(a[1:n], mirror[n_max - n + 1 : n_max])
-        a[n] = mirror[n_max - n] = (a1f * n + 2.0 * a0f) / (2 * (n - 1)) * conv
+        a[n] = mirror[n_max - n] = (a1 * (n - 2) + 2 * alpha0) / (2 * (n - 1)) * conv
 
     logs = np.full(n_max + 1, np.nan)
     # n*ln(rho) in extended precision: its rounding would grow with n
@@ -249,5 +266,6 @@ def _split_row(counts: WeightedCounts, n: int, exact: bool) -> np.ndarray:
         w = spec.a1 * np.arange(1, n, dtype=object) + spec.a0
     else:
         t = counts.rho_scaled
-        w = float(spec.a1) * np.arange(1, n, dtype=np.float64) + float(spec.a0)
+        a1, alpha0 = _weight_terms(spec)
+        w = a1 * np.arange(n - 1, dtype=np.float64) + alpha0  # w_k for k = 1..n-1
     return w * t[1:n] * t[n - 1 : 0 : -1] / ((n - 1) * t[n])

@@ -71,7 +71,7 @@ from typing import Callable, List, Optional, Sequence, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .counts import WeightedCounts, integer_weights
+from .counts import WeightedCounts, _weight_terms, integer_weights
 from .errors import ConfigError, OutOfRange, OverflowPolicyError
 from .family import FamilySpec
 
@@ -445,9 +445,10 @@ def _float_rows(counts: WeightedCounts, toll: TollSpec, variant: str, n_max: int
     """
     size = s_max + 1
     k = np.arange(n_max + 1, dtype=dtype)
-    w = dtype(float(counts.family.a1)) * k + dtype(float(counts.family.a0))
+    a1, alpha0 = _weight_terms(counts.family, dtype)
+    w = a1 * (k - 1) + alpha0
     scale = np.zeros(n_max + 1, dtype=dtype)
-    scale[2:] = (w[1] + w[1:n_max] if variant == TWO_SIDED else dtype(1)) / (k[2:] - 1)
+    scale[2:] = (a1 * (k[2:] - 2) + 2 * alpha0 if variant == TWO_SIDED else dtype(1)) / (k[2:] - 1)
     tolls = toll.float_values(n_max, dtype=dtype)
     first = dtype(counts.rho) * tolls[1] ** np.arange(size)
 

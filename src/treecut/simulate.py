@@ -12,10 +12,17 @@ Two engines with very different trust models:
   walk up the few steps left.  Only a uniform in the same 2^-31 cell as
   the entry it last passed is searched again, on the float64 row, so
   the draws equal a binary search of that row, draw for draw.  Sizes
-  stay in the narrowest unsigned type, which sorts by radix; ``take``
-  and ``compress`` select from the level arrays two to four times
-  faster than fancy and boolean indexing.  The table costs 4 B + 2 B
-  per (m, k) entry: about 12 MB at n = 2000 and 0.3 GB at n = 10^4.
+  stay in the narrowest unsigned type, which sorts by radix, two-sided
+  sample ids in 16 bits (a shard holds at most SHARD_SIZE samples), and
+  row offsets in int32 while the table holds fewer than 2^31 entries
+  (n <= 65536).  Table positions stay intp, the one index type numpy
+  gathers at without a converted copy.  A level draws only the
+  uniforms it uses into an array and frees the sort's indices before
+  the draw, so one two-sided shard at n = 2000 peaks at 2.9 MB traced.
+  ``take`` and ``compress`` select from the level arrays two to four
+  times faster than fancy and boolean indexing.  The table costs
+  4 B + 2 B per (m, k) entry: about 12 MB at n = 2000 and 0.3 GB at
+  n = 10^4.
 * ``explicit`` builds actual trees and literally cuts them, a shard at
   a time; it exists to *test* the size-process assumption, for every
   family, at any n.  Each tree starts as an offspring vector c with sum
@@ -29,8 +36,11 @@ Two engines with very different trust models:
   edge's merged size is the size of the component it was cut in.
   Two-sided cost is the sum of their tolls plus n * t1; one-sided
   counts only the records, the edges whose merged component holds the
-  root (Janson 2006), plus t1.  Sub-batches of 2^22 // n trees bound
-  the memory, about 280 MB at n = 10^4.
+  root (Janson 2006), plus t1.  Offspring counts, vertex ids and sizes
+  are int32, and each edge's two ends are formed as it is added back,
+  so a sub-batch holds about 20 B per vertex.  Sub-batches of
+  2^22 // n trees bound the memory: 85 MB traced and 134 MB peak RSS
+  at n = 10^4.
 
 Reproducibility contract: an experiment is deterministic given
 (config, seed) regardless of worker count.  Samples are processed in
@@ -56,6 +66,7 @@ from .moments import ONE_SIDED, TWO_SIDED, TollSpec
 
 SHARD_SIZE = 4096
 _EXPLICIT_CELLS = 1 << 22  # vertices (trees * n) an explicit sub-batch holds
+# so a vertex id times the trees of a sub-batch is below max(2^22, n) and fits int32 for any n < 2^31
 
 SIZE_PROCESS = "size_process"
 EXPLICIT = "explicit"
@@ -128,11 +139,13 @@ class _SplitTable(NamedTuple):
 
 def _cumulative_rows(counts: WeightedCounts, n: int) -> _SplitTable:
     """The split table for all sizes 2 <= m <= n, filled row by row in place."""
+    narrow = n <= 1 << 16  # row positions are < n, and the table holds < 2^31 entries
     sizes = np.arange(n + 1, dtype=np.int64)
     offsets = (sizes - 1) * (sizes - 2) // 2  # rows 2..m-1 hold 1 + ... + (m-2) entries
-    total = offsets[n] + n - 1
+    offsets = offsets.astype(np.int32 if narrow else np.int64)
+    total = int(offsets[n]) + n - 1
     cdf = np.empty(total, dtype=np.uint32)
-    guide = np.empty(total, dtype=np.uint16 if n <= 1 << 16 else np.uint32)  # row positions are < n
+    guide = np.empty(total, dtype=np.uint16 if narrow else np.uint32)
     for m in range(2, n + 1):
         row = _split_cdf(counts, m)
         cdf[offsets[m] : offsets[m] + m - 1] = row * 2.0**31  # exact products, truncated to their floor
@@ -156,30 +169,38 @@ def _draw_splits(table: _SplitTable, sizes: np.ndarray, u: np.ndarray) -> np.nda
     rows never decrease, so only a draw that walked and whose last
     passed entry lies in that cell is searched again, on its float64 row
     rebuilt once per size.  The last entry of a row is 2^31 > uq, so no
-    walk leaves its row.
+    walk leaves its row.  The answers are kept as row positions in the
+    guide's type, which is the sizes' own for 256 <= n <= 65536, so
+    there they are returned with no cast.
     """
     cdf, offsets, guide, counts = table
     off = offsets.take(sizes)
-    uq = (u * 2.0**31).astype(np.int64)  # exact products, truncated to their floor
-    pos = off + guide.take(off + ((uq * (sizes - 1)) >> 31))
-    uq = uq.astype(np.uint32)  # compared with the table in its own type
-    walked = moving = np.flatnonzero(cdf[pos] <= uq)
+    uq = (u * 2.0**31).astype(np.uint32)  # exact products, truncated to their floor
+    pos = np.multiply(uq, sizes - 1, dtype=np.intp)  # < 2^47
+    pos >>= 31
+    pos += off
+    rel = guide.take(pos)
+    np.add(off, rel, out=pos)
+    walked = moving = np.flatnonzero(cdf.take(pos) <= uq)
     while moving.size:
         pos[moving] += 1
-        moving = moving.compress(cdf[pos[moving]] <= uq[moving])
-    tie = walked.compress(cdf.take(pos.take(walked) - 1) == uq.take(walked))
+        moving = moving[cdf[pos[moving]] <= uq[moving]]
+    stop = pos[walked]  # on these short index arrays plain indexing is quicker than take
+    rel[walked] = stop - off[walked]
+    tie = walked[cdf[stop - 1] == uq[walked]]
     if tie.size:
-        tie_sizes = sizes.take(tie)
+        tie_sizes = sizes[tie]
         for m in np.unique(tie_sizes):
-            at = tie.compress(tie_sizes == m)
-            pos[at] = off[at] + np.searchsorted(_split_cdf(counts, int(m)), u[at], side="right")
-    return (pos - off + 1).astype(sizes.dtype)
+            at = tie[tie_sizes == m]
+            rel[at] = np.searchsorted(_split_cdf(counts, int(m)), u[at], side="right")
+    rel += 1
+    return rel.astype(sizes.dtype, copy=False)
 
 
 def _size_process_one_sided(table, tolls, t1, n, batch, rng) -> np.ndarray:
     costs = np.zeros(batch)
     sizes = np.full(batch, n, dtype=np.min_scalar_type(n))  # 8- and 16-bit keys sort stably by radix
-    alive = np.arange(batch)
+    alive = np.arange(batch)  # intp: it indexes the level arrays, which would convert narrower ids each time
     while alive.size:
         sz = sizes[alive]
         costs[alive] += tolls.take(sz)
@@ -199,16 +220,19 @@ def _size_process_two_sided(table, tolls, t1, n, batch, rng) -> np.ndarray:
     2c - c' pieces of size 1.
     """
     costs = np.zeros(batch)
-    sid = np.arange(batch)
+    sid = np.arange(batch, dtype=np.uint16)  # a shard holds at most SHARD_SIZE samples
     sz = np.full(batch, n, dtype=np.min_scalar_type(n))  # 8- and 16-bit keys sort stably by radix
     count = np.ones(batch, dtype=np.int64)
     while sid.size:
         costs += np.bincount(sid, weights=tolls.take(sz), minlength=batch)
-        u = rng.random(sid.size)
-        big = np.flatnonzero(sz > 2)
-        order = big[np.argsort(sz[big], kind="stable")]
-        sid, sz = sid[order], sz[order]
-        left = _draw_splits(table, sz, u[u.size - order.size :])
+        order = np.flatnonzero(sz > 2)
+        rng.random(sid.size - order.size)  # the uniforms dealt to size 2, which needs none
+        u = rng.random(order.size)
+        order = order.take(np.argsort(sz.take(order), kind="stable"))
+        sid, sz = sid.take(order), sz.take(order)
+        del order
+        left = _draw_splits(table, sz, u)
+        del u
         right = sz - left
         keep_left, keep_right = left > 1, right > 1
         sid = np.concatenate([sid.compress(keep_left), sid.compress(keep_right)])
@@ -225,7 +249,7 @@ def _size_process_two_sided(table, tolls, t1, n, batch, rng) -> np.ndarray:
 
 
 def _offspring(spec: FamilySpec, n: int, batch: int, rng: np.random.Generator) -> np.ndarray:
-    """``batch`` offspring vectors c in N^n with sum n - 1, one per row.
+    """``batch`` offspring vectors c in N^n with sum n - 1, one per row, as int32.
 
     A tree weighs the product of phi_{c_v} over its vertices, so given
     sum(c) = n - 1 the vector has a law proportional to that product
@@ -237,11 +261,14 @@ def _offspring(spec: FamilySpec, n: int, batch: int, rng: np.random.Generator) -
                                       a uniform composition at gamma = 1 (ordered trees)
     """
     if spec.kind == "A":  # each of the n - 1 children picks one of n parents
-        picks = rng.integers(0, n, size=(batch, n - 1)) + n * np.arange(batch)[:, None]
-        return np.bincount(picks.ravel(), minlength=batch * n).reshape(batch, n)
-    if spec.kind == "B":
-        return rng.multivariate_hypergeometric(np.full(n, spec.d), n - 1, size=batch, method="count")
-    return rng.multinomial(n - 1, rng.dirichlet(np.full(n, float(spec.gamma)), size=batch))
+        picks = rng.integers(0, n, size=(batch, n - 1))
+        picks += n * np.arange(batch)[:, None]
+        c = np.bincount(picks.ravel(), minlength=batch * n).reshape(batch, n)
+    elif spec.kind == "B":
+        c = rng.multivariate_hypergeometric(np.full(n, spec.d), n - 1, size=batch, method="count")
+    else:
+        c = rng.multinomial(n - 1, rng.dirichlet(np.full(n, float(spec.gamma)), size=batch))
+    return c.astype(np.int32)
 
 
 def _lukasiewicz(c: np.ndarray) -> np.ndarray:
@@ -253,7 +280,7 @@ def _lukasiewicz(c: np.ndarray) -> np.ndarray:
     vectors.  Returned vertex-major: column b is row b's word.
     """
     n = c.shape[1]
-    start = np.argmin(np.cumsum(c - 1, axis=1), axis=1) + 1
+    start = np.argmin(np.cumsum(c - 1, axis=1, dtype=c.dtype), axis=1) + 1
     return np.ascontiguousarray(np.take_along_axis(c, (start[:, None] + np.arange(n)) % n, axis=1).T)
 
 
@@ -266,8 +293,8 @@ def _parents(word: np.ndarray) -> np.ndarray:
     """
     n, batch = word.shape
     cols = np.arange(batch)
-    parent = np.zeros((n, batch), dtype=np.intp)
-    stack = np.zeros(n * batch, dtype=np.intp)  # level h of column b at h * batch + b; the root at level 0
+    parent = np.zeros((n, batch), dtype=np.int32)
+    stack = np.zeros(n * batch, dtype=np.int32)  # level h of column b at h * batch + b; the root at level 0
     open_slots = word.ravel().copy()
     height = np.ones(batch, dtype=np.intp)
     for i in range(1, n):
@@ -295,17 +322,21 @@ def _cut_records(parent: np.ndarray, order: np.ndarray, tolls: np.ndarray, one_s
     the root: its top is vertex 0, index < batch.  The size-1 charges
     are left to the caller.  The first cut's root side is the tree less
     the lower vertex's subtree, the last merge's other half.
+
+    Sizes stay in int32 and each edge's two ends are formed when it is
+    added back, so the batch holds 20 B per vertex; ``link`` and the
+    indices it is gathered at stay intp, which the finds index fastest.
     """
     n, batch = parent.shape
     cols = np.arange(batch)
-    lower = order * batch + cols
-    upper = np.take_along_axis(parent, order, axis=0) * batch + cols
+    up = parent.reshape(-1)
     link = np.arange(n * batch)
-    size = np.ones(n * batch, dtype=np.intp)
+    size = np.ones(n * batch, dtype=np.int32)
     cost = np.zeros(batch)
-    root_side = np.zeros(batch, dtype=np.intp)
+    root_side = np.zeros(batch, dtype=np.int32)
     for j in range(n - 2, -1, -1):
-        at = upper[j].copy()  # find by path halving: each visited vertex skips to its grandparent
+        lower = order[j] * batch + cols  # int32 products: see _EXPLICIT_CELLS
+        at = up.take(lower) * batch + cols  # find by path halving: each visited vertex skips to its grandparent
         moving = np.flatnonzero(link[at] != at)
         while moving.size:
             grand = link[link[at[moving]]]
@@ -313,9 +344,9 @@ def _cut_records(parent: np.ndarray, order: np.ndarray, tolls: np.ndarray, one_s
             at[moving] = grand
             moving = moving[link[grand] != grand]
         root_side = size[at]
-        merged = root_side + size[lower[j]]
+        merged = root_side + size[lower]
         size[at] = merged
-        link[lower[j]] = at  # the lower vertex tops its own component while its edge is missing
+        link[lower] = at  # the lower vertex tops its own component while its edge is missing
         cost += np.where(at < batch, tolls[merged], 0.0) if one_sided else tolls[merged]
     return cost, root_side
 
@@ -331,7 +362,7 @@ def _explicit_shard(spec: FamilySpec, tolls: np.ndarray, n: int, one_sided: bool
     parts = []
     for sub in (min(step, batch - start) for start in range(0, batch, step)):
         parent = _parents(_lukasiewicz(_offspring(spec, n, sub, rng)))
-        order = rng.permuted(np.repeat(np.arange(1, n), sub).reshape(n - 1, sub), axis=0)
+        order = rng.permuted(np.repeat(np.arange(1, n, dtype=np.int32), sub).reshape(n - 1, sub), axis=0)
         parts.append(_cut_records(parent, order, tolls, one_sided))
     cost, root_side = (np.concatenate(part) for part in zip(*parts))
     return cost + (1 if one_sided else n) * tolls[1], root_side

@@ -19,11 +19,15 @@ Claims covered:
       on the integer scale of the moment kernel (n <= 120, four families)
     - log-scale values agree with the exact rationals and stay stable
       far past double-precision overflow
+    - the float weights keep alpha0 beside a huge alpha1 (kind C,
+      alpha0 = 1/3, alpha1 = 10^12/3): ln T_2, the float split rows and
+      float moment tables match the exact ones to 1e-13
 """
 
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from treecut.bruteforce import all_cuts, enumerate_trees, tree_size, tree_weight
@@ -39,6 +43,7 @@ from treecut.counts import (
 )
 from treecut.errors import OutOfRange, OverflowPolicyError
 from treecut.family import binary, cayley, make_family, ordered
+from treecut.moments import TollSpec, one_sided_moments, two_sided_moments
 
 FAMILIES = [cayley(), binary(), ordered()]
 
@@ -231,6 +236,24 @@ def test_float_probs_match_exact_at_cutoff_boundary():
     exact = split_distribution(counts, 300).as_array()
     floats = _split_row(counts, 300, exact=False)
     assert abs(exact - floats).max() < 1e-12
+
+
+def test_float_weights_keep_alpha0_beside_a_huge_alpha1():
+    # kind C at alpha0 = 1/3, alpha1 = 10^12/3: a1*k + a0 in doubles cancelled alpha0 down to w_1 wrong in
+    # its fourth digit (ln T_2 off by 2.4e-4); written from w_1 = alpha0 every float path stays exact
+    spec = make_family("C", Fraction(1, 3), alpha1=Fraction(10**12, 3))
+    n = 12
+    counts = compute_counts(spec, n, exact_cutoff=n)
+    assert abs(counts.log_t(2) - math.log(1 / 3)) <= 1e-13
+    for m in range(2, n + 1):
+        exact = split_distribution(counts, m).as_array()
+        assert np.abs(_split_row(counts, m, exact=False) / exact - 1).max() <= 1e-13
+    for maker in (one_sided_moments, two_sided_moments):
+        rational = maker(counts, TollSpec(alpha=1), n, 3, mode="rational")
+        floats = maker(counts, TollSpec(alpha=1), n, 3, mode="float")
+        for m in range(1, n + 1):
+            for s in range(4):
+                assert floats.moment(m, s) == pytest.approx(float(rational.moment(m, s)), rel=1e-13)
 
 
 def test_range_errors():

@@ -36,6 +36,11 @@ Claims covered:
       2^-31 cell as an entry it passes is searched again on the float64
       row, rebuilt once per size, and the top uniform stops in a row of
       size 2
+    - the two-sided level arrays are narrow (16-bit sample ids and
+      sizes, 32-bit table offsets, no uniform the draw does not use):
+      one shard at n = 2000 stays below 3.5 MB traced, table excluded;
+      an explicit sub-batch keeps int32 counts, vertex ids and sizes and
+      stays below 28 B per vertex
     - fixed-seed results stay the values recorded for each engine, also
       two-sided with fractional tolls, where the order of additions shows
     - power sums that overflow float64 raise ConfigError instead of
@@ -46,6 +51,8 @@ Claims covered:
 import dataclasses
 import heapq
 import math
+import sys
+import tracemalloc
 from collections import Counter
 from typing import List, Sequence
 
@@ -710,6 +717,61 @@ def test_draw_splits_tie_searches_float_row(monkeypatch):
     # the top uniform stops inside the shortest row, 2^31 > floor((1 - 2^-53) * 2^31), with no rebuild
     assert _draw_splits(table, np.array([2], dtype=np.uint8), np.array([np.nextafter(1.0, 0.0)])).tolist() == [1]
     assert rebuilt == [m]
+
+
+def test_two_sided_level_arrays_are_narrow(monkeypatch):
+    # 16-bit sample ids and sizes, 32-bit table offsets, and a draw that sees only the uniforms it uses;
+    # its answers come back as the sizes' own type
+    n = 2000
+    table = _cumulative_rows(compute_counts(ordered(), n, exact_cutoff=1), n)
+    assert (table.offsets.dtype, table.cdf.dtype, table.guide.dtype) == (np.int32, np.uint32, np.uint16)
+    seen = set()
+
+    def spy(table, sizes, u):
+        drawn = _draw_splits(table, sizes, u)
+        seen.add((sys._getframe(1).f_locals["sid"].dtype, sizes.dtype, drawn.dtype, u.size == sizes.size))
+        return drawn
+
+    monkeypatch.setattr(simulate, "_draw_splits", spy)
+    simulate._size_process_two_sided(table, TollSpec(alpha=1).float_values(n), 1.0, n, 256, _shard_rng(SEED, 15))
+    u16 = np.dtype(np.uint16)
+    assert seen == {(u16, u16, u16, True)}
+
+
+def test_two_sided_shard_memory():
+    # the level arrays of one shard, table excluded.  The largest level holds about 62k components, each
+    # as a 16-bit id and size and its uniform, plus the draw's 32-bit offset and uniform, intp position
+    # and 16-bit answer: 2.9 MB traced.  int64 ids and offsets, with each level's whole uniform array
+    # and sort indices kept through the draw, take 4.6 MB.
+    n = 2000
+    table = _cumulative_rows(compute_counts(ordered(), n, exact_cutoff=1), n)
+    tolls = TollSpec(alpha=1).float_values(n)
+    simulate._size_process_two_sided(table, tolls, 1.0, n, 16, _shard_rng(SEED, 16))  # lazy imports first
+    rng = _shard_rng(1, 0)
+    tracemalloc.start()
+    try:
+        simulate._size_process_two_sided(table, tolls, 1.0, n, SHARD_SIZE, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5e6
+
+
+def test_explicit_sub_batch_memory():
+    # int32 offspring counts, vertex ids and sizes, with each edge's ends formed as it is added back: a
+    # sub-batch peaks near 22 B per vertex, where intp arrays and stored edge ends take 50 B
+    n, trees = 500, 1024
+    tolls = TollSpec(alpha=1).float_values(n)
+    tracemalloc.start()
+    try:
+        _explicit_shard(ordered(), tolls, n, False, trees, _shard_rng(SEED, 17))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 28 * n * trees
+    rng = _shard_rng(SEED, 18)
+    assert _offspring(ordered(), n, 4, rng).dtype == np.int32
+    assert _parents(_lukasiewicz(_offspring(cayley(), n, 4, rng))).dtype == np.int32
 
 
 def test_fixed_seed_golden_stats():
