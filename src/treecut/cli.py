@@ -140,6 +140,8 @@ def _cmd_counts(args) -> int:
 
 def _cmd_probs(args) -> int:
     spec = _family_from_args(args)
+    if args.n < 2:  # checked before the counts are built to n, whose own range would name n_max
+        raise ConfigError(f"n must be >= 2, got {args.n}")
     counts = compute_counts(spec, args.n, exact_cutoff=min(args.n, 2000))
     dist = split_distribution(counts, args.n, symmetrized=args.symmetrized)
     _emit(_csv(("k", "p"), ((k, _fmt(dist.prob(k))) for k in range(1, args.n))), args.out)

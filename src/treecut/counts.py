@@ -28,7 +28,8 @@ Its oracles are the recurrence itself, transcribed in Fractions in the
 tests, and :func:`lagrange_counts`, by series arithmetic.
 
 Every T_n is also kept as the rho-scaled float a_n = rho^n * T_n, where
-rho = tau/Phi(tau) (tau = 1/a1) is the singularity of the tree GF.  T_n
+rho = tau/Phi(tau) (tau = 1/a1) is the singularity of the tree GF, the
+double of :func:`treecut.family.solve_constants`, bit for bit.  T_n
 grows like c * rho^-n * n^-3/2 and overflows doubles near n ~ 520
 already for ordered trees, but a_n ~ c * n^-3/2 stays well inside double
 range, and rho^n = rho^k * rho^(n-k) leaves the recurrence and p_{n,k}
@@ -52,7 +53,7 @@ from typing import List, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import OutOfRange, OverflowPolicyError
-from .family import FamilySpec, _float_tau, phi_coefficient, phi_value
+from .family import FamilySpec, _phi_at_tau, phi_coefficient
 
 #: Hard ceiling on how many exact rationals a WeightedCounts may store.
 MAX_EXACT_CUTOFF = 20_000
@@ -69,7 +70,7 @@ class WeightedCounts:
     1 <= n <= exact_limit (index 0 = 0), the one store of the exact
     counts.  ``log_values[n]`` is ln T_n for every 1 <= n <= n_max.
     ``rho_scaled[n]`` is a_n = rho**n * T_n for 1 <= n <= n_max, with
-    ``rho`` = tau/Phi(tau) in double precision.
+    ``rho`` = tau/Phi(tau) the double ``solve_constants(family).rho``.
     """
 
     family: FamilySpec
@@ -128,11 +129,10 @@ def _weight_terms(spec: FamilySpec, dtype=np.float64) -> Tuple[float, float]:
     return dtype(float(spec.a1)), dtype(float(spec.alpha0))
 
 
-def integer_weights(spec: FamilySpec, n_max: int) -> List[int]:
-    """[W_0, ..., W_n_max] with W_k = L*(a1*k + a0)."""
+def _integer_weights(spec: FamilySpec) -> Tuple[int, int]:
+    """(L*a1, L*a0): W_k = L*(a1*k + a0) is L*a1*k + L*a0, an integer for every k."""
     scale = _weight_scale(spec)
-    la1, la0 = int(scale * spec.a1), int(scale * spec.a0)
-    return [la1 * k + la0 for k in range(n_max + 1)]
+    return int(scale * spec.a1), int(scale * spec.a0)
 
 
 def _balanced_prod(factors: range) -> int:
@@ -150,8 +150,7 @@ def _balanced_prod(factors: range) -> int:
 
 def _scaled_counts(spec: FamilySpec, n_exact: int) -> List[int]:
     """S_n = W_1 * prod_{i=2}^{n-1} (L*a1*n + L*a0*i) for 1 <= n <= n_exact (index 0 = 0)."""
-    scale = _weight_scale(spec)
-    la1, la0 = int(scale * spec.a1), int(scale * spec.a0)
+    la1, la0 = _integer_weights(spec)
     s = [0, 1]
     for n in range(2, n_exact + 1):
         first = la1 * n + 2 * la0  # the factor at i = 2
@@ -173,8 +172,8 @@ def compute_counts(spec: FamilySpec, n_max: int, exact_cutoff: int = 400) -> Wei
     if exact_cutoff > MAX_EXACT_CUTOFF:
         raise OverflowPolicyError(f"exact_cutoff={exact_cutoff} exceeds the configured bound {MAX_EXACT_CUTOFF}")
 
-    tau = _float_tau(spec)
-    rho = tau / phi_value(spec, tau)
+    tau, phi, _ = _phi_at_tau(spec)
+    rho = tau / phi
     a = np.zeros(n_max + 1)
     mirror = np.zeros(n_max + 1)  # mirror[n_max - k] = a[k], so a_{n-k} runs forward
     a[1] = mirror[n_max - 1] = rho

@@ -21,7 +21,8 @@ the usual singularity constants follow in closed form:
     c      = b*sqrt(rho)/(2*sqrt(pi))        T_n ~ c * rho^-n * n^-3/2
     sigma2 = tau^2 * Phi''(tau) / Phi(tau)
 
-Parameters are exact rationals; the derived constants are doubles.
+Parameters are exact rationals; the derived constants are doubles, and
+the rho-scaled counts of :mod:`treecut.counts` use this same rho.
 """
 
 from __future__ import annotations
@@ -167,25 +168,6 @@ def phi_coefficient(spec: FamilySpec, k: int) -> Fraction:
     return rising / math.factorial(k) * spec.beta**k
 
 
-def phi_value(spec: FamilySpec, t: float) -> float:
-    a0 = float(spec.alpha0)
-    if spec.kind == "A":
-        return math.exp(a0 * t)
-    if spec.kind == "B":
-        return (1.0 + a0 * t / spec.d) ** spec.d
-    return (1.0 - float(spec.beta) * t) ** (-float(spec.gamma))
-
-
-def phi_deriv2(spec: FamilySpec, t: float) -> float:
-    a0 = float(spec.alpha0)
-    if spec.kind == "A":
-        return a0 * a0 * math.exp(a0 * t)
-    if spec.kind == "B":
-        return a0 * a0 * (spec.d - 1) / spec.d * (1.0 + a0 * t / spec.d) ** (spec.d - 2)
-    beta, gamma = float(spec.beta), float(spec.gamma)
-    return gamma * (gamma + 1.0) * beta * beta * (1.0 - beta * t) ** (-gamma - 2.0)
-
-
 def tau_exact(spec: FamilySpec) -> Fraction:
     """Closed-form location of the root of t*Phi'(t) = Phi(t): tau = 1/a1."""
     return Fraction(1) / spec.a1
@@ -210,18 +192,25 @@ def _float_tau(spec: FamilySpec) -> float:
     return float(tau)
 
 
-def _phi_at_tau(spec: FamilySpec, tau: float) -> Tuple[float, float]:
-    """Phi(tau) and Phi''(tau).
+def _phi_at_tau(spec: FamilySpec) -> Tuple[float, float, float]:
+    """tau, Phi(tau) and Phi''(tau) as doubles, one evaluation for the constants and the counts.
 
-    For kind C both are powers of 1 - beta*tau, which cancels in doubles
-    next to the pole (5e-13 at alpha0 = 1, alpha1 = 1e12); it is taken
-    from its exact value alpha0/a1 instead.
+    Outside the range of :func:`_float_tau` it raises DomainError.  For
+    kind C both Phi values are powers of 1 - beta*tau, which cancels in
+    doubles next to the pole (5e-13 at alpha0 = 1, alpha1 = 1e12); it is
+    taken from its exact value alpha0/a1 instead.
     """
-    if spec.kind != "C":
-        return phi_value(spec, tau), phi_deriv2(spec, tau)
+    tau = _float_tau(spec)
+    a0 = float(spec.alpha0)
+    if spec.kind == "A":
+        phi = math.exp(a0 * tau)
+        return tau, phi, a0 * a0 * phi
+    if spec.kind == "B":
+        base = 1.0 + a0 * tau / spec.d
+        return tau, base**spec.d, a0 * a0 * (spec.d - 1) / spec.d * base ** (spec.d - 2)
     gap = float(spec.alpha0 / spec.a1)
     beta, gamma = float(spec.beta), float(spec.gamma)
-    return gap ** (-gamma), gamma * (gamma + 1.0) * beta * beta * gap ** (-gamma - 2.0)
+    return tau, gap ** (-gamma), gamma * (gamma + 1.0) * beta * beta * gap ** (-gamma - 2.0)
 
 
 def solve_constants(spec: FamilySpec) -> FamilyConstants:
@@ -232,8 +221,7 @@ def solve_constants(spec: FamilySpec) -> FamilyConstants:
     constants below would divide by zero or overflow.  The tests check
     tau against a bisection root of t*Phi'(t) - Phi(t).
     """
-    tau = _float_tau(spec)
-    phi, phi2 = _phi_at_tau(spec, tau)
+    tau, phi, phi2 = _phi_at_tau(spec)
     if not 0.0 < tau * phi2 < math.inf:
         raise DomainError(f"Phi''(tau) = {phi2!r} leaves double range for {spec.label()}")
     rho = tau / phi

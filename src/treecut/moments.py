@@ -71,7 +71,7 @@ from typing import Callable, List, Optional, Sequence, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .counts import WeightedCounts, _weight_terms, integer_weights
+from .counts import WeightedCounts, _integer_weights, _weight_terms
 from .errors import ConfigError, OutOfRange, OverflowPolicyError
 from .family import FamilySpec
 
@@ -286,8 +286,7 @@ def _residue_rows(counts: WeightedCounts, toll: TollSpec, variant: str, n_max: i
     """
     size, c, ps = s_max + 1, len(q), [int(p) for p in q]
     n = np.arange(n_max + 1)[:, None]
-    w0, w1 = integer_weights(counts.family, 1)
-    slope, base = (np.array([x % p for p in ps]) for x in (w1 - w0, w0))  # W_k = W_0 + (W_1 - W_0) k
+    slope, base = (np.array([x % p for p in ps]) for x in _integer_weights(counts.family))  # W_k = slope*k + base
     fac = np.ones((n_max + 1, c), dtype=np.int32)  # 1/(n-1) times the k-sum's weight; int32, promoted in products
     for i in range(2, n_max):
         fac[i + 1] = (q - q // i) * fac[q % i + 1, np.arange(c)] % q  # 1/i = -(q // i) / (q mod i)

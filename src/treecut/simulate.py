@@ -42,6 +42,9 @@ Two engines with very different trust models:
   2^22 // n trees bound the memory: 85 MB traced and 134 MB peak RSS
   at n = 10^4.
 
+Both engines read every toll, the size-1 cost t1 included, from one
+array, ``TollSpec.float_values(n)``, whose entry 1 is t1.
+
 Reproducibility contract: an experiment is deterministic given
 (config, seed) regardless of worker count.  Samples are processed in
 fixed shards of SHARD_SIZE; shard i uses a Philox generator seeded with
@@ -81,7 +84,6 @@ class SampleStats:
     count: int
     moment_estimates: List[float]
     standard_errors: List[Optional[float]]  # None from one sample, which has no spread
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -197,7 +199,7 @@ def _draw_splits(table: _SplitTable, sizes: np.ndarray, u: np.ndarray) -> np.nda
     return rel.astype(sizes.dtype, copy=False)
 
 
-def _size_process_one_sided(table, tolls, t1, n, batch, rng) -> np.ndarray:
+def _size_process_one_sided(table, tolls, n, batch, rng) -> np.ndarray:
     costs = np.zeros(batch)
     sizes = np.full(batch, n, dtype=np.min_scalar_type(n))  # 8- and 16-bit keys sort stably by radix
     alive = np.arange(batch)  # intp: it indexes the level arrays, which would convert narrower ids each time
@@ -207,18 +209,19 @@ def _size_process_one_sided(table, tolls, t1, n, batch, rng) -> np.ndarray:
         order = np.argsort(sz, kind="stable")
         sizes[alive[order]] = _draw_splits(table, sz[order], rng.random(alive.size))
         alive = alive.compress(sizes[alive] > 1)
-    return costs + t1
+    return costs + tolls[1]
 
 
-def _size_process_two_sided(table, tolls, t1, n, batch, rng) -> np.ndarray:
+def _size_process_two_sided(table, tolls, n, batch, rng) -> np.ndarray:
     """Costs of ``batch`` destructions of size n >= 2, a level of components at a time.
 
     A level adds its tolls in array order, then deals one uniform per
     component in stable size order.  Size 2 sorts first and always splits
     1 + 1; the rest keep their children of size > 1, root sides first.
     A sample with c components at one level and c' at the next has made
-    2c - c' pieces of size 1.
+    2c - c' pieces of size 1, each paying ``tolls[1]``.
     """
+    t1 = tolls[1]
     costs = np.zeros(batch)
     sid = np.arange(batch, dtype=np.uint16)  # a shard holds at most SHARD_SIZE samples
     sz = np.full(batch, n, dtype=np.min_scalar_type(n))  # 8- and 16-bit keys sort stably by radix
@@ -448,19 +451,17 @@ def run_experiment(config: ExperimentConfig) -> SampleStats:
         raise ConfigError(f"workers must be >= 1, got {config.workers}")
     if config.s_max < 1:
         raise ConfigError(f"s_max must be >= 1, got {config.s_max}")
-    toll = TollSpec(alpha=config.alpha, size_one_cost=config.size_one_cost)
-    tolls = toll.float_values(config.n)
+    tolls = TollSpec(alpha=config.alpha, size_one_cost=config.size_one_cost).float_values(config.n)
 
     costs: Callable[[np.random.Generator, int], np.ndarray]
     if config.engine == SIZE_PROCESS:
         table = _cumulative_rows(compute_counts(config.family, config.n, exact_cutoff=1), config.n)
         engine = _size_process_one_sided if config.variant == ONE_SIDED else _size_process_two_sided
-        t1 = float(toll.t1)
 
         def costs(rng: np.random.Generator, batch: int) -> np.ndarray:
             if config.n == 1:  # a lone vertex is never cut
-                return np.zeros(batch) + t1
-            return engine(table, tolls, t1, config.n, batch, rng)
+                return np.zeros(batch) + tolls[1]
+            return engine(table, tolls, config.n, batch, rng)
 
     else:
         one_sided = config.variant == ONE_SIDED
@@ -473,7 +474,7 @@ def run_experiment(config: ExperimentConfig) -> SampleStats:
         lambda rng, batch: _power_sums(costs(rng, batch), powers), config.seed, config.samples, config.workers
     )
     estimates, errors = _means_and_errors(partials, config.samples, config.s_max)
-    return SampleStats(count=config.samples, moment_estimates=estimates, standard_errors=errors, seed=config.seed)
+    return SampleStats(count=config.samples, moment_estimates=estimates, standard_errors=errors)
 
 
 @dataclass(frozen=True)

@@ -500,10 +500,13 @@ def test_bad_limits_input_exits_1(capture, args):
          f"{make_family('C', 1, alpha1='1e300').label()} leaves double range"),
         (("constants", "--kind", "C", "--alpha0", "1", "--alpha1", "1e400"),
          f"{make_family('C', 1, alpha1='1e400').label()} leaves double range"),
+        (("probs", "--kind", "A", "--alpha0", "1", "--n", "1"), "n must be >= 2, got 1"),
+        (("probs", "--kind", "A", "--alpha0", "1", "--n", "0"), "n must be >= 2, got 0"),
     ],
     ids=["moments-inf", "simulate-inf", "counts-cutoff", "constants-underflow", "counts-no-kind",
          "moments-toll", "simulate-toll", "moments-table", "moments-table-two-sided",
-         "counts-A-1e300", "moments-A-1e160", "simulate-A-1e300", "counts-C-1e300", "constants-C-1e400"],
+         "counts-A-1e300", "moments-A-1e160", "simulate-A-1e300", "counts-C-1e300", "constants-C-1e400",
+         "probs-n1", "probs-n0"],
 )
 def test_bad_command_input_exits_1(capture, argv, message):
     code, out, err = capture(*argv)

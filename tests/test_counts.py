@@ -33,16 +33,16 @@ import pytest
 from treecut.bruteforce import all_cuts, enumerate_trees, tree_size, tree_weight
 from treecut.counts import (
     MAX_EXACT_CUTOFF,
+    _integer_weights,
     _scaled_counts,
     _split_row,
     _weight_scale,
     compute_counts,
-    integer_weights,
     lagrange_counts,
     split_distribution,
 )
 from treecut.errors import OutOfRange, OverflowPolicyError
-from treecut.family import binary, cayley, make_family, ordered
+from treecut.family import binary, cayley, make_family, ordered, solve_constants
 from treecut.moments import TollSpec, one_sided_moments, two_sided_moments
 
 FAMILIES = [cayley(), binary(), ordered()]
@@ -181,9 +181,9 @@ def test_split_law_matches_enumeration(spec):
 def test_exact_row_on_the_integer_scale(spec):
     # the order-0 summand of the exact moment kernel: W_k * C(n-2, k-1) * S_k * S_{n-k} / S_n, L cancels
     counts = compute_counts(spec, 120, exact_cutoff=120)
-    w, s = integer_weights(spec, 120), counts.scaled
+    (la1, la0), s = _integer_weights(spec), counts.scaled
     for n in (2, 3, 17, 120):
-        expected = [Fraction(w[k] * math.comb(n - 2, k - 1) * s[k] * s[n - k], s[n]) for k in range(1, n)]
+        expected = [Fraction((la1 * k + la0) * math.comb(n - 2, k - 1) * s[k] * s[n - k], s[n]) for k in range(1, n)]
         assert list(split_distribution(counts, n).probs) == expected
 
 
@@ -279,3 +279,15 @@ def test_counts_positive_and_anchored():
         assert counts.exact_t(1) == 1
         assert all(counts.exact_t(n) > 0 for n in range(1, 51))
         assert all(math.isfinite(counts.log_t(n)) for n in range(1, 201))
+
+
+def test_counts_share_the_constants_rho():
+    # kind C's Phi(tau) in doubles as (1 - beta*tau)^-gamma or as (alpha0/a1)^-gamma differs in the last
+    # bits on 101 of these 355 kind C families; the counts must scale by the rho the constants report
+    sixths = sorted({Fraction(p, q) for p in range(1, 7) for q in range(1, 7)})
+    specs = [ordered(), cayley(), binary(), make_family("B", 3, d=3)]
+    specs += [make_family("A", Fraction(1, 3)), make_family("A", 5)]
+    specs += [make_family("C", a0, alpha1=a1) for a0 in sixths for a1 in sixths if 2 * a1 > a0]
+    assert len(specs) == 6 + 355
+    for spec in specs:
+        assert compute_counts(spec, 2, exact_cutoff=1).rho == solve_constants(spec).rho, spec.label()

@@ -733,7 +733,7 @@ def test_two_sided_level_arrays_are_narrow(monkeypatch):
         return drawn
 
     monkeypatch.setattr(simulate, "_draw_splits", spy)
-    simulate._size_process_two_sided(table, TollSpec(alpha=1).float_values(n), 1.0, n, 256, _shard_rng(SEED, 15))
+    simulate._size_process_two_sided(table, TollSpec(alpha=1).float_values(n), n, 256, _shard_rng(SEED, 15))
     u16 = np.dtype(np.uint16)
     assert seen == {(u16, u16, u16, True)}
 
@@ -746,11 +746,11 @@ def test_two_sided_shard_memory():
     n = 2000
     table = _cumulative_rows(compute_counts(ordered(), n, exact_cutoff=1), n)
     tolls = TollSpec(alpha=1).float_values(n)
-    simulate._size_process_two_sided(table, tolls, 1.0, n, 16, _shard_rng(SEED, 16))  # lazy imports first
+    simulate._size_process_two_sided(table, tolls, n, 16, _shard_rng(SEED, 16))  # lazy imports first
     rng = _shard_rng(1, 0)
     tracemalloc.start()
     try:
-        simulate._size_process_two_sided(table, tolls, 1.0, n, SHARD_SIZE, rng)
+        simulate._size_process_two_sided(table, tolls, n, SHARD_SIZE, rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -786,7 +786,6 @@ def test_fixed_seed_golden_stats():
         count=5000,
         moment_estimates=[9196.9354, 88465087.1014, 889852518434.5006],
         standard_errors=[27.864826567507894, 552626.4715168548, 8715554404.46094],
-        seed=7,
     )
     # two-sided with fractional tolls, recorded before the level step set size 2 apart: every partial
     # sum rounds, so these also fix the order in which a level adds its tolls and size-1 charges
@@ -800,7 +799,6 @@ def test_fixed_seed_golden_stats():
         count=5000,
         moment_estimates=[754.0051871128992, 569124.771542313, 430037186.8931373],
         standard_errors=[0.3467187803011434, 527.5609009481198, 603001.008154926],
-        seed=7,
     )
     ordered_two = run_experiment(
         ExperimentConfig(
@@ -812,7 +810,6 @@ def test_fixed_seed_golden_stats():
         count=5000,
         moment_estimates=[1176.344123693743, 1394677.364913374, 1666884989.821305],
         standard_errors=[1.4760790205032006, 3566.1653127630625, 6537771.747103579],
-        seed=7,
     )
     one = run_experiment(
         ExperimentConfig(
@@ -823,7 +820,6 @@ def test_fixed_seed_golden_stats():
         count=5000,
         moment_estimates=[53.76265334290107, 3553.8239678893665],
         standard_errors=[0.36428938501593766, 46.18045810129504],
-        seed=7,
     )
     explicit = run_experiment(
         ExperimentConfig(
@@ -834,7 +830,6 @@ def test_fixed_seed_golden_stats():
         count=5000,
         moment_estimates=[262.2686, 70087.2422],
         standard_errors=[0.5104280930509563, 279.8011249194849],
-        seed=7,
     )
 
 
