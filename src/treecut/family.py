@@ -178,16 +178,21 @@ def _float_tau(spec: FamilySpec) -> float:
 
     rho lies in [tau/4, tau) (Phi(tau) is in (1, 4]), the rho-scaled counts
     are proportional to rho and the recurrences multiply two of them, so
-    tau within 2^-400..2^400 keeps those products normal doubles.  Kind C's
+    tau within 2^-400..2^400 keeps those products normal doubles.  Kind B's
+    Phi(tau) = (d/(d-1))^d rounds its base near 1 and the power makes that
+    a relative error of up to d*2^-53: d <= 2^16 keeps rho within 7.3e-12
+    of ((d-1)/d)^(d-1)/alpha0, and 2^17 would reach 1.5e-11.  Kind C's
     gamma within 2^-50..2^50 keeps 1 - beta*tau = gamma/(1+gamma) and
     beta*tau above 2^-51.  Outside, DomainError names the family.
     """
     tau = tau_exact(spec)
-    bounds = [(tau, 400)] + ([(spec.gamma, 50)] if spec.kind == "C" else [])
+    bounds = [(tau, 400)]
+    if spec.kind != "A":
+        bounds.append((spec.d, 16) if spec.kind == "B" else (spec.gamma, 50))
     if any(not Fraction(1, 2**bits) <= value <= 2**bits for value, bits in bounds):
         raise DomainError(
             f"{spec.label()} leaves double range: the float constants and counts need tau = 1/a1 "
-            "within 2^-400..2^400 and, kind C, gamma within 2^-50..2^50"
+            "within 2^-400..2^400, kind B's d <= 2^16 and kind C's gamma within 2^-50..2^50"
         )
     return float(tau)
 

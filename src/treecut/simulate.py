@@ -8,7 +8,7 @@ Two engines with very different trust models:
   it is the fast path (no trees are ever built).  The cumulative split
   rows of every size 2..n sit back to back in one uint32 array, each
   entry rounded down to a multiple of 2^-31, next to a guide index (Chen
-  & Asau 1974) whose starts never pass the answer, so a level's draws
+  & Asau 1974) over the draws' own integer buckets, so a level's draws
   walk up the few steps left.  Only a uniform in the same 2^-31 cell as
   the entry it last passed is searched again, on the float64 row, so
   the draws equal a binary search of that row, draw for draw.  Sizes
@@ -126,10 +126,10 @@ class _SplitTable(NamedTuple):
     Row m (its m - 1 entries) starts at ``offsets[m]``.  ``cdf`` holds
     each entry c of the float64 row ``_split_cdf(counts, m)`` as
     floor(c * 2^31), so c lies in [cdf, cdf + 1) * 2^-31; the last
-    entry, exactly 1, is 2^31.  ``guide[offsets[m] + b]``, for
-    b = 0..m-2, counts the float64 row-m entries <= fl(b/(m-1)) *
-    (1 - 2^-50): a start for the search of any u in bucket b, a little
-    below b/(m-1) so that no rounding puts it past the answer.
+    entry, exactly 1, is 2^31.  A cell's bucket is floor(cdf * (m-1) /
+    2^31), the rule ``_draw_splits`` applies to a uniform's cell, and
+    ``guide[offsets[m] + b]``, for b = 0..m-2, counts the row-m cells
+    whose bucket is below b: the start of a search in bucket b.
     ``counts`` rebuilds a float64 row where 31 bits cannot decide.
     """
 
@@ -149,10 +149,9 @@ def _cumulative_rows(counts: WeightedCounts, n: int) -> _SplitTable:
     cdf = np.empty(total, dtype=np.uint32)
     guide = np.empty(total, dtype=np.uint16 if narrow else np.uint32)
     for m in range(2, n + 1):
-        row = _split_cdf(counts, m)
-        cdf[offsets[m] : offsets[m] + m - 1] = row * 2.0**31  # exact products, truncated to their floor
-        starts = np.arange(m - 1) / (m - 1) * (1.0 - 2.0**-50)
-        guide[offsets[m] : offsets[m] + m - 1] = np.searchsorted(row, starts, side="right")
+        row = slice(offsets[m], offsets[m] + m - 1)
+        cdf[row] = _split_cdf(counts, m) * 2.0**31  # exact products, truncated to their floor
+        guide[row] = np.searchsorted(np.multiply(cdf[row], m - 1, dtype=np.int64) >> 31, np.arange(m - 1))
     return _SplitTable(cdf, offsets, guide, counts)
 
 
@@ -161,11 +160,11 @@ def _draw_splits(table: _SplitTable, sizes: np.ndarray, u: np.ndarray) -> np.nda
 
     Equal to ``np.searchsorted(row_m, u, side="right") + 1`` for every u
     in [0, 1), in the dtype of ``sizes``, where row_m is the float64 row
-    ``_split_cdf(counts, m)``.  With uq = floor(u * 2^31), the bucket
-    floor(uq * (m-1) / 2^31) <= m - 2 reaches b only if u >= b/(m-1), so
-    the guide start never passes the answer, and a walk up the row ends
-    the search.  The walk moves on while cdf <= uq.  A stop is always
-    sure: cdf > uq gives c >= (uq + 1) * 2^-31 > u.  A pass with
+    ``_split_cdf(counts, m)``.  With uq = floor(u * 2^31), u's bucket
+    b = floor(uq * (m-1) / 2^31) <= m - 2 starts the walk past the cells
+    with cdf * (m-1) < b * 2^31 <= uq * (m-1), so cdf < uq: no start
+    passes the answer.  The walk moves on while cdf <= uq.  A stop is
+    always sure: cdf > uq gives c >= (uq + 1) * 2^-31 > u.  A pass with
     cdf < uq is sure too, since c < (cdf + 1) * 2^-31 <= u.  Only an
     entry in u's own cell, cdf == uq, may be passed although c > u, and
     rows never decrease, so only a draw that walked and whose last

@@ -500,13 +500,18 @@ def test_bad_limits_input_exits_1(capture, args):
          f"{make_family('C', 1, alpha1='1e300').label()} leaves double range"),
         (("constants", "--kind", "C", "--alpha0", "1", "--alpha1", "1e400"),
          f"{make_family('C', 1, alpha1='1e400').label()} leaves double range"),
+        # an arity past 2^16 would round rho; one past the double range was a traceback
+        (("counts", "--kind", "B", "--alpha0", "1", "--d", str(10**400), "--nmax", "5"),
+         f"{make_family('B', 1, d=10**400).label()} leaves double range"),
+        (("constants", "--kind", "B", "--alpha0", "1", "--d", str(2**17)),
+         f"{make_family('B', 1, d=2**17).label()} leaves double range"),
         (("probs", "--kind", "A", "--alpha0", "1", "--n", "1"), "n must be >= 2, got 1"),
         (("probs", "--kind", "A", "--alpha0", "1", "--n", "0"), "n must be >= 2, got 0"),
     ],
     ids=["moments-inf", "simulate-inf", "counts-cutoff", "constants-underflow", "counts-no-kind",
          "moments-toll", "simulate-toll", "moments-table", "moments-table-two-sided",
          "counts-A-1e300", "moments-A-1e160", "simulate-A-1e300", "counts-C-1e300", "constants-C-1e400",
-         "probs-n1", "probs-n0"],
+         "counts-B-d1e400", "constants-B-d2^17", "probs-n1", "probs-n0"],
 )
 def test_bad_command_input_exits_1(capture, argv, message):
     code, out, err = capture(*argv)

@@ -8,11 +8,12 @@ Claims covered:
       to 1e-13 relative error, on the parameter grid, from alpha0 = 1e-12
       to 1e100 and next to kind C's pole; constants that leave double
       range raise DomainError
-    - the float layer takes tau within 2^-400..2^400 and kind C's gamma
-      within 2^-50..2^50: outside, constants and counts raise DomainError
-      naming the family, and inside, kind A's float moments and sampled
-      costs are the same at alpha0 = 1 and 1e100 (its split law has no
-      alpha0 in it)
+    - the float layer takes tau within 2^-400..2^400, kind B's d up to
+      2^16 and kind C's gamma within 2^-50..2^50: outside, constants and
+      counts raise DomainError naming the family, and inside, kind A's
+      float moments and sampled costs are the same at alpha0 = 1 and
+      1e100 (its split law has no alpha0 in it); kind B's rho is within
+      1e-11 of a 50-digit ((d-1)/d)^(d-1)/alpha0 up to the arity bound
     - sigma^2 = 1 + beta/alpha0 for kind C holds next to the pole
     - importing the package loads no scipy module at all
     - derived constants (rho, b, c, sigma) and their exact identities
@@ -24,6 +25,7 @@ import os
 import re
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -246,8 +248,9 @@ def test_constants_outside_double_range_raise(alpha0):
 @pytest.mark.parametrize("spec", [
     make_family("A", 2**401), make_family("A", Fraction(1, 2**401)), make_family("B", "1e160", d=3),
     make_family("C", 1, alpha1="1e300"), make_family("C", 1, alpha1=2**51), make_family("C", 1, alpha1="1e400"),
-    make_family("C", 1, alpha1=Fraction(1, 2) + Fraction(1, 2**52)),
-], ids=["A-2^401", "A-2^-401", "B-1e160", "C-1e300", "C-2^51", "C-1e400", "C-1/2+2^-52"])
+    make_family("C", 1, alpha1=Fraction(1, 2) + Fraction(1, 2**52)), make_family("B", 1, d=2**17),
+    make_family("B", 1, d=10**400),
+], ids=["A-2^401", "A-2^-401", "B-1e160", "C-1e300", "C-2^51", "C-1e400", "C-1/2+2^-52", "B-d2^17", "B-d1e400"])
 def test_float_layer_rejects_families_outside_its_range(spec):
     for build in (solve_constants, lambda s: compute_counts(s, 5)):
         with pytest.raises(DomainError, match=re.escape(spec.label())):
@@ -256,11 +259,22 @@ def test_float_layer_rejects_families_outside_its_range(spec):
 
 @pytest.mark.parametrize("spec", [
     make_family("A", 2**399), make_family("A", Fraction(1, 2**399)), make_family("C", 1, alpha1=2**48),
-    make_family("C", 1, alpha1=Fraction(1, 2) + Fraction(1, 2**48)),
-], ids=["A-2^399", "A-2^-399", "C-2^48", "C-1/2+2^-48"])
+    make_family("C", 1, alpha1=Fraction(1, 2) + Fraction(1, 2**48)), make_family("B", 1, d=2**16),
+], ids=["A-2^399", "A-2^-399", "C-2^48", "C-1/2+2^-48", "B-d2^16"])
 def test_float_layer_takes_families_inside_its_range(spec):
     counts = compute_counts(spec, 50, exact_cutoff=50)
     assert np.isfinite(counts.log_values[1:]).all() and solve_constants(spec).sigma > 0
+
+
+@pytest.mark.parametrize("alpha0", [1, "1/3", "1e100"])
+def test_kind_b_rho_near_the_arity_bound(alpha0):
+    # Phi(tau) = (d/(d-1))^d rounds its base near 1; 65286 loses the most of all d <= 2^16 at alpha0 = 1
+    a0 = Fraction(alpha0)
+    for d in (65286, 2**16 - 1, 2**16):
+        with localcontext(prec=50):
+            oracle = (Decimal(d - 1) / d) ** (d - 1) * a0.denominator / a0.numerator
+            error = abs(Decimal(solve_constants(make_family("B", a0, d=d)).rho) / oracle - 1)
+        assert error <= Decimal("1e-11"), d
 
 
 def test_kind_a_float_layer_is_scale_free():

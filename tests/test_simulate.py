@@ -30,8 +30,9 @@ Claims covered:
       configs are validated
     - the largest uniform below 1 still splits off a nonempty side
     - the guide-table draw equals a binary search of the cumulative row
-      on every row entry, every bucket edge and their float neighbours,
-      and no guide start lies past the answer
+      on every row entry, every bucket edge and their float neighbours;
+      the guide counts each row's 31-bit cells below each bucket, and
+      no start of the bucket a draw computes lies past the answer
     - the split table takes 6 bytes per entry; a uniform in the same
       2^-31 cell as an entry it passes is searched again on the float64
       row, rebuilt once per size, and the top uniform stops in a row of
@@ -670,13 +671,19 @@ def test_draw_splits_equals_row_search(spec):
         expected = np.searchsorted(cdf, u, side="right") + 1
         np.testing.assert_array_equal(_draw_splits(table, np.full(u.size, m), u), expected)
 
-        # the bucket edges b/(m-1) and their float neighbours, where u * (m - 1) may round up to b
+        # guide[b] counts the cells whose bucket floor(cell * (m - 1) / 2^31) is below b
+        cells = np.floor(cdf * 2.0**31).astype(np.int64)
+        below = (cells * (m - 1) >> 31)[None, :] < np.arange(m - 1)[:, None]
+        np.testing.assert_array_equal(table.guide[table.offsets[m] : table.offsets[m] + m - 1], below.sum(axis=1))
+
+        # the bucket edges b/(m-1), the first 31-bit cells of each bucket, and their float neighbours
         edges = np.arange(m - 1) / (m - 1)
-        u = np.concatenate([edges, np.nextafter(edges, -1.0), np.nextafter(edges, 1.0)])
+        firsts = -(-np.arange(m - 1) * 2**31 // (m - 1)) / 2.0**31
+        u = np.concatenate([edges, firsts, *(np.nextafter(x, y) for x in (edges, firsts) for y in (-1.0, 1.0))])
         u = u[(u >= 0.0) & (u < 1.0)]
         answer = np.searchsorted(cdf, u, side="right")
         np.testing.assert_array_equal(_draw_splits(table, np.full(u.size, m), u), answer + 1)
-        bucket = np.minimum((u * (m - 1)).astype(np.int64), m - 2)
+        bucket = np.floor(u * 2.0**31).astype(np.int64) * (m - 1) >> 31  # as _draw_splits forms it
         assert np.all(table.guide[table.offsets[m] + bucket] <= answer), "a guide start passes the answer"
 
     n, draws = 2000, 100_000
