@@ -6,7 +6,7 @@ random within the family.  The explicit engine builds literal trees, a
 shard of them at once (offspring vectors from the family's law, turned
 into trees by the cycle lemma), and cuts their edges in a uniform random
 order -- its whole purpose is to test that assumption, which it does
-below via the first-cut histogram.
+below via the first-cut histogram that an explicit run reports.
 
 Experiments are deterministic: fixed shards, one Philox stream per
 shard keyed by (seed, shard), partial sums combined in shard order, so
@@ -23,9 +23,9 @@ from treecut import (
     ordered,
     run_experiment,
     split_distribution,
-    explicit_cut_survey,
 )
 from treecut.moments import ONE_SIDED, TWO_SIDED, one_sided_moments, two_sided_moments
+from treecut.simulate import EXPLICIT
 
 spec = ordered()
 n = 200
@@ -53,12 +53,16 @@ print("  bit-identical:", one == four)
 
 print()
 print("randomness preservation, tested literally (n = 10, 20000 explicit trees):")
-survey = explicit_cut_survey(spec, TollSpec(alpha=0), 10, ONE_SIDED, 20_000, seed=31337)
+cuts = run_experiment(
+    ExperimentConfig(family=spec, variant=ONE_SIDED, alpha=0.0, n=10, samples=20_000,
+                     seed=31337, engine=EXPLICIT, s_max=1)
+)
 wc10 = compute_counts(spec, 10, exact_cutoff=10)
 probs = split_distribution(wc10, 10).as_array()
-expected = survey.count * probs
-stat = float(np.sum((survey.histogram[1:] - expected) ** 2 / expected))
+expected = cuts.count * probs
+histogram = np.array(cuts.first_cut[1:])
+stat = float(np.sum((histogram - expected) ** 2 / expected))
 p_value = float(chi2.sf(stat, df=8))
-print("  first-cut root-size histogram:", survey.histogram[1:].tolist())
+print("  first-cut root-size histogram:", histogram.tolist())
 print("  expected under the splitting law:", [f"{e:.0f}" for e in expected])
 print(f"  chi-square p-value: {p_value:.3f}")

@@ -58,11 +58,6 @@ from .moments import (
     shifted_moments,
     two_sided_moments,
 )
-from .simulate import (
-    ExperimentConfig,
-    SampleStats,
-    explicit_cut_survey,
-    run_experiment,
-)
+from .simulate import ExperimentConfig, SampleStats, run_experiment
 
 __version__ = "0.1.0"

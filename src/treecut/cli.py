@@ -151,6 +151,8 @@ def _cmd_probs(args) -> int:
 def _cmd_moments(args) -> int:
     spec = _family_from_args(args)
     toll = _toll_from_args(args)
+    if args.mode == "exact" and args.nmax > MAX_EXACT_CUTOFF:  # before the counts, whose error names exact_cutoff
+        raise ConfigError(f"--mode exact needs --nmax <= {MAX_EXACT_CUTOFF}, got {args.nmax}")
     exact = args.mode == "exact" or (args.mode == "auto" and toll.is_rational and args.nmax <= MAX_EXACT_CUTOFF)
     counts = compute_counts(spec, args.nmax, exact_cutoff=args.nmax if exact else 1)
     maker = one_sided_moments if _variant(args.variant) == ONE_SIDED else two_sided_moments

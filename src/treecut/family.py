@@ -182,17 +182,20 @@ def _float_tau(spec: FamilySpec) -> float:
     Phi(tau) = (d/(d-1))^d rounds its base near 1 and the power makes that
     a relative error of up to d*2^-53: d <= 2^16 keeps rho within 7.3e-12
     of ((d-1)/d)^(d-1)/alpha0, and 2^17 would reach 1.5e-11.  Kind C's
-    gamma within 2^-50..2^50 keeps 1 - beta*tau = gamma/(1+gamma) and
-    beta*tau above 2^-51.  Outside, DomainError names the family.
+    Phi(tau) = (alpha0/a1)^(-gamma) loses up to gamma*2^-53 the same way:
+    gamma <= 2^16 keeps rho within 7.3e-12 of (alpha0/a1)^gamma/a1
+    (3.6e-12 at worst, at gamma = 65355 for alpha0 = 1), and gammas in
+    (2^17, 2^18] reach 1.5e-11.  gamma >= 2^-50 keeps 1 - beta*tau = gamma/(1+gamma)
+    above 2^-51.  Outside, DomainError names the family.
     """
     tau = tau_exact(spec)
-    bounds = [(tau, 400)]
+    bounds = [(tau, 400, 400)]
     if spec.kind != "A":
-        bounds.append((spec.d, 16) if spec.kind == "B" else (spec.gamma, 50))
-    if any(not Fraction(1, 2**bits) <= value <= 2**bits for value, bits in bounds):
+        bounds.append((spec.d, 0, 16) if spec.kind == "B" else (spec.gamma, 50, 16))
+    if any(not Fraction(1, 2**low) <= value <= 2**high for value, low, high in bounds):
         raise DomainError(
             f"{spec.label()} leaves double range: the float constants and counts need tau = 1/a1 "
-            "within 2^-400..2^400, kind B's d <= 2^16 and kind C's gamma within 2^-50..2^50"
+            "within 2^-400..2^400, kind B's d <= 2^16 and kind C's gamma within 2^-50..2^16"
         )
     return float(tau)
 

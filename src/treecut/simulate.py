@@ -36,7 +36,9 @@ Two engines with very different trust models:
   edge's merged size is the size of the component it was cut in.
   Two-sided cost is the sum of their tolls plus n * t1; one-sided
   counts only the records, the edges whose merged component holds the
-  root (Janson 2006), plus t1.  Offspring counts, vertex ids and sizes
+  root (Janson 2006), plus t1.  The first cut's root sides are counted
+  by size, per shard, into ``SampleStats.first_cut``: the histogram
+  that tests the splitting law.  Offspring counts, vertex ids and sizes
   are int32, and each edge's two ends are formed as it is added back,
   so a sub-batch holds about 20 B per vertex.  Sub-batches of
   2^22 // n trees bound the memory: 85 MB traced and 134 MB peak RSS
@@ -57,8 +59,8 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, List, NamedTuple, Optional, Tuple, TypeVar
+from dataclasses import dataclass
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -84,6 +86,9 @@ class SampleStats:
     count: int
     moment_estimates: List[float]
     standard_errors: List[Optional[float]]  # None from one sample, which has no spread
+    # explicit engine: first_cut[k] samples, k = 0..n-1, had a first cut that left a root side of size k
+    # (all of them at k = 0 when n = 1, which is never cut); None from the size process
+    first_cut: Optional[Tuple[int, ...]] = None
 
 
 @dataclass(frozen=True)
@@ -375,19 +380,6 @@ def _explicit_shard(spec: FamilySpec, tolls: np.ndarray, n: int, one_sided: bool
 # ---------------------------------------------------------------------------
 
 
-def _check_run(variant: str, engine: str, n: int, samples: int, seed: int) -> None:
-    if variant not in (ONE_SIDED, TWO_SIDED):
-        raise ConfigError(f"unknown variant {variant!r}")
-    if engine not in (SIZE_PROCESS, EXPLICIT):
-        raise ConfigError(f"unknown engine {engine!r}")
-    if samples < 1:
-        raise ConfigError(f"samples must be >= 1, got {samples}")
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-
-
 def _map_shards(
     shard_fn: Callable[[np.random.Generator, int], T], seed: int, samples: int, workers: int = 1
 ) -> List[T]:
@@ -413,7 +405,9 @@ def _power_sums(costs: np.ndarray, powers: int) -> np.ndarray:
         return np.array([np.sum(costs**j) for j in range(1, powers + 1)])
 
 
-def _means_and_errors(partials: List[np.ndarray], count: int, s_max: int) -> Tuple[List[float], List[Optional[float]]]:
+def _means_and_errors(
+    partials: Sequence[np.ndarray], count: int, s_max: int
+) -> Tuple[List[float], List[Optional[float]]]:
     """Means of the powers 1..s_max of the cost and their standard errors.
 
     ``partials`` are per-shard sums of the powers 1..2*s_max, added in
@@ -444,69 +438,39 @@ def _means_and_errors(partials: List[np.ndarray], count: int, s_max: int) -> Tup
 
 
 def run_experiment(config: ExperimentConfig) -> SampleStats:
-    """Run a full experiment; deterministic given (config, seed)."""
-    _check_run(config.variant, config.engine, config.n, config.samples, config.seed)
-    if config.workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {config.workers}")
-    if config.s_max < 1:
-        raise ConfigError(f"s_max must be >= 1, got {config.s_max}")
-    tolls = TollSpec(alpha=config.alpha, size_one_cost=config.size_one_cost).float_values(config.n)
+    """Run a full experiment; deterministic given (config, seed).
 
-    costs: Callable[[np.random.Generator, int], np.ndarray]
+    An explicit run also counts the first cut's root sides, summed over
+    the shards in shard order.
+    """
+    if config.variant not in (ONE_SIDED, TWO_SIDED):
+        raise ConfigError(f"unknown variant {config.variant!r}")
+    if config.engine not in (SIZE_PROCESS, EXPLICIT):
+        raise ConfigError(f"unknown engine {config.engine!r}")
+    for name, low in (("samples", 1), ("n", 1), ("seed", 0), ("workers", 1), ("s_max", 1)):
+        if getattr(config, name) < low:
+            raise ConfigError(f"{name} must be >= {low}, got {getattr(config, name)}")
+    tolls = TollSpec(alpha=config.alpha, size_one_cost=config.size_one_cost).float_values(config.n)
+    powers = 2 * config.s_max
+
+    shard: Callable[[np.random.Generator, int], Tuple[np.ndarray, Optional[np.ndarray]]]
     if config.engine == SIZE_PROCESS:
         table = _cumulative_rows(compute_counts(config.family, config.n, exact_cutoff=1), config.n)
         engine = _size_process_one_sided if config.variant == ONE_SIDED else _size_process_two_sided
 
-        def costs(rng: np.random.Generator, batch: int) -> np.ndarray:
+        def shard(rng: np.random.Generator, batch: int):
             if config.n == 1:  # a lone vertex is never cut
-                return np.zeros(batch) + tolls[1]
-            return engine(table, tolls, config.n, batch, rng)
+                return _power_sums(np.zeros(batch) + tolls[1], powers), None
+            return _power_sums(engine(table, tolls, config.n, batch, rng), powers), None
 
     else:
         one_sided = config.variant == ONE_SIDED
 
-        def costs(rng: np.random.Generator, batch: int) -> np.ndarray:
-            return _explicit_shard(config.family, tolls, config.n, one_sided, batch, rng)[0]
+        def shard(rng: np.random.Generator, batch: int):
+            cost, root_side = _explicit_shard(config.family, tolls, config.n, one_sided, batch, rng)
+            return _power_sums(cost, powers), np.bincount(root_side, minlength=config.n)
 
-    powers = 2 * config.s_max
-    partials = _map_shards(
-        lambda rng, batch: _power_sums(costs(rng, batch), powers), config.seed, config.samples, config.workers
-    )
+    partials, first_cuts = zip(*_map_shards(shard, config.seed, config.samples, config.workers))
     estimates, errors = _means_and_errors(partials, config.samples, config.s_max)
-    return SampleStats(count=config.samples, moment_estimates=estimates, standard_errors=errors)
-
-
-@dataclass(frozen=True)
-class CutSurvey:
-    """First-cut histogram plus cost statistics from explicit destruction."""
-
-    count: int
-    histogram: np.ndarray = field(repr=False)  # histogram[k] = #{first cut left root side of size k}
-    cost_mean: float
-    cost_se: Optional[float]
-
-
-def explicit_cut_survey(
-    spec: FamilySpec,
-    toll: TollSpec,
-    n: int,
-    variant: str,
-    samples: int,
-    seed: int,
-) -> CutSurvey:
-    """Destroy ``samples`` explicit trees, recording first-cut root sizes.
-
-    The trees and cuts are those of ``run_experiment`` with the explicit
-    engine and the same seed, and so are the cost mean and its standard
-    error.
-    """
-    _check_run(variant, EXPLICIT, n, samples, seed)
-    tolls = toll.float_values(n)
-
-    def survey_shard(rng: np.random.Generator, batch: int):
-        cost, root_side = _explicit_shard(spec, tolls, n, variant == ONE_SIDED, batch, rng)
-        return _power_sums(cost, 2), np.bincount(root_side, minlength=n)
-
-    sums, hists = zip(*_map_shards(survey_shard, seed, samples))
-    (mean,), (se,) = _means_and_errors(sums, samples, 1)
-    return CutSurvey(count=samples, histogram=sum(hists), cost_mean=mean, cost_se=se)
+    first_cut = None if config.engine == SIZE_PROCESS else tuple(sum(first_cuts).tolist())
+    return SampleStats(count=config.samples, moment_estimates=estimates, standard_errors=errors, first_cut=first_cut)

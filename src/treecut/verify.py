@@ -182,20 +182,29 @@ def criterion_03_count_oracles():
 
 @_criterion(4, "randomness preservation (explicit cuts, n=10)", budget=30.0)
 def criterion_04_randomness_preservation():
-    """Explicit cutting of ordered trees reproduces the splitting law."""
+    """Explicit cutting of ordered trees reproduces the splitting law.
+
+    One explicit-engine experiment gives both checks: its first-cut
+    root sides against the split probabilities (chi-square), and its
+    one-sided alpha = 0 cost mean against the DP.
+    """
     from scipy.special import chdtrc
 
     n, samples = 10, 100_000
     spec = ordered()
-    toll = TollSpec(alpha=0)
-    survey = simulate.explicit_cut_survey(spec, toll, n, ONE_SIDED, samples, SEED)
+    stats = simulate.run_experiment(
+        simulate.ExperimentConfig(
+            family=spec, variant=ONE_SIDED, alpha=0.0, n=n, samples=samples, seed=SEED, engine=simulate.EXPLICIT,
+            s_max=1,
+        )
+    )
     counts = compute_counts(spec, n, exact_cutoff=n)
     probs = split_distribution(counts, n).as_array()
     expected = samples * probs
-    stat = float(np.sum((survey.histogram[1:] - expected) ** 2 / expected))
+    stat = float(np.sum((np.array(stats.first_cut[1:]) - expected) ** 2 / expected))
     p_value = float(chdtrc(n - 2, stat))
-    dp_mean = float(one_sided_moments(counts, toll, n, 1, mode="float").moment(n, 1))
-    z = abs(survey.cost_mean - dp_mean) / survey.cost_se
+    dp_mean = float(one_sided_moments(counts, TollSpec(alpha=0), n, 1, mode="float").moment(n, 1))
+    z = abs(stats.moment_estimates[0] - dp_mean) / stats.standard_errors[0]
     ok = p_value > 1e-3 and z <= 4.0
     return ok, f"chi2 p={p_value:.3g} (need > 1e-3), mean off by {z:.2f} SE (need <= 4)"
 

@@ -237,7 +237,7 @@ def test_moments_auto_past_exact_bound(capture, monkeypatch):
     assert float(values["10,1"]) == pytest.approx(131072 / 2431, rel=1e-13)
     code, out, err = capture(*argv, "--nmax", "11", "--mode", "exact")
     assert code == 1 and out == ""
-    assert "exact_cutoff=11 exceeds the configured bound 10" in err
+    assert "--mode exact needs --nmax <= 10, got 11" in err
 
 
 def test_counts_csv(capture):
@@ -505,13 +505,16 @@ def test_bad_limits_input_exits_1(capture, args):
          f"{make_family('B', 1, d=10**400).label()} leaves double range"),
         (("constants", "--kind", "B", "--alpha0", "1", "--d", str(2**17)),
          f"{make_family('B', 1, d=2**17).label()} leaves double range"),
+        # kind C's gamma past 2^16 rounds rho the same way: alpha1 = 1/2 + 2^-18 makes gamma = 2^17
+        (("constants", "--kind", "C", "--alpha0", "1", "--alpha1", "131073/262144"),
+         f"{make_family('C', 1, alpha1='131073/262144').label()} leaves double range"),
         (("probs", "--kind", "A", "--alpha0", "1", "--n", "1"), "n must be >= 2, got 1"),
         (("probs", "--kind", "A", "--alpha0", "1", "--n", "0"), "n must be >= 2, got 0"),
     ],
     ids=["moments-inf", "simulate-inf", "counts-cutoff", "constants-underflow", "counts-no-kind",
          "moments-toll", "simulate-toll", "moments-table", "moments-table-two-sided",
          "counts-A-1e300", "moments-A-1e160", "simulate-A-1e300", "counts-C-1e300", "constants-C-1e400",
-         "counts-B-d1e400", "constants-B-d2^17", "probs-n1", "probs-n0"],
+         "counts-B-d1e400", "constants-B-d2^17", "constants-C-gamma2^17", "probs-n1", "probs-n0"],
 )
 def test_bad_command_input_exits_1(capture, argv, message):
     code, out, err = capture(*argv)

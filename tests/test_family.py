@@ -9,11 +9,13 @@ Claims covered:
       to 1e100 and next to kind C's pole; constants that leave double
       range raise DomainError
     - the float layer takes tau within 2^-400..2^400, kind B's d up to
-      2^16 and kind C's gamma within 2^-50..2^50: outside, constants and
+      2^16 and kind C's gamma within 2^-50..2^16: outside, constants and
       counts raise DomainError naming the family, and inside, kind A's
       float moments and sampled costs are the same at alpha0 = 1 and
       1e100 (its split law has no alpha0 in it); kind B's rho is within
-      1e-11 of a 50-digit ((d-1)/d)^(d-1)/alpha0 up to the arity bound
+      1e-11 of a 50-digit ((d-1)/d)^(d-1)/alpha0 up to the arity bound,
+      and kind C's within 7.3e-12 of a 50-digit (alpha0/a1)^gamma/a1 up
+      to the gamma bound
     - sigma^2 = 1 + beta/alpha0 for kind C holds next to the pole
     - importing the package loads no scipy module at all
     - derived constants (rho, b, c, sigma) and their exact identities
@@ -248,9 +250,11 @@ def test_constants_outside_double_range_raise(alpha0):
 @pytest.mark.parametrize("spec", [
     make_family("A", 2**401), make_family("A", Fraction(1, 2**401)), make_family("B", "1e160", d=3),
     make_family("C", 1, alpha1="1e300"), make_family("C", 1, alpha1=2**51), make_family("C", 1, alpha1="1e400"),
-    make_family("C", 1, alpha1=Fraction(1, 2) + Fraction(1, 2**52)), make_family("B", 1, d=2**17),
+    make_family("C", 1, alpha1=Fraction(1, 2) + Fraction(1, 2**52)),
+    make_family("C", 1, alpha1=Fraction(1, 2) + Fraction(1, 2**18)), make_family("B", 1, d=2**17),
     make_family("B", 1, d=10**400),
-], ids=["A-2^401", "A-2^-401", "B-1e160", "C-1e300", "C-2^51", "C-1e400", "C-1/2+2^-52", "B-d2^17", "B-d1e400"])
+], ids=["A-2^401", "A-2^-401", "B-1e160", "C-1e300", "C-2^51", "C-1e400", "C-1/2+2^-52", "C-1/2+2^-18", "B-d2^17",
+        "B-d1e400"])
 def test_float_layer_rejects_families_outside_its_range(spec):
     for build in (solve_constants, lambda s: compute_counts(s, 5)):
         with pytest.raises(DomainError, match=re.escape(spec.label())):
@@ -259,8 +263,8 @@ def test_float_layer_rejects_families_outside_its_range(spec):
 
 @pytest.mark.parametrize("spec", [
     make_family("A", 2**399), make_family("A", Fraction(1, 2**399)), make_family("C", 1, alpha1=2**48),
-    make_family("C", 1, alpha1=Fraction(1, 2) + Fraction(1, 2**48)), make_family("B", 1, d=2**16),
-], ids=["A-2^399", "A-2^-399", "C-2^48", "C-1/2+2^-48", "B-d2^16"])
+    make_family("C", 1, alpha1=Fraction(1, 2) + Fraction(1, 2**17)), make_family("B", 1, d=2**16),
+], ids=["A-2^399", "A-2^-399", "C-2^48", "C-1/2+2^-17", "B-d2^16"])
 def test_float_layer_takes_families_inside_its_range(spec):
     counts = compute_counts(spec, 50, exact_cutoff=50)
     assert np.isfinite(counts.log_values[1:]).all() and solve_constants(spec).sigma > 0
@@ -275,6 +279,20 @@ def test_kind_b_rho_near_the_arity_bound(alpha0):
             oracle = (Decimal(d - 1) / d) ** (d - 1) * a0.denominator / a0.numerator
             error = abs(Decimal(solve_constants(make_family("B", a0, d=d)).rho) / oracle - 1)
         assert error <= Decimal("1e-11"), d
+
+
+@pytest.mark.parametrize("alpha0", [1, "1/3", "1e6"])
+def test_kind_c_rho_near_the_gamma_bound(alpha0):
+    # Phi(tau) = (alpha0/a1)^(-gamma) rounds its base near 1; 65355 loses the most of all gamma <= 2^16 at alpha0 = 1
+    a0 = Fraction(alpha0)
+    for gamma in (65355, 2**16 - 1, 2**16):
+        spec = make_family("C", a0, alpha1=(a0 + a0 / gamma) / 2)
+        assert spec.gamma == gamma
+        gap = a0 / spec.a1
+        with localcontext(prec=50):
+            oracle = (Decimal(gap.numerator) / gap.denominator) ** gamma * spec.a1.denominator / spec.a1.numerator
+            error = abs(Decimal(solve_constants(spec).rho) / oracle - 1)
+        assert error <= Decimal("7.3e-12"), gamma
 
 
 def test_kind_a_float_layer_is_scale_free():

@@ -1,27 +1,23 @@
-"""Monte Carlo engines, the batched explicit engine and its per-tree oracle.
+"""Monte Carlo engines: the size process and the batched explicit engine.
 
 Claims covered:
-    - the per-tree oracle samplers: the ordered-tree sampler is uniform
-      (chi-square over all shapes), the labeled-tree sampler reproduces
-      the weighted shape law, the d-ary rejection sampler yields the
-      right sizes and arities
-    - literal edge-cutting satisfies the boundary conventions and the
-      two-sided alpha = 0 edge-count identity on every sample
-    - the batched sampler draws every shape of size 5 with its family
-      weight (chi-square; ordered, binary, ternary, Cayley, kind C with
-      gamma = 1/3), and every family make_family accepts is supported
+    - the batched sampler draws every shape of size 3, 4 and 5 with its
+      family weight (chi-square; ordered, binary, ternary, Cayley, kind
+      C with gamma = 1/3), and every family make_family accepts is
+      supported
     - destruction as records: on hand-built trees the costs equal a
       literal cut in the same order, and the first cut's root side is n
-      less the lower vertex's subtree
-    - the first-cut root-size law matches the splitting probabilities
-      (randomness preservation, chi-square)
+      less the lower vertex's subtree; a single vertex, the 2-path and
+      the two-sided alpha = 0 edge count hold on every explicit sample
+    - the first-cut root-size law of an explicit run matches the
+      splitting probabilities (randomness preservation, chi-square)
     - the explicit engine's mean and second moment sit within 4 SE of
       the exact DP for five families and both variants at n = 30, and
       its mean within 4 SE of the float DP at n = 2000
     - a shard cut in several sub-batches keeps the edge-count identity,
-      the root-side range, worker independence and the survey's trees
-    - the cut survey destroys the trees run_experiment destroys for the
-      same seed
+      the root-side range and worker independence; an explicit run's
+      first-cut counts are the root sides of every sub-batch and shard,
+      n of them summing to the samples, and the size process has none
     - size-process and explicit engines agree with each other and with
       the exact DP within standard-error bounds
     - a single vertex costs exactly t_1 in both engines and variants
@@ -43,19 +39,18 @@ Claims covered:
       an explicit sub-batch keeps int32 counts, vertex ids and sizes and
       stays below 28 B per vertex
     - fixed-seed results stay the values recorded for each engine, also
-      two-sided with fractional tolls, where the order of additions shows
+      two-sided with fractional tolls, where the order of additions
+      shows, and the explicit golden's first-cut counts
     - power sums that overflow float64 raise ConfigError instead of
       reporting a standard error of 0, and a toll that overflows float64
       raises ConfigError naming the toll before any sampling
 """
 
 import dataclasses
-import heapq
 import math
 import sys
 import tracemalloc
 from collections import Counter
-from typing import List, Sequence
 
 import numpy as np
 import pytest
@@ -83,7 +78,6 @@ from treecut.simulate import (
     _parents,
     _shard_rng,
     _split_cdf,
-    explicit_cut_survey,
     run_experiment,
 )
 
@@ -95,7 +89,7 @@ def _shape(children, u=0):
 
 
 # ---------------------------------------------------------------------------
-# One-tree-at-a-time oracles
+# One-sample-at-a-time size-process oracle
 # ---------------------------------------------------------------------------
 
 
@@ -107,214 +101,6 @@ class DestructionSample:
     variant: str
     total_cost: float
     first_cut_root_size: int  # 0 when n == 1 (nothing was cut)
-
-
-def sample_tree_explicit(spec, n, rng) -> List[List[int]]:
-    """A random size-n tree of the family, as child lists rooted at node 0.
-
-    Supported: kind A (uniform labeled rooted tree; the shape law does
-    not depend on alpha0), kind C with alpha0 == alpha1 (uniform ordered
-    tree), kind B (branching process conditioned on total size).
-    """
-    if not 1 <= n <= 64:
-        raise ConfigError(f"explicit sampling supports 1 <= n <= 64, got {n}")
-    if spec.kind == "A":
-        return _sample_labeled_rooted(n, rng)
-    if spec.kind == "C":
-        if spec.alpha0 != spec.alpha1:
-            raise NotImplementedError(
-                "the oracle samples kind C only as unweighted ordered trees (alpha0 == alpha1)"
-            )
-        return _sample_ordered(n, rng)
-    return _sample_dary(spec.d, n, rng)
-
-
-def _sample_ordered(n, rng) -> List[List[int]]:
-    """Uniform ordered tree by the cycle lemma.
-
-    A uniform arrangement of n-1 up-steps and n down-steps has exactly
-    one rotation that stays nonnegative until the final step; starting
-    just past the first minimum of the prefix sums finds it.  Dropping
-    that final down-step leaves a uniform Dyck word, read as a DFS.
-    """
-    children: List[List[int]] = [[] for _ in range(n)]
-    if n == 1:
-        return children
-    steps = np.full(2 * n - 1, -1, dtype=np.int8)
-    steps[: n - 1] = 1
-    steps = rng.permutation(steps)
-    cut = int(np.argmin(np.cumsum(steps))) + 1
-    word = np.concatenate([steps[cut:], steps[:cut]])[:-1]
-    stack = [0]
-    nxt = 1
-    for step in word:
-        if step == 1:
-            children[stack[-1]].append(nxt)
-            stack.append(nxt)
-            nxt += 1
-        else:
-            stack.pop()
-    return children
-
-
-def _sample_labeled_rooted(n, rng) -> List[List[int]]:
-    """Uniform random labeled rooted tree on n vertices (Pruefer decode)."""
-    children: List[List[int]] = [[] for _ in range(n)]
-    if n == 1:
-        return children
-    adj: List[List[int]] = [[] for _ in range(n)]
-    if n == 2:
-        adj[0].append(1)
-        adj[1].append(0)
-    else:
-        seq = [int(v) for v in rng.integers(0, n, size=n - 2)]
-        degree = [1] * n
-        for v in seq:
-            degree[v] += 1
-        leaves = [i for i in range(n) if degree[i] == 1]
-        heapq.heapify(leaves)
-        for v in seq:
-            leaf = heapq.heappop(leaves)
-            adj[leaf].append(v)
-            adj[v].append(leaf)
-            degree[v] -= 1
-            if degree[v] == 1:
-                heapq.heappush(leaves, v)
-        u, w = heapq.heappop(leaves), heapq.heappop(leaves)
-        adj[u].append(w)
-        adj[w].append(u)
-    root = int(rng.integers(n))
-    seen = [False] * n
-    seen[root] = True
-    stack = [root]
-    for u in stack:  # grows while iterating: preorder sweep
-        for w in adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                stack.append(w)
-                children[u].append(w)
-    return _relabel(children, root)
-
-
-def _relabel(children, root) -> List[List[int]]:
-    """Renumber nodes so the root is 0 (preorder); shape is unchanged."""
-    n = len(children)
-    new_id = [-1] * n
-    out: List[List[int]] = [[] for _ in range(n)]
-    stack = [root]
-    new_id[root] = 0
-    count = 1
-    while stack:
-        u = stack.pop()
-        for w in children[u]:
-            new_id[w] = count
-            count += 1
-            out[new_id[u]].append(new_id[w])
-            stack.append(w)
-    return out
-
-
-def _sample_dary(d, n, rng) -> List[List[int]]:
-    """d-ary tree by rejection from Binomial(d, 1/d) branching.
-
-    The size-tilted offspring law of the d-ary family is exactly
-    Binomial(d, 1/d) (critical), independent of alpha0; conditioning on
-    total size n by rejection is exact.
-    """
-    p = 1.0 / d
-    while True:
-        counts: List[int] = []
-        total = 0  # offspring counts assigned so far
-        pending = 1  # nodes still awaiting an offspring count
-        while pending:
-            c = int(rng.binomial(d, p))
-            counts.append(c)
-            total += 1
-            pending += c - 1
-            if total + pending > n:
-                break
-        if pending or total != n:
-            continue
-        children: List[List[int]] = [[] for _ in range(n)]
-        queue = [0]
-        nxt = 1
-        for idx, u in enumerate(queue):
-            for _ in range(counts[idx]):
-                children[u].append(nxt)
-                queue.append(nxt)
-                nxt += 1
-        return children
-
-
-def destroy_tree(children: Sequence[Sequence[int]], variant, toll, rng) -> DestructionSample:
-    """Literal destruction of a fixed tree by uniform random edge cuts."""
-    if variant not in (ONE_SIDED, TWO_SIDED):
-        raise ConfigError(f"unknown variant {variant!r}")
-    n = len(children)
-    t1 = float(toll.t1)
-    toll_of = lambda m: float(m) ** toll.alpha
-    if n == 1:
-        return DestructionSample(n=1, variant=variant, total_cost=t1, first_cut_root_size=0)
-
-    kids = [list(c) for c in children]
-    if variant == ONE_SIDED:
-        alive = [True] * n
-        pool = list(range(1, n))  # an edge <-> its lower endpoint
-        m = n
-        cost = 0.0
-        first = 0
-        while m > 1:
-            cost += toll_of(m)
-            while True:
-                idx = int(rng.integers(len(pool)))
-                v = pool[idx]
-                if alive[v]:
-                    break
-                pool[idx] = pool[-1]
-                pool.pop()
-            removed = 0
-            stack = [v]
-            while stack:
-                u = stack.pop()
-                alive[u] = False
-                removed += 1
-                stack.extend(w for w in kids[u] if alive[w])
-            m -= removed
-            if first == 0:
-                first = m
-        return DestructionSample(n=n, variant=variant, total_cost=cost + t1, first_cut_root_size=first)
-
-    parent = [-1] * n
-    for u, cs in enumerate(kids):
-        for w in cs:
-            parent[w] = u
-    cost = 0.0
-    first = 0
-    work = [(0, _preorder(kids, 0))]
-    while work:
-        root, members = work.pop()
-        m = len(members)
-        if m == 1:
-            cost += t1
-            continue
-        cost += toll_of(m)
-        v = members[int(rng.integers(1, m))]  # members[0] is the component root
-        kids[parent[v]].remove(v)
-        sub = _preorder(kids, v)
-        in_sub = set(sub)
-        rest = [u for u in members if u not in in_sub]
-        if first == 0:
-            first = len(rest)
-        work.append((root, rest))
-        work.append((v, sub))
-    return DestructionSample(n=n, variant=variant, total_cost=cost, first_cut_root_size=first)
-
-
-def _preorder(kids, root) -> List[int]:
-    out = [root]
-    for u in out:
-        out.extend(kids[u])
-    return out
 
 
 def simulate_size_process(counts, toll, n, variant, rng):
@@ -353,53 +139,6 @@ def _chi2_p(observed, probs, total):
     return float(chi2.sf(stat, df=len(probs) - 1))
 
 
-def test_ordered_sampler_uniform_n4():
-    rng = _shard_rng(SEED, 0)
-    draws = 20_000
-    histogram = Counter(_shape(sample_tree_explicit(ordered(), 4, rng)) for _ in range(draws))
-    assert len(histogram) == 5  # Catalan(3)
-    p = _chi2_p(list(histogram.values()), [1 / 5] * 5, draws)
-    assert p > 1e-3
-
-
-def test_ordered_sampler_uniform_n3():
-    rng = _shard_rng(SEED, 1)
-    draws = 10_000
-    histogram = Counter(_shape(sample_tree_explicit(ordered(), 3, rng)) for _ in range(draws))
-    assert len(histogram) == 2
-    assert _chi2_p(list(histogram.values()), [0.5, 0.5], draws) > 1e-3
-
-
-def test_cayley_sampler_shape_law_n3():
-    # chain has weight 1, star has weight phi_2 = 1/2: probabilities 2/3, 1/3
-    rng = _shard_rng(SEED, 2)
-    draws = 15_000
-    histogram = Counter(_shape(sample_tree_explicit(cayley(), 3, rng)) for _ in range(draws))
-    chain = histogram[((( ),),)] if ((( ),),) in histogram else histogram[(((),),)]
-    star = histogram[((), ())]
-    assert _chi2_p([chain, star], [2 / 3, 1 / 3], draws) > 1e-3
-
-
-def test_cayley_n2_unique_shape():
-    rng = _shard_rng(SEED, 3)
-    assert _shape(sample_tree_explicit(cayley(), 2, rng)) == ((),)
-
-
-def test_dary_sampler_valid():
-    rng = _shard_rng(SEED, 4)
-    for _ in range(100):
-        children = sample_tree_explicit(binary(), 9, rng)
-        assert len(children) == 9
-        assert max(len(c) for c in children) <= 2
-        reached = set()
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            reached.add(u)
-            stack.extend(children[u])
-        assert reached == set(range(9))
-
-
 def test_explicit_sampler_guards():
     # kind C with alpha0 != alpha1 has an explicit sampler
     config = ExperimentConfig(
@@ -408,50 +147,36 @@ def test_explicit_sampler_guards():
     )
     assert run_experiment(config).count == 100
     with pytest.raises(ConfigError):
-        explicit_cut_survey(ordered(), TollSpec(alpha=0), 5, ONE_SIDED, 10, -1)
+        run_experiment(dataclasses.replace(config, seed=-1))
 
 
-def test_destroy_tree_boundaries():
-    rng = _shard_rng(SEED, 6)
-    single = destroy_tree([[]], ONE_SIDED, TollSpec(alpha=0), rng)
-    assert single.total_cost == 1.0 and single.first_cut_root_size == 0
-    # a 2-path at alpha = 0, one-sided: one cut (cost 1) then the root charge
-    for _ in range(10):
-        sample = destroy_tree([[1], []], ONE_SIDED, TollSpec(alpha=0), rng)
-        assert sample.total_cost == 2.0
-        assert sample.first_cut_root_size == 1
-
-
-def test_two_sided_alpha0_edge_count_identity():
-    rng = _shard_rng(SEED, 7)
-    toll = TollSpec(alpha=0, size_one_cost=0)
-    for n in (2, 5, 10):
-        for _ in range(200):
-            tree = sample_tree_explicit(ordered(), n, rng)
-            sample = destroy_tree(tree, TWO_SIDED, toll, rng)
-            assert sample.total_cost == n - 1
-            assert 1 <= sample.first_cut_root_size <= n - 1
+def _explicit_cuts(spec, variant, n, samples):
+    """An explicit alpha = 0 experiment with one moment, as criterion 4 runs it."""
+    return run_experiment(
+        ExperimentConfig(family=spec, variant=variant, alpha=0.0, n=n, samples=samples, seed=SEED, engine=EXPLICIT,
+                         s_max=1)
+    )
 
 
 def test_first_cut_law_explicit():
     n, draws = 6, 20_000
     spec = ordered()
-    survey = explicit_cut_survey(spec, TollSpec(alpha=0), n, ONE_SIDED, draws, SEED)
+    stats = _explicit_cuts(spec, ONE_SIDED, n, draws)
     counts = compute_counts(spec, n, exact_cutoff=n)
     probs = split_distribution(counts, n).as_array()
-    assert _chi2_p(survey.histogram[1:], probs, draws) > 1e-3
+    assert _chi2_p(stats.first_cut[1:], probs, draws) > 1e-3
     dp = float(one_sided_moments(counts, TollSpec(alpha=0), n, 1, mode="float").moment(n, 1))
-    assert abs(survey.cost_mean - dp) <= 4 * survey.cost_se
+    assert abs(stats.moment_estimates[0] - dp) <= 4 * stats.standard_errors[0]
 
 
 def test_first_cut_law_binary():
-    # exercises the tilted branching sampler against the exact law
+    # exercises the binary offspring sampler against the exact law
     n, draws = 6, 10_000
     spec = binary()
-    survey = explicit_cut_survey(spec, TollSpec(alpha=0), n, TWO_SIDED, draws, SEED)
+    stats = _explicit_cuts(spec, TWO_SIDED, n, draws)
     counts = compute_counts(spec, n, exact_cutoff=n)
     probs = split_distribution(counts, n).as_array()
-    assert _chi2_p(survey.histogram[1:], probs, draws) > 1e-3
+    assert _chi2_p(stats.first_cut[1:], probs, draws) > 1e-3
 
 
 SHAPE_FAMILIES = [ordered(), binary(), make_family("B", 3, d=3), cayley(), make_family("C", 1, alpha1=2)]
@@ -471,16 +196,18 @@ def _shapes(parent):
 
 @pytest.mark.parametrize("spec", SHAPE_FAMILIES, ids=lambda s: s.label())
 def test_batched_sampler_shape_law_n5(spec):
-    n, draws = 5, 20_000
-    parent = _parents(_lukasiewicz(_offspring(spec, n, draws, _shard_rng(SEED, 10))))
-    assert np.all(parent[1:] < np.arange(1, n)[:, None])  # preorder: parents come first
-    histogram = Counter(_shapes(parent))
-    weights = {tree: tree_weight(spec, tree) for tree in enumerate_trees(n)}
-    assert set(histogram) <= {tree for tree, w in weights.items() if w > 0}
-    total = sum(weights.values())
-    shapes = [tree for tree, w in weights.items() if w > 0]
-    probs = [float(weights[tree] / total) for tree in shapes]
-    assert _chi2_p([histogram[tree] for tree in shapes], probs, draws) > 1e-3
+    # every shape of size 3, 4 and 5 (ordered: uniform; Cayley at n = 3: the path 2/3, the cherry 1/3)
+    draws = 20_000
+    for n in (3, 4, 5):
+        parent = _parents(_lukasiewicz(_offspring(spec, n, draws, _shard_rng(SEED, 10))))
+        assert np.all(parent[1:] < np.arange(1, n)[:, None])  # preorder: parents come first
+        histogram = Counter(_shapes(parent))
+        weights = {tree: tree_weight(spec, tree) for tree in enumerate_trees(n)}
+        assert set(histogram) <= {tree for tree, w in weights.items() if w > 0}
+        total = sum(weights.values())
+        shapes = [tree for tree, w in weights.items() if w > 0]
+        probs = [float(weights[tree] / total) for tree in shapes]
+        assert _chi2_p([histogram[tree] for tree in shapes], probs, draws) > 1e-3, n
 
 
 def _cut_in_order(parent, order, alpha, one_sided):
@@ -551,12 +278,6 @@ def test_explicit_engine_boundaries():
             cost, root_side = _explicit_shard(spec, edges_only.float_values(n), n, False, 64, _shard_rng(SEED, n))
             assert np.all(cost == n - 1)
             assert np.all((root_side >= 1) & (root_side <= n - 1))
-    # the survey cuts the trees run_experiment cuts for the same seed
-    survey = explicit_cut_survey(cayley(), TollSpec(alpha=1), 10, TWO_SIDED, 5000, SEED)
-    stats = run_experiment(
-        ExperimentConfig(family=cayley(), variant=TWO_SIDED, alpha=1.0, n=10, samples=5000, seed=SEED, engine=EXPLICIT)
-    )
-    assert (survey.cost_mean, survey.cost_se) == (stats.moment_estimates[0], stats.standard_errors[0])
 
 
 @pytest.mark.parametrize("variant", [ONE_SIDED, TWO_SIDED])
@@ -599,9 +320,14 @@ def test_explicit_sub_batches(monkeypatch):
         family=cayley(), variant=ONE_SIDED, alpha=1.0, n=n, samples=SHARD_SIZE + 300, seed=SEED, engine=EXPLICIT
     )
     stats = run_experiment(config)
-    assert stats == run_experiment(dataclasses.replace(config, workers=2))
-    survey = explicit_cut_survey(cayley(), TollSpec(alpha=1), n, ONE_SIDED, SHARD_SIZE + 300, SEED)
-    assert (survey.cost_mean, survey.cost_se) == (stats.moment_estimates[0], stats.standard_errors[0])
+    assert stats == run_experiment(dataclasses.replace(config, workers=2))  # first_cut included
+    # the first-cut counts are the root sides of every sub-batch of both shards
+    tolls = TollSpec(alpha=1).float_values(n)
+    root_sides = [_explicit_shard(cayley(), tolls, n, True, batch, _shard_rng(SEED, i))[1]
+                  for i, batch in enumerate((SHARD_SIZE, 300))]
+    assert stats.first_cut == tuple(np.bincount(np.concatenate(root_sides), minlength=n).tolist())
+    assert len(stats.first_cut) == n and sum(stats.first_cut) == stats.count
+    assert run_experiment(dataclasses.replace(config, engine=SIZE_PROCESS)).first_cut is None
 
 
 def test_size_process_single_samples():
@@ -629,6 +355,7 @@ def test_single_vertex_costs_t1(engine, variant):
         )
         stats = run_experiment(config)
         assert stats.moment_estimates == [t1, t1 * t1] and stats.standard_errors == [0.0, 0.0]
+        assert stats.first_cut == (None if engine == SIZE_PROCESS else (10,))  # nothing cut: all at size 0
 
 
 class _TopUniform:
@@ -837,6 +564,10 @@ def test_fixed_seed_golden_stats():
         count=5000,
         moment_estimates=[262.2686, 70087.2422],
         standard_errors=[0.5104280930509563, 279.8011249194849],
+        first_cut=(
+            0, 61, 52, 46, 40, 44, 43, 41, 34, 45, 24, 37, 43, 43, 46,
+            40, 61, 60, 64, 72, 79, 87, 97, 102, 159, 192, 247, 448, 733, 1960,
+        ),
     )
 
 
@@ -850,7 +581,7 @@ def test_overflowing_power_sums_raise():
             run_experiment(config)
         assert all(se > 0 for se in run_experiment(dataclasses.replace(config, s_max=28)).standard_errors)
     with pytest.raises(ConfigError, match="s_max = 1"):  # toll^2 overflows at alpha = 60
-        explicit_cut_survey(ordered(), TollSpec(alpha=60), 2000, TWO_SIDED, 10, seed=1)
+        run_experiment(dataclasses.replace(config, engine=EXPLICIT, alpha=60.0, s_max=1))
 
 
 def test_overflowing_toll_raises():
