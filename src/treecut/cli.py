@@ -286,7 +286,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TreecutError, OSError) as exc:
+    except (TreecutError, OSError, MemoryError) as exc:  # MemoryError: an array too large for the host
         sys.stderr.write(f"treecut: error: {exc}\n")
         return 1
 

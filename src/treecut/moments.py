@@ -506,8 +506,8 @@ def shifted_moments(
 
     Exact when the table is rational and the shift returns rationals.
     """
-    if s > table.s_max:
-        raise OutOfRange(f"need raw moments up to order {s}, table has s_max={table.s_max}")
+    if not 0 <= s <= table.s_max:
+        raise OutOfRange(f"s must be in [0, {table.s_max}], got {s}")
     ns = range(1, table.n_max + 1) if n_values is None else n_values
     out: List[Value] = []
     for n in ns:

@@ -28,9 +28,9 @@ Two engines with very different trust models:
   family, at any n.  Each tree starts as an offspring vector c with sum
   n - 1 drawn from the family's law given that sum (Multinomial for kind
   A, a uniform subset of the d*n child slots for kind B,
-  Dirichlet-multinomial for kind C), rotated by the cycle lemma into its
-  preorder Lukasiewicz word (Devroye 2012); one stack pass over the n
-  positions turns the batch's words into parent arrays.  Destruction
+  Dirichlet-multinomial for kind C).  One stack pass reads each vector
+  in place from its cycle-lemma start (Devroye 2012) as the preorder
+  offspring counts of a tree and writes its parent array.  Destruction
   draws a uniform order of the n - 1 edges and adds the edges back from
   the last cut to the first with a union-find (Tarjan 1975): each
   edge's merged size is the size of the component it was cut in.
@@ -41,8 +41,8 @@ Two engines with very different trust models:
   that tests the splitting law.  Offspring counts, vertex ids and sizes
   are int32, and each edge's two ends are formed as it is added back,
   so a sub-batch holds about 20 B per vertex.  Sub-batches of
-  2^22 // n trees bound the memory: 85 MB traced and 134 MB peak RSS
-  at n = 10^4.
+  2^22 // n trees bound the memory: 84 MB traced and 118 MB peak RSS
+  at n = 10^4, the tree stage 50 MB of it besides its offspring vectors.
 
 Both engines read every toll, the size-1 cost t1 included, from one
 array, ``TollSpec.float_values(n)``, whose entry 1 is t1.
@@ -57,9 +57,10 @@ are combined in shard order.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
@@ -278,31 +279,26 @@ def _offspring(spec: FamilySpec, n: int, batch: int, rng: np.random.Generator) -
     return c.astype(np.int32)
 
 
-def _lukasiewicz(c: np.ndarray) -> np.ndarray:
-    """Rotate each row to start just past the first minimum of its walk.
+def _parents(c: np.ndarray) -> np.ndarray:
+    """Preorder parent arrays (n, batch) of a batch of offspring vectors (batch, n).
 
-    The walk sum_{j<=i} (c_j - 1) ends at -1, so exactly one rotation
-    stays >= 0 until its last step (the cycle lemma): the preorder
-    offspring counts of a tree, each tree reached by n equally likely
-    vectors.  Returned vertex-major: column b is row b's word.
-    """
-    n = c.shape[1]
-    start = np.argmin(np.cumsum(c - 1, axis=1, dtype=c.dtype), axis=1) + 1
-    return np.ascontiguousarray(np.take_along_axis(c, (start[:, None] + np.arange(n)) % n, axis=1).T)
-
-
-def _parents(word: np.ndarray) -> np.ndarray:
-    """Preorder parent arrays (n, batch) of a batch of Lukasiewicz words.
-
-    One pass over the positions with a stack per column of the vertices
-    that still have open child slots: vertex i hangs below the top one.
+    The walk sum_{j<=i} (c_j - 1) of a row ends at -1, so exactly one
+    rotation stays >= 0 until its last step (the cycle lemma; Devroye
+    2012): read from just past the walk's first minimum, the row is the
+    preorder offspring counts of a tree, each tree reached by n equally
+    likely vectors.  One pass over the positions with a stack per tree
+    of the vertices that still have open child slots: vertex i hangs
+    below the top one, and its count is read from its row in place.
     Row 0 (the root) is left 0.
     """
-    n, batch = word.shape
+    batch, n = c.shape
     cols = np.arange(batch)
+    row = cols * n
+    start = np.argmin(np.cumsum(c - 1, axis=1, dtype=c.dtype), axis=1) + 1
     parent = np.zeros((n, batch), dtype=np.int32)
-    stack = np.zeros(n * batch, dtype=np.int32)  # level h of column b at h * batch + b; the root at level 0
-    open_slots = word.ravel().copy()
+    stack = np.zeros(n * batch, dtype=np.int32)  # level h of tree b at h * batch + b; the root at level 0
+    open_slots = np.empty(n * batch, dtype=np.int32)  # vertex i's row written when the pass reaches it
+    open_slots[:batch] = c.take(row + start % n)
     height = np.ones(batch, dtype=np.intp)
     for i in range(1, n):
         top = stack[(height - 1) * batch + cols]
@@ -310,8 +306,9 @@ def _parents(word: np.ndarray) -> np.ndarray:
         at = top * batch + cols
         open_slots[at] -= 1
         height -= open_slots[at] == 0
+        kids = open_slots[i * batch : (i + 1) * batch] = c.take(row + (start + i) % n)
         stack[height * batch + cols] = i  # kept only when i has children of its own
-        height += word[i] > 0
+        height += kids > 0
     return parent
 
 
@@ -368,7 +365,7 @@ def _explicit_shard(spec: FamilySpec, tolls: np.ndarray, n: int, one_sided: bool
     step = max(1, _EXPLICIT_CELLS // n)
     parts = []
     for sub in (min(step, batch - start) for start in range(0, batch, step)):
-        parent = _parents(_lukasiewicz(_offspring(spec, n, sub, rng)))
+        parent = _parents(_offspring(spec, n, sub, rng))
         order = rng.permuted(np.repeat(np.arange(1, n, dtype=np.int32), sub).reshape(n - 1, sub), axis=0)
         parts.append(_cut_records(parent, order, tolls, one_sided))
     cost, root_side = (np.concatenate(part) for part in zip(*parts))
@@ -447,9 +444,16 @@ def run_experiment(config: ExperimentConfig) -> SampleStats:
         raise ConfigError(f"unknown variant {config.variant!r}")
     if config.engine not in (SIZE_PROCESS, EXPLICIT):
         raise ConfigError(f"unknown engine {config.engine!r}")
+    fields = {}
     for name, low in (("samples", 1), ("n", 1), ("seed", 0), ("workers", 1), ("s_max", 1)):
-        if getattr(config, name) < low:
-            raise ConfigError(f"{name} must be >= {low}, got {getattr(config, name)}")
+        value = getattr(config, name)
+        try:
+            fields[name] = operator.index(value)
+        except TypeError:
+            raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+        if value < low:
+            raise ConfigError(f"{name} must be >= {low}, got {value}")
+    config = replace(config, **fields)
     tolls = TollSpec(alpha=config.alpha, size_one_cost=config.size_one_cost).float_values(config.n)
     powers = 2 * config.s_max
 

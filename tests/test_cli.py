@@ -34,8 +34,9 @@ Claims covered:
       two-sided, it names n and the product of two orders that poisoned it
     - float moment tables of 3000 sizes, one- and two-sided, print the
       bytes they printed before the toll mix was built block by block
-    - an --out file that cannot be opened, and a family without --kind,
-      exit 1 with "treecut: error:" and print nothing
+    - an --out file that cannot be opened, a family without --kind, and
+      an array too large to allocate exit 1 with "treecut: error:" and
+      print nothing
     - a family whose float counts or constants would leave double range
       (kind A at alpha0 = 1e160 or 1e300, kind C at alpha1 = 1e300 or
       1e400) exits 1 naming the family, for counts, moments, simulate and
@@ -52,7 +53,7 @@ from fractions import Fraction
 
 import pytest
 
-from treecut import cli, counts, verify
+from treecut import cli, counts, simulate, verify
 from treecut.cli import main
 from treecut.family import make_family
 
@@ -432,6 +433,22 @@ def test_bad_size_one_cost_exits_1(capture, command, value):
     assert code == 1
     assert out == "" and err.startswith("treecut: error: ")
     assert "Traceback" not in err
+
+
+def test_allocation_failure_exits_1(capture, monkeypatch):
+    # a split table too large for the host is an error line, not a traceback; nothing large is allocated here
+    def too_large(counts, n):
+        raise MemoryError("Unable to allocate 9.13 GiB for an array with shape (2449965000,) and data type uint32")
+
+    monkeypatch.setattr(simulate, "_cumulative_rows", too_large)
+    code, out, err = capture(
+        "simulate", "--kind", "A", "--alpha0", "1", "--variant", "two", "--alpha", "1", "--n", "2000",
+        "--samples", "1", "--seed", "1",
+    )
+    assert code == 1 and out == ""
+    assert err == (
+        "treecut: error: Unable to allocate 9.13 GiB for an array with shape (2449965000,) and data type uint32\n"
+    )
 
 
 def test_negative_seed_exits_1(capture):

@@ -22,9 +22,12 @@ Claims covered:
     - the float weights keep alpha0 beside a huge alpha1 (kind C,
       alpha0 = 1/3, alpha1 = 10^12/3): ln T_2, the float split rows and
       float moment tables match the exact ones to 1e-13
+    - ln T_n and a split probability out of range raise OutOfRange
+      with the range in the message
 """
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -271,6 +274,20 @@ def test_range_errors():
     with pytest.raises(OutOfRange):
         compute_counts(ordered(), 10, exact_cutoff=-1)
     assert compute_counts(ordered(), 10, exact_cutoff=0).exact_limit == 0
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda counts: counts.log_t(51), "n must be in [1, 50], got 51"),
+        (lambda counts: counts.log_t(0), "n must be in [1, 50], got 0"),
+        (lambda counts: split_distribution(counts, 5).prob(5), "k must be in [1, 4], got 5"),
+    ],
+    ids=["log_t-high", "log_t-zero", "prob-k"],
+)
+def test_accessor_range_errors(call, message):
+    with pytest.raises(OutOfRange, match=re.escape(message)):
+        call(compute_counts(ordered(), 50, exact_cutoff=20))
 
 
 def test_counts_positive_and_anchored():

@@ -20,6 +20,8 @@ Claims covered:
     - importing the package loads no scipy module at all
     - derived constants (rho, b, c, sigma) and their exact identities
     - plain-text config block round trip
+    - beta on a kind other than C, a negative phi index and a config
+      line without '=' raise ConstraintViolation with their message
 """
 
 import math
@@ -323,6 +325,21 @@ def test_import_loads_no_scipy():
 @pytest.mark.parametrize("spec", [cayley(), binary(), ordered(), make_family("C", "1/3", alpha1="5/6")])
 def test_config_round_trip(spec):
     assert parse_config(format_config(spec)) == spec
+
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: cayley().beta, "beta is defined for kind C only"),
+        (lambda: phi_coefficient(ordered(), -1), "k must be nonnegative"),
+        (lambda: parse_config("kind=A\nalpha0=1\nbogus"), "malformed config line: 'bogus'"),
+    ],
+    ids=["beta-kind-A", "phi-negative-k", "config-line"],
+)
+def test_range_errors(call, message):
+    with pytest.raises(ConstraintViolation, match=re.escape(message)):
+        call()
 
 
 def test_config_parsing_is_strict():

@@ -9,8 +9,8 @@ Claims covered:
     - the log-Gamma port equals scipy.special.gammaln / gammasgn bit for
       bit at every argument the limit formulas form, at its branch
       borders and at the ends of the float range
-    - a negative order s_max and a NaN alpha raise instead of returning
-      a truncated list or NaN moments
+    - a negative order s_max (in all three regimes) and a NaN alpha
+      raise instead of returning a truncated list or NaN moments
     - the s = 1 coefficient-space constant ties back to m_1 through the
       family constants (for any family)
     - J integrals: Beta closed forms, sign structure, the admissible index
@@ -225,6 +225,12 @@ def test_negative_order_rejected(fn):
     assert fn(1.0, 0).m == [1.0]
     with pytest.raises(DomainError):
         fn(1.0, -1)
+
+
+def test_half_regime_negative_order_rejected():
+    assert limit_moments_two_sided_half(0).m == [1.0]
+    with pytest.raises(DomainError, match="s_max must be >= 0"):
+        limit_moments_two_sided_half(-1)
 
 
 def rayleigh_moment(s: int) -> float:

@@ -44,6 +44,10 @@ Claims covered:
       times the one-sided alpha=0 mean for n <= 60, for three size-1
       costs; on ordered trees it is not
     - shifted moments by binomial expansion, exact in rational mode
+    - range errors carry their message: a table's n or s out of range
+      (also a negative order of shifted moments), a table past its
+      counts or with s_max < 0, an exact value of a non-rational toll,
+      and the brute-force enumerator at size 0 or an unknown variant
     - TollSpec rejects a non-finite size-1 cost and keeps negative ones
     - a toll or a float table that passes the float64 range raises
       ConfigError naming the first n (and s), with no numpy warning;
@@ -51,6 +55,7 @@ Claims covered:
 """
 
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -58,7 +63,7 @@ import numpy as np
 import pytest
 
 from treecut import moments
-from treecut.bruteforce import family_moments
+from treecut.bruteforce import enumerate_trees, family_moments, tree_moments
 from treecut.counts import MAX_EXACT_CUTOFF, compute_counts
 from treecut.errors import ConfigError, OutOfRange
 from treecut.family import binary, cayley, make_family, ordered
@@ -259,6 +264,36 @@ def test_shifted_moments_identities(tables):
     assert all(v >= 0 for v in variance)
     with pytest.raises(OutOfRange):
         shifted_moments(table, lambda n: 0, 3)
+
+
+
+def _small_table(tables):
+    return one_sided_moments(tables["C"], TollSpec(alpha=0), 10, 2, mode="rational")
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda tables: _small_table(tables).moment(11, 1), OutOfRange, "n must be in [1, 10], got 11"),
+        (lambda tables: _small_table(tables).moment(5, 3), OutOfRange, "s must be in [0, 2], got 3"),
+        (lambda tables: _small_table(tables).row(-1), OutOfRange, "s must be in [0, 2], got -1"),
+        # a negative order is out of range, not an empty binomial sum of 0
+        (lambda tables: shifted_moments(_small_table(tables), lambda n: 0, -1, [5]), OutOfRange,
+         "s must be in [0, 2], got -1"),
+        (lambda tables: one_sided_moments(tables["C"], TollSpec(alpha=0), 201, 1, mode="float"), OutOfRange,
+         "n_max must be in [1, 200], got 201"),
+        (lambda tables: two_sided_moments(tables["C"], TollSpec(alpha=0), 10, -1, mode="float"), OutOfRange,
+         "s_max must be >= 0, got -1"),
+        (lambda tables: TollSpec(alpha=0.5).exact_value(3), ConfigError, "toll is not exactly rational; use float mode"),
+        (lambda tables: enumerate_trees(0), ValueError, "tree size must be >= 1"),
+        (lambda tables: tree_moments((), TollSpec(alpha=0), 1, "bogus"), ValueError, "unknown variant 'bogus'"),
+    ],
+    ids=["moment-n", "moment-s", "row-s", "shifted-s", "table-n_max", "table-s_max", "exact-toll",
+         "enumerate-0", "tree-variant"],
+)
+def test_range_errors(tables, call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call(tables)
 
 
 def test_toll_spec_validation():

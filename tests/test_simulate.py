@@ -1,6 +1,9 @@
 """Monte Carlo engines: the size process and the batched explicit engine.
 
 Claims covered:
+    - the one-pass parent arrays, read from each offspring vector's
+      cycle-lemma start, equal those of a rotated copy walked by a stack
+      (five families, n from 1 to 2000)
     - the batched sampler draws every shape of size 3, 4 and 5 with its
       family weight (chi-square; ordered, binary, ternary, Cayley, kind
       C with gamma = 1/3), and every family make_family accepts is
@@ -23,7 +26,9 @@ Claims covered:
     - a single vertex costs exactly t_1 in both engines and variants
     - experiments are deterministic for a fixed seed regardless of
       worker count, the thread pool never outgrows the shards, and
-      configs are validated
+      configs are validated: an integer field given a float or a string
+      raises ConfigError naming it, and numpy integers give the stats of
+      Python ones
     - the largest uniform below 1 still splits off a nonempty side
     - the guide-table draw equals a binary search of the cumulative row
       on every row entry, every bucket edge and their float neighbours;
@@ -48,6 +53,7 @@ Claims covered:
 
 import dataclasses
 import math
+import re
 import sys
 import tracemalloc
 from collections import Counter
@@ -72,7 +78,6 @@ from treecut.simulate import (
     _cut_records,
     _draw_splits,
     _explicit_shard,
-    _lukasiewicz,
     _map_shards,
     _offspring,
     _parents,
@@ -199,7 +204,7 @@ def test_batched_sampler_shape_law_n5(spec):
     # every shape of size 3, 4 and 5 (ordered: uniform; Cayley at n = 3: the path 2/3, the cherry 1/3)
     draws = 20_000
     for n in (3, 4, 5):
-        parent = _parents(_lukasiewicz(_offspring(spec, n, draws, _shard_rng(SEED, 10))))
+        parent = _parents(_offspring(spec, n, draws, _shard_rng(SEED, 10)))
         assert np.all(parent[1:] < np.arange(1, n)[:, None])  # preorder: parents come first
         histogram = Counter(_shapes(parent))
         weights = {tree: tree_weight(spec, tree) for tree in enumerate_trees(n)}
@@ -208,6 +213,42 @@ def test_batched_sampler_shape_law_n5(spec):
         shapes = [tree for tree, w in weights.items() if w > 0]
         probs = [float(weights[tree] / total) for tree in shapes]
         assert _chi2_p([histogram[tree] for tree in shapes], probs, draws) > 1e-3, n
+
+
+def _parents_two_stage(c):
+    """Preorder parent arrays (n, batch) from rotated copies of the offspring vectors: the oracle for _parents.
+
+    Each row is first copied rotated to start just past the first minimum
+    of its walk, vertex-major (column b is row b's preorder word), then
+    the copy is walked with a stack per column.
+    """
+    batch, n = c.shape
+    start = np.argmin(np.cumsum(c - 1, axis=1, dtype=c.dtype), axis=1) + 1
+    word = np.ascontiguousarray(np.take_along_axis(c, (start[:, None] + np.arange(n)) % n, axis=1).T)
+    cols = np.arange(batch)
+    parent = np.zeros((n, batch), dtype=np.int32)
+    stack = np.zeros(n * batch, dtype=np.int32)
+    open_slots = word.ravel().copy()
+    height = np.ones(batch, dtype=np.intp)
+    for i in range(1, n):
+        top = stack[(height - 1) * batch + cols]
+        parent[i] = top
+        at = top * batch + cols
+        open_slots[at] -= 1
+        height -= open_slots[at] == 0
+        stack[height * batch + cols] = i
+        height += word[i] > 0
+    return parent
+
+
+@pytest.mark.parametrize("spec", SHAPE_FAMILIES, ids=lambda s: s.label())
+def test_parents_match_two_stage_oracle(spec):
+    # one pass from the cycle-lemma start gives the parent arrays of the rotated copies
+    for n in (1, 2, 3, 10, 257, 2000):
+        c = _offspring(spec, n, 64, _shard_rng(SEED, n))
+        parent = _parents(c)
+        assert parent.dtype == np.int32
+        np.testing.assert_array_equal(parent, _parents_two_stage(c))
 
 
 def _cut_in_order(parent, order, alpha, one_sided):
@@ -505,7 +546,7 @@ def test_explicit_sub_batch_memory():
     assert peak < 28 * n * trees
     rng = _shard_rng(SEED, 18)
     assert _offspring(ordered(), n, 4, rng).dtype == np.int32
-    assert _parents(_lukasiewicz(_offspring(cayley(), n, 4, rng))).dtype == np.int32
+    assert _parents(_offspring(cayley(), n, 4, rng)).dtype == np.int32
 
 
 def test_fixed_seed_golden_stats():
@@ -664,6 +705,18 @@ def test_config_validation():
     ):
         with pytest.raises(ConfigError):
             run_experiment(ExperimentConfig(**{**good, **overrides}))
+    # numpy integers pass, and give the stats of Python ones
+    wide = {name: np.int64(good[name]) for name in ("n", "samples", "seed")}
+    numpy_ints = ExperimentConfig(**{**good, **wide}, workers=np.int32(2), s_max=np.int32(2))
+    assert run_experiment(numpy_ints) == run_experiment(ExperimentConfig(**good, workers=2))
+
+
+@pytest.mark.parametrize("field, value", [("n", 5.0), ("samples", 10.5), ("seed", 1.5), ("workers", 2.0), ("s_max", "2")])
+def test_config_integer_fields(field, value):
+    # a float or a string is named as the field at fault, not left to numpy or SeedSequence to reject
+    good = dict(family=ordered(), variant=TWO_SIDED, alpha=1.0, n=30, samples=100, seed=7, engine=EXPLICIT)
+    with pytest.raises(ConfigError, match=re.escape(f"{field} must be an integer, got {value!r}")):
+        run_experiment(ExperimentConfig(**{**good, field: value}))
 
 
 def test_thread_pool_bounded_by_shards(monkeypatch):
