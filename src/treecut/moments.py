@@ -32,11 +32,15 @@ where L clears the denominators of a0 and a1, D that of the size-1 cost
 t_1, and S_n = N_n^0 is the integer count of :mod:`treecut.counts`.  The
 recurrence runs on N_n^s / (n-1)! modulo primes just below 2^20, where
 1/(n-1) is a modular inverse and each k-sum a plain convolution, and
-rebuilds each N_n^s once by the Chinese remainder theorem.  Each pass
-over n takes as many primes as fit their int64 rows into
-``_CHUNK_BYTES`` = 8 MiB: all of them for s = 2, alpha <= 1 up to
-n = 500.  One-sided, each finished row k is weighted by W_k once, so the
-k-sum of each n is one product of stored rows.
+rebuilds each N_n^s once by the Chinese remainder theorem.  The rows
+hold the residues as float64: a product of two residues is below 2^40,
+so a k-sum of at most 8192 products stays below 2^53 and float64 adds it
+exactly, faster than int64 does.  Each such sum is cast once to int64,
+where every modular step runs.  Each pass over n takes as many primes as
+fit their 8-byte rows into ``_CHUNK_BYTES`` = 8 MiB: all of them for
+s = 2, alpha <= 1 up to n = 500.  One-sided, each finished row k is
+weighted by W_k once, so the k-sum of each n is one product of stored
+rows.
 
 The float recurrence runs on F_n^s = a_n * E V_n^s, with the rho-scaled
 counts a_n = rho^n * T_n of :mod:`treecut.counts`, which stay inside
@@ -240,8 +244,11 @@ def _mix(size: int, dtype) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-#: Bytes of one chunk's int64 residue rows; it sets the primes per chunk.
+#: Bytes of one chunk's 8-byte residue rows; it sets the primes per chunk.
 _CHUNK_BYTES = 8 << 20
+
+#: Products per float64 k-sum: each is at most (2^20 - 1)^2, so their sum stays below 2^53, exact.
+_KSUM_TERMS = 8192
 
 #: Values per float product of the Chinese remaindering.
 _CRT_BLOCK = 64
@@ -272,66 +279,110 @@ def _residue_primes(counts: WeightedCounts, toll: TollSpec, n_max: int, s_max: i
     return primes[:count].astype(np.int64)
 
 
+def _running_products(a: np.ndarray, q) -> np.ndarray:
+    """a[i] <- a[0] * ... * a[i] mod q down axis 0, in place, with products in int64.
+
+    The rows go in blocks of about sqrt(n): one pass runs down the
+    positions of all blocks at once, a second carries each block's
+    product into the next, so each entry costs two products and the scan
+    about 2 sqrt(n) numpy calls.
+    """
+    width = math.isqrt(len(a)) + 1
+    for i in range(1, width):
+        a[i::width] = np.multiply(a[i::width], a[i - 1 :: width][: len(a[i::width])], dtype=np.int64) % q
+    for j in range(width, len(a), width):
+        a[j : j + width] = np.multiply(a[j : j + width], a[j - 1], dtype=np.int64) % q
+    return a
+
+
 def _residue_rows(counts: WeightedCounts, toll: TollSpec, variant: str, n_max: int, s_max: int, q, crt) -> np.ndarray:
-    """crt * N[s][n] mod each prime of q, as an int64 array [s, n, prime] (n = 0 unused).
+    """crt * N[s][n] mod each prime of q, as a float64 array [s - 1, n - 1, prime] of integers.
 
     On m[s][n] = N[s][n] / (n-1)! the binomials of the integer sums cancel:
     m[s][n] = sum_r C(s,r) tau_n^(s-r) y_r / (n-1), with the one-sided
     y_r = sum_k W_k m[r][k] m[0][n-k], on rows W_k m[r][k] weighted once
     when row k is done, and the two-sided y_r = sum_{j+l=r} C(r,j) sum_k
     W_k m[j][k] m[l][n-k], symmetric in (j, l), so its k-sum folds to
-    k <= n/2 with weight W_1 + W_{n-1} = 2 W_{n/2}.  A k-sum of products
-    below 2^40 is exact in int64, reduced once.  The toll enters
-    by Pascal's rule F_i(r) = F_{i-1}(r+1) + tau_n F_{i-1}(r), F_0 = y.
+    k <= n/2 with weight W_1 + W_{n-1} = 2 W_{n/2}, for the pairs
+    j + l <= s only.  The rows hold residues below 2^20 as float64, so a
+    product is below 2^40 and a k-sum of at most ``_KSUM_TERMS`` = 8192
+    products below 2^53, exact in float64.  Each such sum is cast once to
+    int64; a longer k-sum adds its blocks of ``_KSUM_TERMS`` there, and
+    every modular step runs in int64.  The toll enters by Pascal's rule
+    F_i(r) = F_{i-1}(r+1) + tau_n F_{i-1}(r), F_0 = y, in place on y,
+    reduced after every second step.  1/(n-1) = crt (n-2)! / (crt (n-1)!)
+    comes from two running products down n, the second seeded with one
+    inverse per prime; the first runs again after the loop for the factors
+    crt (n-1)!, so the per-n table keeps two int32 slots.
     """
     size, c, ps = s_max + 1, len(q), [int(p) for p in q]
     n = np.arange(n_max + 1)[:, None]
     slope, base = (np.array([x % p for p in ps]) for x in _integer_weights(counts.family))  # W_k = slope*k + base
-    fac = np.ones((n_max + 1, c), dtype=np.int32)  # 1/(n-1) times the k-sum's weight; int32, promoted in products
-    for i in range(2, n_max):
-        fac[i + 1] = (q - q // i) * fac[q % i + 1, np.arange(c)] % q  # 1/i = -(q // i) / (q mod i)
-    if variant == TWO_SIDED:  # W_1 + W_{n-1}, or W_{n/2} for even n, whose middle term is doubled below
-        fac[:] = fac * ((slope * np.where(n % 2, n, n // 2) + base * np.where(n % 2, 2, 1)) % q) % q
+    steps = np.empty((n_max + 1, 2, c), dtype=np.int32)  # per n: 1/(n-1) times the k-sum's weight, and tau_n
+    steps[1:, 0], steps[1:, 1] = np.maximum(n[:-1], 1), n_max - n[:-1]
+    top = math.factorial(n_max - 1)
+    steps[1, 0], steps[1, 1] = crt, [pow(top % p * x, -1, p) for x, p in zip(crt.tolist(), ps)]
+    # running products crt i! and, from 1/(crt (n_max-1)!) times n_max-1, ..., i+1, their inverses, i < n_max
+    fact, inverse = _running_products(steps[1:], q)[:, 0], steps[:0:-1, 1]
+    steps[2:, 0] = np.multiply(fact[:-1], inverse[1:], dtype=np.int64) % q  # 1/(n-1) = crt (n-2)! / (crt (n-1)!)
+    steps[:2, 0] = 1
+    if variant == TWO_SIDED:  # W_1 + W_{n-1}, or W_{n/2} for even n, whose middle term is doubled below; < 2^36
+        steps[:, 0] = steps[:, 0] * (slope * np.where(n % 2, n, n // 2) + base * np.where(n % 2, 2, 1)) % q
     else:
-        w = (slope * n + base) % q
-        wrows = np.zeros((size, n_max + 1, c), dtype=np.int64)  # W_k m[s][k], weighted once per k
+        w = ((slope * n + base) % q).astype(np.int32)
+        wrows = np.zeros((size, n_max + 1, c))  # W_k m[s][k], weighted once per k
     t1 = Fraction(toll.t1)
-    tau = np.tile([t1.denominator % p for p in ps], (n_max + 1, 1))
+    steps[:, 1] = [t1.denominator % p for p in ps]
     for _ in range(int(toll.alpha)):
-        tau = tau * n % q
-    tau = tau.astype(np.int32)
-    mix = _mix(size, np.int64)
-    pairs = np.zeros((size, size, c), dtype=np.int64)
-    rows = np.zeros((size, n_max + 1, c), dtype=np.int64)
-    rows[:, 1] = [[pow(t1.numerator, s, p) for p in ps] for s in range(size)]  # tau_1 = D*t_1
+        steps[:, 1] = steps[:, 1] * n % q
+    pair_j, pair_l = np.nonzero(np.add.outer(np.arange(size), np.arange(size)) <= s_max)  # the (j, l) of the mix
+    starts = np.searchsorted(pair_j, np.arange(size + 1))  # the pairs of j run from starts[j] to starts[j + 1]
+    mix = _mix(size, np.int64)[:, pair_j * size + pair_l]
+    sums = np.empty((len(pair_j), c))  # float64 k-sums of the pairs
+    rows = np.zeros((size, n_max + 1, c))
+    y = np.array([[pow(t1.numerator, s, p) for p in ps] for s in range(size)])  # tau_1 = D*t_1
+    rows[:, 1] = y
     for m in range(2, n_max + 1):
         if variant == ONE_SIDED:
-            wrows[:, m - 1] = rows[:, m - 1] * w[m - 1] % q
-            y = np.einsum("jkc,kc->jc", wrows[:, 1:m], rows[0, m - 1 : 0 : -1])
+            wrows[:, m - 1] = y * w[m - 1] % q  # y still holds row m-1
+            for lo in range(1, m, _KSUM_TERMS):
+                hi = min(lo + _KSUM_TERMS, m)
+                block = np.einsum("jkc,kc->jc", wrows[:, lo:hi], rows[0, m - lo : m - hi : -1]).astype(np.int64)
+                y = block if lo == 1 else y + block
         else:
-            lower, upper = rows[:, 1 : (m + 1) // 2], rows[:, m - 1 : m // 2 : -1]  # k and n-k, k < n/2
-            for j in range(size):
-                np.einsum("kc,lkc->lc", lower[j], upper[: size - j], out=pairs[j, : size - j])
+            half = (m - 1) // 2  # the k < n/2, paired with n-k
+            for lo in range(1, max(half, 1) + 1, _KSUM_TERMS):
+                hi = min(lo + _KSUM_TERMS, half + 1)
+                lower, upper = rows[:, lo:hi], rows[:, m - lo : m - hi : -1]
+                for j in range(size):
+                    np.einsum("kc,lkc->lc", lower[j], upper[: size - j], out=sums[starts[j] : starts[j + 1]])
+                block = sums.astype(np.int64)
+                pairs = block if lo == 1 else pairs + block
             if m % 2 == 0:
-                pairs[...] = 2 * pairs + rows[:, m // 2, None] * rows[None, :, m // 2]
-            pairs %= q
-            y = mix @ pairs.reshape(size * size, c)
-        y = y % q * fac[m] % q
-        rows[0, m] = y[0]
-        for s in range(1, size):
-            y = (y[1:] + tau[m] * y[:-1]) % q
-            rows[s, m] = y[0]
-    for i in range(1, n_max + 1):  # N[s][i] = (i-1)! m[s][i]
-        rows[:, i] *= crt
-        crt = crt * i % q
-    rows %= q
-    return rows[1:]
+                mid = rows[:, m // 2]
+                pairs = 2 * pairs + (mid[pair_j] * mid[pair_l]).astype(np.int64)
+            y = mix @ (pairs % q)
+        fac, tau = steps[m, :2].astype(np.int64)
+        y = y % q * fac % q
+        for s in range(1, size):  # y[s:] becomes F_s(0), ..., F_s(size-1-s); y[r] ends as F_r(0)
+            y[s:] += tau * y[s - 1 : -1]  # below 2^41 after one step from residues, 2^62 after two
+            if s % 2 == 0 or s == s_max:
+                y %= q
+        rows[:, m] = y
+    steps[1:, 0], steps[1, 0] = np.maximum(n[:-1], 1), crt  # crt (n-1)! once more, in the slot the loop is done with
+    scale = _running_products(steps[1:, :1], q)[:, 0]
+    spare = rows[0, 1:].view(np.int64)  # order 0 is not returned: its bytes hold each order's products
+    for s in range(1, size):  # N[s][i] = (i-1)! m[s][i]
+        np.multiply(scale, rows[s, 1:], out=spare, casting="unsafe")  # below 2^40, exact
+        spare %= q
+        rows[s, 1:] = spare
+    return rows[1:, 1:]
 
 
 def _rational_rows(counts: WeightedCounts, toll: TollSpec, variant: str, n_max: int, s_max: int) -> List[List]:
     """Exact rows[s][n] = E V_n^s = N[s][n] / (S_n * D^s) as reduced Fractions.
 
-    The recurrence runs modulo P primes, in chunks whose int64 rows fit
+    The recurrence runs modulo P primes, in chunks whose 8-byte rows fit
     ``_CHUNK_BYTES`` (one-sided twice over, with the weighted copy).  Each
     chunk is one pass over n, and each pass pays the per-n numpy calls
     again.  A cost is at most n-1 tolls t_m <= t_n plus n size-1 costs, so
@@ -341,8 +392,9 @@ def _rational_rows(counts: WeightedCounts, toll: TollSpec, variant: str, n_max: 
     N (M/p_i)^(-1) mod p_i, as the symmetric residue (t_1 < 0 makes N < 0
     at odd s).  The sum is one float product of the u_i with the base-2^16
     digits of the M/p_i for ``_CRT_BLOCK`` values, exact as each digit sum
-    stays below P * 2^36 < 2^53; four interleaved lanes of these sums make
-    the int.
+    stays below P * 2^36 < 2^53.  Numpy carries each digit sum's excess
+    over 2^16 into the next digit until none is left, so each value then
+    costs one ``int.from_bytes``, one reduction mod M and its Fraction.
     """
     if s_max > 43:  # y_r adds 2^r residues in int64
         raise OutOfRange(f"exact moments need s_max <= 43, got {s_max}")
@@ -352,8 +404,8 @@ def _rational_rows(counts: WeightedCounts, toll: TollSpec, variant: str, n_max: 
     residues = np.empty((s_max, n_max, len(primes)), dtype=np.float32)  # u_i < 2^20, exact in float32
     per_chunk = max(1, _CHUNK_BYTES // ((s_max + 1) * (n_max + 1) * 8 * (2 if variant == ONE_SIDED else 1)))
     for chunk in np.array_split(np.arange(len(primes)), -(-len(primes) // per_chunk)):
-        residues[:, :, chunk] = _residue_rows(counts, toll, variant, n_max, s_max, primes[chunk], crt[chunk])[:, 1:]
-    digits = (modulus.bit_length() + 15) // 16
+        residues[:, :, chunk] = _residue_rows(counts, toll, variant, n_max, s_max, primes[chunk], crt[chunk])
+    digits = (modulus.bit_length() + len(primes).bit_length() + 15) // 16  # of the sum, below P * M as u_i < p_i
     basis = np.empty((len(primes), digits))  # base-2^16 digits of M/p
     for row, p in zip(basis, map(int, primes)):
         row[:] = np.frombuffer((modulus // p).to_bytes(2 * digits, "little"), dtype="<u2")
@@ -361,8 +413,15 @@ def _rational_rows(counts: WeightedCounts, toll: TollSpec, variant: str, n_max: 
     denom, half = Fraction(toll.t1).denominator, modulus // 2
     out: List[List] = [[None] + [Fraction(1)] * n_max] + [[None] for _ in range(s_max)]
     for lo in range(0, len(flat), _CRT_BLOCK):
-        for i, row in enumerate((flat[lo : lo + _CRT_BLOCK].astype(np.float64) @ basis).astype(np.uint64), lo):
-            x = sum(int.from_bytes(row[r::4].tobytes(), "little") << 16 * r for r in range(4)) % modulus
+        sums = (flat[lo : lo + _CRT_BLOCK].astype(np.float64) @ basis).astype(np.int64)
+        carry = sums >> 16
+        while carry.any():  # until every digit is below 2^16
+            sums &= 0xFFFF
+            sums[:, 1:] += carry[:, :-1]
+            carry = sums >> 16
+        data, width = sums.astype("<u2").tobytes(), 2 * digits
+        for i, at in enumerate(range(0, len(data), width), lo):
+            x = int.from_bytes(data[at : at + width], "little") % modulus
             s, n = divmod(i, n_max)
             out[s + 1].append(Fraction(x - modulus if x > half else x, counts.scaled[n + 1] * denom ** (s + 1)))
     return out

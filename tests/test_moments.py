@@ -19,7 +19,16 @@ Claims covered:
     - the residue kernel's tables do not depend on how the primes are
       chunked: with a byte budget of one or two primes per chunk they
       equal the default one-chunk tables (both variants, three families,
-      n=80, s=3, t_1 = 2/5), and no chunk's int64 rows exceed the budget
+      n=80, s=3, t_1 = 2/5), and no chunk's 8-byte rows exceed the budget
+    - its float64 k-sums are exact: the cap of 8192 products below 2^40
+      keeps each sum below 2^53, and with the cap cut to 3 products, so
+      that every k-sum adds its blocks in int64, the tables still equal
+      the default ones and the Fraction oracle (both variants, three
+      families, n=80, s=3, t_1 = 2/5)
+    - the Chinese remaindering's blocks of 64 values meet the oracle at
+      their edges: s*n = 64, 65 and 128, with negative values from
+      t_1 = -1/3 at odd s, and moduli whose bits fill their top 16-bit
+      digit, so that the digit sums carry past it
     - the primes' product exceeds twice every |N[s][n]| of the real
       table, rebuilt from its Fractions as E V_n^s * S_n * D^s, and every
       prime lies between MAX_EXACT_CUTOFF and 2^20; exact tables reach
@@ -545,7 +554,7 @@ def test_residue_chunks_leave_tables_unchanged(spec, monkeypatch):
     def spy(counts, toll, variant, n_max, s_max, q, crt):
         chunks.append((variant, len(q)))
         copies = 2 if variant == ONE_SIDED else 1  # the one-sided kernel also holds the weighted rows
-        assert copies * (s_max + 1) * (n_max + 1) * len(q) * 8 <= moments._CHUNK_BYTES  # int64 rows
+        assert copies * (s_max + 1) * (n_max + 1) * len(q) * 8 <= moments._CHUNK_BYTES  # 8-byte rows
         return kernel(counts, toll, variant, n_max, s_max, q, crt)
 
     monkeypatch.setattr(moments, "_residue_rows", spy)
@@ -558,3 +567,41 @@ def test_residue_chunks_leave_tables_unchanged(spec, monkeypatch):
         assert make(counts, toll, n_max, s_max, mode="rational").rows == whole[variant]
         sizes = [size for v, size in chunks if v == variant]
         assert sum(sizes) == primes and max(sizes) == (1 if variant == ONE_SIDED else 2)
+
+
+@pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: s.label())
+def test_residue_ksum_blocks_leave_tables_unchanged(spec, monkeypatch):
+    # the cap keeps a float64 k-sum of products below 2^40 exact; a cap of 3 splits every longer k-sum
+    assert moments._KSUM_TERMS * (2**20 - 1) ** 2 < 2**53
+    n_max, s_max = 80, 3
+    counts = compute_counts(spec, n_max, exact_cutoff=n_max)
+    toll = TollSpec(alpha=1, size_one_cost=Fraction(2, 5))
+    oracles = {one_sided_moments: _reference_one_sided, two_sided_moments: _reference_two_sided}
+    whole = {make: make(counts, toll, n_max, s_max, mode="rational").rows for make in oracles}
+    monkeypatch.setattr(moments, "_KSUM_TERMS", 3)
+    for make, oracle in oracles.items():
+        blocked = make(counts, toll, n_max, s_max, mode="rational").rows
+        assert blocked == whole[make] == oracle(counts, toll, n_max, s_max)
+
+
+@pytest.mark.parametrize(
+    "spec, alpha, size_one, n_max, s_max",
+    [
+        (cayley(), 1, Fraction(-1, 3), 64, 1),  # s * n = 64: one whole block
+        (ordered(), 0, Fraction(-1, 3), 13, 5),  # 65: one value past it
+        (ordered(), 2, Fraction(-1, 3), 32, 4),  # 128: two whole blocks
+        (binary(), 1, None, 64, 2),  # 128, all values positive
+    ],
+    ids=["sn64", "sn65", "sn128", "sn128-positive"],
+)
+def test_residue_crt_block_edges(spec, alpha, size_one, n_max, s_max):
+    # the first three fill the modulus M to a whole number of 16-bit digits, so the digit sums carry past its top
+    assert moments._CRT_BLOCK == 64
+    counts = compute_counts(spec, n_max, exact_cutoff=n_max)
+    toll = TollSpec(alpha=alpha, size_one_cost=size_one)
+    one = one_sided_moments(counts, toll, n_max, s_max, mode="rational")
+    assert one.rows == _reference_one_sided(counts, toll, n_max, s_max)
+    two = two_sided_moments(counts, toll, n_max, s_max, mode="rational")
+    assert two.rows == _reference_two_sided(counts, toll, n_max, s_max)
+    if size_one is not None:
+        assert any(v < 0 for s in range(1, s_max + 1, 2) for v in two.rows[s][1:])
