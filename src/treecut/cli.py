@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import decimal
 import json
 import sys
 from fractions import Fraction
@@ -99,7 +100,11 @@ def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
 
 def _fmt(value) -> str:
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
+        try:
+            return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
+        except ValueError:  # an integer past the interpreter's int-to-str digit limit, which Decimal does not apply
+            p, q = (str(decimal.Decimal(i)) for i in (value.numerator, value.denominator))
+            return f"{p}/{q}" if q != "1" else p
     return repr(float(value))
 
 

@@ -22,8 +22,9 @@ denominators of a0 and a1, so that W_k = L*(a1*k + a0) is an integer,
 
 a product over an arithmetic progression (a power when a0 = 0).  These
 integers are the one store of the exact counts and the scale the exact
-moment DP of :mod:`treecut.moments` runs on; T_n = S_n / ((n-1)! * L^(n-1))
-is reduced to a Fraction only when first read.
+moment DP of :mod:`treecut.moments` runs on.  S_n and, when first read, the
+Fraction T_n = S_n / ((n-1)! * L^(n-1)) come from S_{n-d} and T_{n-d} by
+:func:`_ratio_step`'s ratios of a few small factors.
 Its oracles are the recurrence itself, transcribed in Fractions in the
 tests, and :func:`lagrange_counts`, by series arithmetic.
 
@@ -48,7 +49,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -86,12 +87,17 @@ class WeightedCounts:
 
     @functools.cached_property
     def exact(self) -> List[Fraction]:
-        """The exact Fractions T_n for 1 <= n <= exact_limit (index 0 = 0), reduced on first use."""
-        scale = _weight_scale(self.family)
+        """T_n, 1 <= n <= exact_limit (index 0 = 0), on first use: T_{n-d} * num / (den * L^d * (n-d)*...*(n-1))
+        by :func:`_ratio_step`, a big and a small integer per gcd; else Fraction(S_n, (n-1)! * L^(n-1))."""
+        scale, (la1, la0) = _weight_scale(self.family), _integer_weights(self.family)
         out = [Fraction(0)]
         c_n = 1
         for n in range(1, self.exact_limit + 1):
-            out.append(Fraction(self.scaled[n], c_n))
+            if step := _ratio_step(la1, la0, n):
+                d, num, den = step
+                out.append(out[n - d] * Fraction(num, den * scale**d * math.prod(range(n - d, n))))
+            else:
+                out.append(Fraction(self.scaled[n], c_n))
             c_n *= scale * n
         return out
 
@@ -148,11 +154,35 @@ def _balanced_prod(factors: range) -> int:
     return parts[0] if parts else 1
 
 
+def _ratio_step(la1: int, la0: int, n: int) -> Optional[Tuple[int, int, int]]:
+    """(d, num, den) with S_n = S_{n-d} * num / den, or None where the direct product is shorter.
+
+    With A, B = L*a1, L*a0, d = |B|/gcd(A, B) and e = A*d/B, A*(n-d) + B*i = A*n + B*(i-e): S_n
+    multiplies A*n + B*i over 2 <= i < n and S_{n-d} over 2-e <= i < n-d-e, ranges that differ
+    in at most d + 2|e| factors.  B = 0 (a power) and d + 2|e| >= n - 2 keep the direct product.
+    """
+    if la0 == 0:
+        return None
+    d = abs(la0) // math.gcd(la1, la0)
+    e = la1 * d // la0
+    if d + 2 * abs(e) >= n - 2:
+        return None
+    an = la1 * n  # the factors at i = 2, 2-e, n-d-e and n bound the ranges
+    at2, at_lo, at_hi, at_n = an + 2 * la0, an + (2 - e) * la0, an + (n - d - e) * la0, an + n * la0
+    num = math.prod(range(at2, at_lo, la0)) * math.prod(range(at_hi, at_n, la0))
+    return d, num, math.prod(range(at_lo, at2, la0)) * math.prod(range(at_n, at_hi, la0))
+
+
 def _scaled_counts(spec: FamilySpec, n_exact: int) -> List[int]:
-    """S_n = W_1 * prod_{i=2}^{n-1} (L*a1*n + L*a0*i) for 1 <= n <= n_exact (index 0 = 0)."""
+    """S_n = W_1 * prod_{i=2}^{n-1} (L*a1*n + L*a0*i) for 1 <= n <= n_exact (index 0 = 0), as
+    S_{n-d} // den * num by :func:`_ratio_step` (den divides S_{n-d}), else as that product."""
     la1, la0 = _integer_weights(spec)
     s = [0, 1]
     for n in range(2, n_exact + 1):
+        if step := _ratio_step(la1, la0, n):
+            d, num, den = step
+            s.append(s[n - d] // den * num)
+            continue
         first = la1 * n + 2 * la0  # the factor at i = 2
         prod = first ** (n - 2) if la0 == 0 else _balanced_prod(range(first, la1 * n + n * la0, la0))
         s.append((la1 + la0) * prod)
@@ -257,14 +287,18 @@ def _split_row(counts: WeightedCounts, n: int, exact: bool) -> np.ndarray:
 
     t is T as Fractions when ``exact``, else the rho-scaled floats a:
     rho^k * rho^(n-k) = rho^n, so a gives the same law as T while every
-    factor stays inside double range.
+    factor stays inside double range.  The exact row is formed for k <= n/2
+    only, the rest as p_{n,n-k} = p_{n,k} * w_{n-k} / w_k (t_k * t_{n-k} is
+    symmetric), a big Fraction times a small one.
     """
     spec = counts.family
     if exact:
         t = np.array(counts.exact[: n + 1], dtype=object)
         w = spec.a1 * np.arange(1, n, dtype=object) + spec.a0
-    else:
-        t = counts.rho_scaled
-        a1, alpha0 = _weight_terms(spec)
-        w = a1 * np.arange(n - 1, dtype=np.float64) + alpha0  # w_k for k = 1..n-1
+        h, m = n // 2, (n - 1) // 2  # p_{n,1..h} formed, p_{n,h+1..n-1} mirrored from p_{n,m..1}
+        half = w[:h] * t[1 : h + 1] * t[n - 1 : n - h - 1 : -1] / ((n - 1) * t[n])
+        return np.concatenate([half, half[:m][::-1] * (w[h:] / w[:m][::-1])])
+    t = counts.rho_scaled
+    a1, alpha0 = _weight_terms(spec)
+    w = a1 * np.arange(n - 1, dtype=np.float64) + alpha0  # w_k for k = 1..n-1
     return w * t[1:n] * t[n - 1 : 0 : -1] / ((n - 1) * t[n])

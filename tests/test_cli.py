@@ -8,7 +8,8 @@ Claims covered:
       before, so a last-digit drift in the log-Gamma evaluation shows
     - full split rows (exact up to n = 700, symmetrized, and a float row
       past the exact cutoff) print the bytes they printed before
-    - exact rationals survive serialization as p/q strings
+    - exact rationals survive serialization as p/q strings, also past
+      the interpreter's 4300-digit int-to-str limit (Cayley n = 1400)
     - JSON outputs parse back; identical argv (and seed) gives
       byte-identical output, also when the worker count changes, for
       both simulation engines
@@ -46,6 +47,7 @@ Claims covered:
       are each column formatted as before
 """
 
+import decimal
 import hashlib
 import json
 import math
@@ -128,6 +130,19 @@ def test_probs_row_bytes(capture, family, n, extra, expected):
     code, out, _ = capture("probs", *family, "--n", n, *extra)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
+def test_probs_past_the_int_to_str_digit_limit(capture):
+    # Cayley rows from n = 1373 on hold integers of more than 4300 digits, past str()'s default limit
+    code, out, err = capture("probs", "--kind", "A", "--alpha0", "1", "--n", "1400")
+    assert code == 0 and err == ""
+    rows = out.splitlines()
+    dist = counts.split_distribution(counts.compute_counts(make_family("A", 1), 1400, exact_cutoff=1400), 1400)
+    assert len(rows[1].split("/")[1]) > 4300  # p_{n,1}'s denominator
+    for k in (1, 700):
+        index, text = rows[k].split(",")
+        p, q = (int(decimal.Decimal(part)) for part in text.split("/"))  # int(str) has the same limit
+        assert int(index) == k and Fraction(p, q) == dist.prob(k)
 
 
 def test_limits_reference(capture):

@@ -5,8 +5,11 @@ Claims covered:
       Fraction transcription of the convolution recurrence up to n=120
       for kinds A, B and C (a0 zero, positive and negative, integer and
       fractional parameters)
-    - the balanced product gives the same integers as multiplying each
-      closed-form product left to right
+    - the counts, stepped by ratios of a few small factors or by the
+      balanced product, give the same integers as multiplying each
+      closed-form product left to right, and the same reduced Fractions
+      as S_n / ((n-1)! L^(n-1)), for ratio steps d = 1, 3 and 8 and for
+      the families that keep the direct product (n <= 400, and n = 2500)
     - they match the Catalan / Cayley closed forms and the
       Lagrange-inversion oracle, exactly
     - splitting probabilities are nonnegative (also for kind C, whose
@@ -15,8 +18,10 @@ Claims covered:
     - symmetrized distributions are palindromic and normalized
     - the exact splitting law equals the first-cut law found by
       enumerating every tree and edge (n <= 7)
-    - the exact splitting law equals W_k * C(n-2, k-1) * S_k * S_{n-k} / S_n
-      on the integer scale of the moment kernel (n <= 120, four families)
+    - the exact splitting law, plain and symmetrized, equals
+      W_k * C(n-2, k-1) * S_k * S_{n-k} / S_n on the integer scale of the
+      moment kernel for every k, though the row forms only k <= n/2
+      (n <= 600, nine families, odd and even n)
     - log-scale values agree with the exact rationals and stay stable
       far past double-precision overflow
     - the float weights keep alpha0 beside a huge alpha1 (kind C,
@@ -37,7 +42,7 @@ from treecut.bruteforce import all_cuts, enumerate_trees, tree_size, tree_weight
 from treecut.counts import (
     MAX_EXACT_CUTOFF,
     _integer_weights,
-    _scaled_counts,
+    _ratio_step,
     _split_row,
     _weight_scale,
     compute_counts,
@@ -116,18 +121,43 @@ def test_closed_form_matches_recurrence(spec):
     assert all(isinstance(v, int) for v in counts.scaled)
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [make_family("B", "3/2", d=4), binary(), ordered(), make_family("C", 1, alpha1=2), make_family("C", "2/3", alpha1="5/7")],
-    ids=lambda s: s.label(),
-)
+# d = |L*a0| / gcd(L*a1, L*a0) is the step of the ratio S_n / S_{n-d}: 1 for ordered, binary, B(3, d=3) and
+# B(3/2, d=4), 3 for C(1, 2), 8 for C(2/3, 5/7); Cayley (a0 = 0), C(1/3, 10^12/3) and B(1, d=65536) keep the
+# direct product
+RATIO_CASES = [
+    ordered(),
+    binary(),
+    cayley(),
+    make_family("B", 3, d=3),
+    make_family("B", "3/2", d=4),
+    make_family("C", 1, alpha1=2),
+    make_family("C", "2/3", alpha1="5/7"),
+    make_family("C", Fraction(1, 3), alpha1=Fraction(10**12, 3)),
+    make_family("B", 1, d=65536),
+]
+
+
+@pytest.mark.parametrize("spec", RATIO_CASES, ids=lambda s: s.label())
 def test_scaled_counts_equal_left_to_right_product(spec):
     scale = _weight_scale(spec)
-    la1, la0 = int(scale * spec.a1), int(scale * spec.a0)
-    left_to_right = [0, 1] + [
-        (la1 + la0) * math.prod(range(la1 * n + 2 * la0, la1 * n + n * la0, la0)) for n in range(2, 401)
+    la1, la0 = _integer_weights(spec)
+
+    def left_to_right(n):
+        return (la1 + la0) * math.prod([la1 * n + la0 * i for i in range(2, n)])
+
+    def reduced(s, n):  # T_n = S_n / ((n-1)! * L^(n-1)), reduced by one big gcd
+        return Fraction(s, math.factorial(n - 1) * scale ** (n - 1))
+
+    counts = compute_counts(spec, 400, exact_cutoff=400)
+    assert counts.scaled == [0, 1] + [left_to_right(n) for n in range(2, 401)]
+    assert [(t.numerator, t.denominator) for t in counts.exact[1:]] == [
+        (t.numerator, t.denominator) for t in (reduced(s, n) for n, s in enumerate(counts.scaled[1:], 1))
     ]
-    assert _scaled_counts(spec, 400) == left_to_right
+    if _ratio_step(la1, la0, 2500):  # a long chain of ratios; the direct product is the same code at any n
+        far = compute_counts(spec, 2500, exact_cutoff=2500)
+        assert far.scaled[2500] == left_to_right(2500)
+        t, oracle = far.exact[2500], reduced(far.scaled[2500], 2500)
+        assert (t.numerator, t.denominator) == (oracle.numerator, oracle.denominator)
 
 
 @pytest.mark.parametrize(
@@ -178,16 +208,17 @@ def test_split_law_matches_enumeration(spec):
         assert list(split_distribution(counts, n).probs) == first_cut_distribution(spec, n)
 
 
-@pytest.mark.parametrize(
-    "spec", FAMILIES + [make_family("C", "2/3", alpha1="5/7")], ids=lambda s: s.label()
-)
+@pytest.mark.parametrize("spec", RATIO_CASES, ids=lambda s: s.label())
 def test_exact_row_on_the_integer_scale(spec):
-    # the order-0 summand of the exact moment kernel: W_k * C(n-2, k-1) * S_k * S_{n-k} / S_n, L cancels
-    counts = compute_counts(spec, 120, exact_cutoff=120)
+    # the order-0 summand of the exact moment kernel: W_k * C(n-2, k-1) * S_k * S_{n-k} / S_n, L cancels;
+    # it forms every k, where the row itself mirrors its half k <= n/2
+    counts = compute_counts(spec, 600, exact_cutoff=600)
     (la1, la0), s = _integer_weights(spec), counts.scaled
-    for n in (2, 3, 17, 120):
+    for n in (2, 3, 4, 5, 17, 64, 65, 120, 600):
         expected = [Fraction((la1 * k + la0) * math.comb(n - 2, k - 1) * s[k] * s[n - k], s[n]) for k in range(1, n)]
         assert list(split_distribution(counts, n).probs) == expected
+        symmetrized = [(p + q) / 2 for p, q in zip(expected, expected[::-1])]
+        assert split_distribution(counts, n, symmetrized=True).probs == symmetrized
 
 
 def test_kind_c_weights_positive_despite_negative_a0():
